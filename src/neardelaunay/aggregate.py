@@ -2,7 +2,8 @@
 
 Two aggregations: the plain sum, and worst-first lexicographic comparison
 ("bottleneck").  Optimization is exhaustive: every triangulation within the
-enumeration cap is checked against the constraint and scored.
+enumeration cap is checked against the constraint and scored, as rows of the
+point set's triangulation table.
 """
 
 from __future__ import annotations
@@ -10,19 +11,28 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+
+import numpy as np
 
 from .delaunay import delaunay
 from .errors import IncomparableScores
 from .geom import PointSet
-from .metrics import METRIC_ORIENTATION, Evaluator, ScoreOrientation
+from .metrics import (
+    EDGE_METRICS,
+    METRIC_ORIENTATION,
+    TRIANGLE_METRICS,
+    Evaluator,
+    ScoreOrientation,
+)
 from .triangulation import (
+    DEFAULT_ENUMERATION_CAP,
     Constraint,
     Triangulation,
-    enumerate_triangulations,
-    DEFAULT_ENUMERATION_CAP,
-    satisfies,
+    TriangulationTable,
+    check_enumeration_cap,
+    feasible_rows,
     total_edge_length,
+    triangulation_table,
 )
 
 # Lexicographic comparisons treat element values within this absolute
@@ -85,37 +95,96 @@ def _is_sum_better(value: float, best: float, lower_better: bool) -> bool:
     return value < best if lower_better else value > best
 
 
+# Rows compared per step of the bottleneck scan.
+_SCAN_ROWS = 1024
+
+
+def _best_sum(scores: np.ndarray, lower_better: bool) -> int:
+    """Row with the best exact sum; a later row wins only when strictly
+    better, so ties keep the earliest."""
+    best, best_sum = 0, None
+    for lo in range(0, len(scores), _SCAN_ROWS):
+        for row, values in enumerate(scores[lo : lo + _SCAN_ROWS].tolist(), lo):
+            value = math.fsum(values)
+            if best_sum is None or _is_sum_better(value, best_sum, lower_better):
+                best, best_sum = row, value
+    return best
+
+
+def _best_bottleneck(scores: np.ndarray, lower_better: bool) -> int:
+    """The scan of compare_bottleneck_lex over the rows: a later row replaces
+    the best only when closer, so ties keep the earliest.  Each step finds
+    the next closer row among a block of rows at once."""
+    worst_first = np.sort(scores, axis=1)
+    if lower_better:
+        worst_first = worst_first[:, ::-1]
+    if worst_first.shape[1] == 0:
+        return 0
+    best, lo = 0, 1
+    while lo < len(worst_first):
+        block = worst_first[lo : lo + _SCAN_ROWS]
+        ref = worst_first[best]
+        differs = ~(np.abs(block - ref) <= LEX_TOLERANCE)
+        at = differs.argmax(axis=1)
+        x = np.take_along_axis(block, at[:, None], axis=1)[:, 0]
+        closer = np.flatnonzero(differs.any(axis=1) & ((x < ref[at]) == lower_better))
+        if len(closer):
+            best = lo + int(closer[0])
+            lo = best + 1
+        else:
+            lo += len(block)
+    return best
+
+
 def best_triangulation(
-    candidates: Iterable[Triangulation],
+    table: TriangulationTable,
     constraint: Constraint,
     metric: str,
     mode: AggregationMode,
     dt_length: float,
     evaluator: Evaluator,
 ) -> Triangulation | None:
-    """Best feasible candidate; ties keep the canonically earliest.
+    """Best feasible row of the table; ties keep the canonically earliest.
 
-    Candidates must arrive in canonical order for the tie-break to hold
-    (enumerate_triangulations yields them that way).
+    Evaluator values are filled only for the elements of feasible rows,
+    then gathered per row.
     """
     lower_better = METRIC_ORIENTATION[metric] is ScoreOrientation.LOWER_BETTER
-    best: Triangulation | None = None
-    best_sum = 0.0
-    best_vec: ScoreVector | None = None
-    for t in candidates:
-        if not satisfies(t, constraint, dt_length):
-            continue
-        sv = ScoreVector(metric, METRIC_ORIENTATION[metric], evaluator.values(t, metric))
-        if mode is AggregationMode.SUM:
-            value = aggregate_sum(sv)
-            if best is None or _is_sum_better(value, best_sum, lower_better):
-                best, best_sum = t, value
-        else:
-            if best_vec is None or (
-                compare_bottleneck_lex(sv, best_vec) is Comparison.A_CLOSER
-            ):
-                best, best_vec = t, sv
-    return best
+    feasible = np.flatnonzero(feasible_rows(table, constraint, dt_length))
+    if not len(feasible):
+        return None
+    if metric in TRIANGLE_METRICS:
+        ids, element = table.rows, table.triangles.__getitem__
+    elif metric in EDGE_METRICS:
+        ids, element = table.edges, table.edge_pairs.__getitem__
+    else:
+        ids, element = table.quads, table.quadrilateral
+    ids = ids[feasible]
+    used, at = np.unique(ids.ravel(), return_inverse=True)
+    values = np.array(
+        [evaluator.element_value(metric, element(e)) for e in used.tolist()], dtype=float
+    )
+    scores = values[at].reshape(ids.shape)
+    if mode is AggregationMode.SUM:
+        best = _best_sum(scores, lower_better)
+    else:
+        best = _best_bottleneck(scores, lower_better)
+    return table.triangulation(int(feasible[best]))
+
+
+# The table of the most recently optimized point set, so that repeated
+# queries on one set share one enumeration while memory holds one table.
+_last_table: TriangulationTable | None = None
+
+
+def _table_for(ps: PointSet, cap: int) -> TriangulationTable:
+    global _last_table
+    check_enumeration_cap(ps, cap)
+    table = _last_table
+    if table is None or table.point_set != ps:
+        table = _last_table = None  # release the old table before building the next
+        table = _last_table = triangulation_table(ps, cap)
+    return table
 
 
 def optimize(
@@ -130,10 +199,12 @@ def optimize(
 
     Returns None when no triangulation satisfies the constraint.  The result
     is deterministic: score ties are broken by canonical triangle-set order.
+    The triangulation table of the most recent point set is kept, so
+    repeated queries on one set enumerate it once.
     """
     dt_length = total_edge_length(delaunay(ps))
     if evaluator is None:
         evaluator = Evaluator(ps)
     return best_triangulation(
-        enumerate_triangulations(ps, cap), constraint, metric, mode, dt_length, evaluator
+        _table_for(ps, cap), constraint, metric, mode, dt_length, evaluator
     )

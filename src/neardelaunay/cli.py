@@ -31,6 +31,7 @@ from .triangulation import (
     RequiredEdges,
     edge_diff,
     enumerate_triangulations,
+    triangulation_table,
     validate,
 )
 
@@ -154,7 +155,7 @@ def _cmd_cdt(args) -> int:
 def _cmd_enumerate(args) -> int:
     ps = _read_points(args.points)
     if args.count:
-        print(sum(1 for _ in enumerate_triangulations(ps, args.cap)))
+        print(len(triangulation_table(ps, args.cap)))
         return EXIT_OK
     first = True
     for t in enumerate_triangulations(ps, args.cap):

@@ -54,8 +54,8 @@ from .triangulation import (
     MinTotalLength,
     RequiredEdges,
     edge_diff,
-    enumerate_triangulations,
     total_edge_length,
+    triangulation_table,
 )
 
 CONSTRAINT_LABELS = {
@@ -184,7 +184,7 @@ def run_experiment(
         name = entry.get("name", f"set{idx}")
         ps = _load_point_set(entry, base_dir)
         dt = delaunay(ps)
-        candidates = list(enumerate_triangulations(ps))
+        table = triangulation_table(ps)
         contexts.append(
             {
                 "index": idx,
@@ -193,7 +193,7 @@ def run_experiment(
                 "ps": ps,
                 "dt": dt,
                 "dt_length": total_edge_length(dt),
-                "candidates": candidates,
+                "table": table,
                 "evaluator": Evaluator(ps),
             }
         )
@@ -206,7 +206,7 @@ def run_experiment(
                     if k in entry
                 },
                 "points": [[round12(p.x), round12(p.y)] for p in ps],
-                "triangulation_count": len(candidates),
+                "triangulation_count": len(table),
             }
         )
 
@@ -252,7 +252,7 @@ def run_experiment(
                     started = time.perf_counter()
                     try:
                         best = best_triangulation(
-                            ctx["candidates"],
+                            ctx["table"],
                             constraint,
                             metric,
                             mode,

@@ -678,6 +678,17 @@ class Evaluator:
                 cache[tri] = _shrunk_circumcircle_value(self.point_set, tri)
         return cache[tri]
 
+    def element_value(self, metric: str, element: tuple) -> float:
+        """Cached value of one element: a quadrilateral's (u, v, p, q), an
+        edge's (u, v) or a triangle's triple, as the metric decomposes."""
+        if metric in QUADRILATERAL_METRICS:
+            return self._quad_value(metric, Quadrilateral(self.point_set, *element))
+        if metric in EDGE_METRICS:
+            return self._edge_value(metric, element)
+        if metric in TRIANGLE_METRICS:
+            return self._triangle_value(metric, element)
+        raise ValueError(f"unknown metric {metric!r}")
+
     def scores(self, t: Triangulation, metric: str) -> list[ElementScore]:
         if metric not in ALL_METRICS:
             raise ValueError(f"unknown metric {metric!r}")

@@ -3,13 +3,20 @@
 A triangulation is stored canonically: each triangle as an ascending index
 triple, the triple set sorted lexicographically.  That single ordering
 defines determinism for enumeration, tie-breaking and file output.
+
+Enumeration builds one integer table per point set (:class:`TriangulationTable`):
+every triangulation as a row of triangle ids, with the per-row columns that
+constraints filter on and that scores are gathered by.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .errors import EnumerationTooLarge, MismatchedPointSets
 from .geom import (
@@ -171,8 +178,13 @@ def interior_quadrilaterals(t: Triangulation) -> list[Quadrilateral]:
 
 def total_edge_length(t: Triangulation) -> float:
     if t._length is None:
+        # Left to right in edge_map order, plain float additions, which the
+        # table's length column repeats (sum() compensates from Python 3.12).
         pts = t.point_set.points
-        t._length = sum(math.dist(pts[i], pts[j]) for i, j in t.edge_map())
+        total = 0.0
+        for i, j in t.edge_map():
+            total += math.dist(pts[i], pts[j])
+        t._length = total
     return t._length
 
 
@@ -196,6 +208,26 @@ def satisfies(t: Triangulation, c: Constraint, dt_length: float) -> bool:
         return total_edge_length(t) <= c.factor * dt_length
     if isinstance(c, MaxDegree):
         return max_degree(t) <= c.bound
+    raise TypeError(f"unknown constraint {c!r}")
+
+
+def feasible_rows(table: "TriangulationTable", c: Constraint, dt_length: float) -> np.ndarray:
+    """Boolean mask of the table rows that satisfy c, by the comparisons of
+    :func:`satisfies` on the table's columns."""
+    if isinstance(c, RequiredEdges):
+        mask = np.ones(len(table), dtype=bool)
+        for e in c.edges:
+            eid = table.edge_index.get(e)
+            if eid is None:
+                return np.zeros(len(table), dtype=bool)
+            mask &= (table.edges == eid).any(axis=1)
+        return mask
+    if isinstance(c, MinTotalLength):
+        return table.length >= c.factor * dt_length
+    if isinstance(c, MaxTotalLength):
+        return table.length <= c.factor * dt_length
+    if isinstance(c, MaxDegree):
+        return table.max_degree <= c.bound
     raise TypeError(f"unknown constraint {c!r}")
 
 
@@ -313,23 +345,6 @@ def flip(ps: PointSet, tris: frozenset[Triple], edge: EdgeKey) -> frozenset[Trip
     return (tris - {old1, old2}) | {new1, new2}
 
 
-def _edges_of(tris: frozenset[Triple]) -> set[EdgeKey]:
-    out = set()
-    for i, j, k in tris:
-        out.add((i, j))
-        out.add((i, k))
-        out.add((j, k))
-    return out
-
-
-def _interior_edges(tris: frozenset[Triple]) -> list[EdgeKey]:
-    count: dict[EdgeKey, int] = {}
-    for i, j, k in tris:
-        for e in ((i, j), (i, k), (j, k)):
-            count[e] = count.get(e, 0) + 1
-    return [e for e, c in count.items() if c == 2]
-
-
 def scan_triangulation(ps: PointSet) -> Triangulation:
     """Some valid triangulation: insert points in lexicographic order,
     connecting each new point to the hull edges it sees."""
@@ -366,33 +381,234 @@ def scan_triangulation(ps: PointSet) -> Triangulation:
     return Triangulation(ps, tris)
 
 
-def enumerate_triangulations(
-    ps: PointSet, cap: int = DEFAULT_ENUMERATION_CAP
-) -> Iterator[Triangulation]:
-    """Every triangulation of ps exactly once, in lexicographic order of the
-    canonical triangle set.
+# --- the triangulation table ------------------------------------------------
 
-    Walks the flip graph (connected for full triangulations of a point set)
-    from a seed triangulation, then yields in sorted order.
-    """
+# Rows per block when deriving the per-row columns; bounds the temporaries.
+_BLOCK_ROWS = 1024
+
+
+def _id_dtype(count: int):
+    """Smallest signed integer type holding the ids 0 .. count - 1."""
+    return np.int16 if count <= np.iinfo(np.int16).max + 1 else np.int32
+
+
+def check_enumeration_cap(ps: PointSet, cap: int) -> None:
+    """Refuse to enumerate a point set larger than the cap."""
     if len(ps) > cap:
         raise EnumerationTooLarge(
             f"{len(ps)} points exceeds enumeration cap {cap}"
         )
-    validate_general_position(ps)
-    seed = frozenset(scan_triangulation(ps).triangles)
+
+
+class TriangulationTable:
+    """Every triangulation of one point set, as rows of integer ids.
+
+    A triangle's id is the rank of its index triple among all triples in
+    lexicographic order, and an edge's id the rank of its pair among all
+    pairs, so a row of ascending ids sorts exactly like the canonical
+    triangle tuple.  Rows are in canonical order.  Per row:
+
+    * ``rows``: triangle ids, ascending;
+    * ``edges``: edge ids, ascending;
+    * ``quads``: one code per interior edge uv, ``id(uv) * edge count +
+      id(pq)`` with p, q the opposing vertices, ascending (so ordered by
+      edge, as in :func:`interior_quadrilaterals`);
+    * ``length``: total edge length, equal to :func:`total_edge_length`
+      bit for bit;
+    * ``max_degree``: the largest vertex degree.
+    """
+
+    __slots__ = (
+        "point_set", "triangles", "edge_pairs", "edge_index",
+        "rows", "edges", "quads", "length", "max_degree",
+    )
+
+    def __init__(self, point_set, triangles, edge_pairs, rows, edges, quads, length, max_degree):
+        self.point_set = point_set
+        self.triangles: list[Triple] = triangles
+        self.edge_pairs: list[EdgeKey] = edge_pairs
+        self.edge_index = {e: i for i, e in enumerate(edge_pairs)}
+        self.rows = rows
+        self.edges = edges
+        self.quads = quads
+        self.length = length
+        self.max_degree = max_degree
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def triangulation(self, row: int) -> Triangulation:
+        tris = self.triangles
+        return Triangulation(self.point_set, [tris[i] for i in self.rows[row].tolist()])
+
+    def quadrilateral(self, code: int) -> tuple[int, int, int, int]:
+        """(u, v, p, q) of a quadrilateral code, p from the lower triangle."""
+        uv, pq = divmod(code, len(self.edge_pairs))
+        return (*self.edge_pairs[uv], *self.edge_pairs[pq])
+
+
+def _flip_moves(ps: PointSet, triangles: list[Triple], tri_id: dict) -> list:
+    """Per triangle id t, one (partners, flips) pair per edge of t: the bits
+    of the higher-id triangles across that edge, and for each partner whose
+    flip is legal, the XOR mask of its four triangle bits.
+
+    Legality is the test :func:`flip` makes: the new diagonal pq must have
+    u and v strictly on opposite sides.
+    """
+    pts = ps.points
+    n = len(pts)
+    side = {
+        (a, b): [orientation(pts[a], pts[b], w) for w in pts]
+        for a, b in itertools.combinations(range(n), 2)
+    }
+    moves = []
+    for t, (i, j, k) in enumerate(triangles):
+        per_edge = []
+        for u, v, p in ((i, j, k), (i, k, j), (j, k, i)):
+            partners = 0
+            flips = {}
+            for q in range(n):
+                if q in (u, v, p):
+                    continue
+                other = tri_id[tuple(sorted((u, v, q)))]
+                if other < t:  # each pair is seen once, from its lower id
+                    continue
+                bit = 1 << other
+                partners |= bit
+                s = side[min(p, q), max(p, q)]
+                su, sv = s[u], s[v]
+                if Orientation.COLLINEAR not in (su, sv) and su is not sv:
+                    flips[bit] = (
+                        (1 << t)
+                        | bit
+                        | (1 << tri_id[tuple(sorted((u, p, q)))])
+                        | (1 << tri_id[tuple(sorted((v, p, q)))])
+                    )
+            if partners:
+                per_edge.append((partners, flips))
+        moves.append(per_edge)
+    return moves
+
+
+def _walk_flip_graph(seed: int, moves: list) -> set[int]:
+    """Every triangulation reachable from seed by flips, as triangle-id bitmasks."""
     seen = {seed}
     stack = [seed]
     while stack:
         cur = stack.pop()
-        for edge in _interior_edges(cur):
-            nxt = flip(ps, cur, edge)
-            if nxt is not None and nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    for tris in sorted(tuple(sorted(s)) for s in seen):
-        yield Triangulation(ps, tris)
+        rest = cur
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            for partners, flips in moves[low.bit_length() - 1]:
+                across = cur & partners
+                if across:
+                    mask = flips.get(across)
+                    if mask is not None:
+                        nxt = cur ^ mask
+                        if nxt not in seen:
+                            seen.add(nxt)
+                            stack.append(nxt)
+    return seen
 
 
-def count_triangulations(ps: PointSet, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
-    return sum(1 for _ in enumerate_triangulations(ps, cap))
+def _decode_rows(masks: set[int], id_count: int, width: int) -> np.ndarray:
+    """Bitmasks -> ascending id rows, rows in lexicographic order."""
+    nbytes = (id_count + 7) // 8
+    it = iter(masks)
+    blocks = []
+    while True:
+        buf = b"".join(m.to_bytes(nbytes, "little") for m in itertools.islice(it, _BLOCK_ROWS))
+        if not buf:
+            break
+        bits = np.unpackbits(
+            np.frombuffer(buf, np.uint8).reshape(-1, nbytes), axis=1, bitorder="little"
+        )
+        blocks.append(np.nonzero(bits)[1].astype(_id_dtype(id_count)).reshape(-1, width))
+    rows = np.concatenate(blocks)
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+def triangulation_table(
+    ps: PointSet, cap: int = DEFAULT_ENUMERATION_CAP
+) -> TriangulationTable:
+    """Enumerate every triangulation of ps once, by a walk of the flip graph
+    (connected for full triangulations of a point set) from a seed."""
+    check_enumeration_cap(ps, cap)
+    validate_general_position(ps)
+    n = len(ps)
+    triangles = list(itertools.combinations(range(n), 3))
+    tri_id = {t: i for i, t in enumerate(triangles)}
+    pairs = list(itertools.combinations(range(n), 2))
+    edge_lut = np.full((n, n), -1, dtype=_id_dtype(len(pairs)))
+    for e, (i, j) in enumerate(pairs):
+        edge_lut[i, j] = edge_lut[j, i] = e
+    seed = 0
+    for t in scan_triangulation(ps).triangles:
+        seed |= 1 << tri_id[t]
+    masks = _walk_flip_graph(seed, _flip_moves(ps, triangles, tri_id))
+    rows = _decode_rows(masks, len(triangles), seed.bit_count())
+    del masks
+    return TriangulationTable(
+        ps, triangles, pairs, rows, *_row_columns(ps, triangles, pairs, edge_lut, rows)
+    )
+
+
+def _row_columns(ps: PointSet, triangles, pairs, edge_lut: np.ndarray, rows: np.ndarray):
+    """Edge ids, quadrilateral codes, total length and maximum degree of
+    every row, derived block by block."""
+    pts = ps.points
+    n = len(pts)
+    h = len(ps.hull())
+    n_edges, n_interior = 3 * n - h - 3, 3 * n - 2 * h - 3
+    # per triangle: its edges in edge_map insertion order, the vertex opposite each
+    corners = np.array(triangles, dtype=np.intp)
+    tri_edges = edge_lut[corners[:, [0, 0, 1]], corners[:, [1, 2, 2]]]
+    tri_opp = corners[:, [2, 1, 0]]
+    edge_len = np.array([math.dist(pts[i], pts[j]) for i, j in pairs])
+    ends = np.array(pairs, dtype=np.intp)
+    quad_dtype = _id_dtype(len(pairs) ** 2)
+
+    count = len(rows)
+    edges = np.empty((count, n_edges), dtype=edge_lut.dtype)
+    quads = np.empty((count, n_interior), dtype=quad_dtype)
+    length = np.empty(count)
+    max_deg = np.empty(count, dtype=np.int16)
+    for lo in range(0, count, _BLOCK_ROWS):
+        block = rows[lo : lo + _BLOCK_ROWS]
+        b = len(block)
+        seq = tri_edges[block].reshape(b, -1)  # every edge once per triangle
+        opp = tri_opp[block].reshape(b, -1)
+        perm = np.argsort(seq, axis=1, kind="stable")
+        srt = np.take_along_axis(seq, perm, axis=1)
+        first = np.ones(srt.shape, dtype=bool)
+        first[:, 1:] = srt[:, 1:] != srt[:, :-1]
+        edges[lo : lo + b] = srt[first].reshape(b, n_edges)
+        # An interior edge's second occurrence; stable sorting keeps the
+        # lower triangle, and with it the smaller opposing vertex p, first.
+        again = ~first[:, 1:]
+        p = np.take_along_axis(opp, perm[:, :-1], axis=1)[again]
+        q = np.take_along_axis(opp, perm[:, 1:], axis=1)[again]
+        uv = srt[:, 1:][again].astype(quad_dtype)
+        quads[lo : lo + b] = (uv * len(pairs) + edge_lut[p, q]).reshape(b, n_interior)
+        # total length summed left to right in edge_map insertion order
+        in_order = np.zeros(seq.shape, dtype=bool)
+        np.put_along_axis(in_order, perm, first, axis=1)
+        inserted = seq[in_order].reshape(b, n_edges)
+        acc = np.zeros(b)
+        for c in range(n_edges):
+            acc += edge_len[inserted[:, c]]
+        length[lo : lo + b] = acc
+        at = ends[edges[lo : lo + b]].reshape(b, -1) + n * np.arange(b)[:, None]
+        max_deg[lo : lo + b] = np.bincount(at.ravel(), minlength=b * n).reshape(b, n).max(axis=1)
+    return edges, quads, length, max_deg
+
+
+def enumerate_triangulations(
+    ps: PointSet, cap: int = DEFAULT_ENUMERATION_CAP
+) -> Iterator[Triangulation]:
+    """Every triangulation of ps exactly once, in lexicographic order of the
+    canonical triangle set."""
+    table = triangulation_table(ps, cap)
+    for row in range(len(table)):
+        yield table.triangulation(row)

@@ -1,7 +1,10 @@
 """Independent reference implementations used to cross-check the library.
 
 These deliberately avoid the code paths of the package: brute-force grids,
-explicit arc constructions, and a separate polygon clipper.
+explicit arc constructions, and a separate polygon clipper.  The flip walk
+over frozensets and the per-candidate search scan are the exceptions: they
+are the package's per-triangulation implementations from before the
+integer triangulation table, kept as the references that table must match.
 """
 
 from __future__ import annotations
@@ -10,6 +13,13 @@ import math
 
 import numpy as np
 
+from neardelaunay.aggregate import (
+    AggregationMode,
+    Comparison,
+    ScoreVector,
+    aggregate_sum,
+    compare_bottleneck_lex,
+)
 from neardelaunay.geom import (
     Orientation,
     PointSet,
@@ -19,6 +29,14 @@ from neardelaunay.geom import (
     circumcircle,
     inscribed_circle,
     orientation,
+    validate_general_position,
+)
+from neardelaunay.metrics import METRIC_ORIENTATION, ScoreOrientation
+from neardelaunay.triangulation import (
+    Triangulation,
+    flip,
+    satisfies,
+    scan_triangulation,
 )
 
 
@@ -65,6 +83,53 @@ def count_triangulations_by_edge_sets(ps: PointSet) -> int:
 
     recurse(0, frozenset(), frozenset())
     return count
+
+
+# --- enumeration by a flip walk over triangle sets --------------------------
+
+
+def enumerate_by_frozenset_walk(ps: PointSet) -> list[Triangulation]:
+    """Every triangulation in canonical order, by a depth-first walk of the
+    flip graph over frozensets of triangle triples, flipping with
+    :func:`flip` itself."""
+    validate_general_position(ps)
+    seed = frozenset(scan_triangulation(ps).triangles)
+    seen = {seed}
+    stack = [seed]
+    while stack:
+        cur = stack.pop()
+        count: dict = {}
+        for i, j, k in cur:
+            for e in ((i, j), (i, k), (j, k)):
+                count[e] = count.get(e, 0) + 1
+        for edge in (e for e, c in count.items() if c == 2):
+            nxt = flip(ps, cur, edge)
+            if nxt is not None and nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return [Triangulation(ps, tris) for tris in sorted(tuple(sorted(s)) for s in seen)]
+
+
+# --- constrained search by a scan over candidates ------------------------------
+
+
+def best_by_scan(candidates, constraint, metric, mode, dt_length, evaluator):
+    """Best candidate that satisfies the constraint, scoring each with
+    Evaluator.values; a later candidate replaces the best only when strictly
+    better, so ties keep the earliest."""
+    lower_better = METRIC_ORIENTATION[metric] is ScoreOrientation.LOWER_BETTER
+    best = best_sum = best_vec = None
+    for t in candidates:
+        if not satisfies(t, constraint, dt_length):
+            continue
+        sv = ScoreVector(metric, METRIC_ORIENTATION[metric], evaluator.values(t, metric))
+        if mode is AggregationMode.SUM:
+            value = aggregate_sum(sv)
+            if best is None or (value < best_sum if lower_better else value > best_sum):
+                best, best_sum = t, value
+        elif best is None or compare_bottleneck_lex(sv, best_vec) is Comparison.A_CLOSER:
+            best, best_vec = t, sv
+    return best
 
 
 # --- in_circumcircle by direct distances -------------------------------------

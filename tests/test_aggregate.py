@@ -2,19 +2,21 @@ import math
 
 import pytest
 
+from neardelaunay import aggregate
 from neardelaunay.aggregate import (
     AggregationMode,
     Comparison,
     ScoreVector,
     aggregate_sum,
+    best_triangulation,
     compare_bottleneck_lex,
     optimize,
 )
 from neardelaunay.delaunay import cdt, delaunay
 from neardelaunay.errors import EnumerationTooLarge, IncomparableScores
-from neardelaunay.geom import similarity_transform
+from neardelaunay.geom import PointSet, similarity_transform
 from neardelaunay.metrics import ALL_METRICS, Evaluator, ScoreOrientation
-from neardelaunay.pointgen import random_point_set
+from neardelaunay.pointgen import pick_required_edge, random_point_set, wheel_point_set
 from neardelaunay.triangulation import (
     MaxDegree,
     MaxTotalLength,
@@ -23,7 +25,10 @@ from neardelaunay.triangulation import (
     enumerate_triangulations,
     satisfies,
     total_edge_length,
+    triangulation_table,
 )
+
+from oracles import best_by_scan, enumerate_by_frozenset_walk
 
 
 def lower(values):
@@ -198,3 +203,100 @@ class TestOptimize:
         )
         for (m, mode), tris in base.items():
             assert optimize(moved, c, m, mode).triangles == tris
+
+
+SEARCH_SETS = {
+    "random7": lambda: random_point_set(7, seed=71),
+    "random8": lambda: random_point_set(8, seed=81),
+    "wheel": wheel_point_set,
+}
+
+
+class TestSearchOracle:
+    """optimize against a satisfies filter plus a per-candidate scan over the
+    frozenset walk's candidates, on every metric, constraint kind and mode."""
+
+    @pytest.mark.parametrize("name", sorted(SEARCH_SETS))
+    def test_matches_scan(self, name):
+        ps = SEARCH_SETS[name]()
+        dt = delaunay(ps)
+        dt_len = total_edge_length(dt)
+        candidates = enumerate_by_frozenset_walk(ps)
+        constraints = (
+            RequiredEdges([pick_required_edge(ps)]),
+            MinTotalLength(1.1),
+            MinTotalLength(1.0),
+            MaxTotalLength(0.9),
+            MaxTotalLength(1.0),
+            MaxDegree(4),
+            MaxDegree(5),
+        )
+        ours_ev, scan_ev = Evaluator(ps), Evaluator(ps)
+        for c in constraints:
+            for metric in ALL_METRICS:
+                for mode in AggregationMode:
+                    got = optimize(ps, c, metric, mode, evaluator=ours_ev)
+                    want = best_by_scan(candidates, c, metric, mode, dt_len, scan_ev)
+                    assert (got and got.triangles) == (want and want.triangles), (c, metric, mode)
+                    if c in (MinTotalLength(1.0), MaxTotalLength(1.0)):
+                        # the Delaunay triangulation stays feasible, and it is perfect
+                        assert got.triangles == dt.triangles, (c, metric, mode)
+
+    @pytest.mark.parametrize("shift", [(4.0, 0.5), (3.3, 0.7)], ids=["dyadic", "rounded"])
+    def test_ties_keep_earliest(self, shift):
+        # A near-square and a translated copy: flipping the diagonal of
+        # either copy lengthens the triangulation equally and scores the
+        # same, exactly under the dyadic shift and up to rounding otherwise.
+        square = [(0.0, 0.0), (1.0, 0.0625), (1.0625, 1.0), (0.0625, 0.9375)]
+        ps = PointSet(square + [(x + shift[0], y + shift[1]) for x, y in square])
+        dt_len = total_edge_length(delaunay(ps))
+        c = MinTotalLength(1.001)
+        candidates = enumerate_by_frozenset_walk(ps)
+        feasible = [t for t in candidates if satisfies(t, c, dt_len)]
+        ev = Evaluator(ps)
+        sum_ties = tolerance_ties = 0
+        for metric in ALL_METRICS:
+            for mode in AggregationMode:
+                got = optimize(ps, c, metric, mode, evaluator=ev)
+                want = best_by_scan(candidates, c, metric, mode, dt_len, ev)
+                assert got.triangles == want.triangles, (metric, mode)
+                best = ScoreVector.from_scores(metric, ev.scores(want, metric))
+                for t in feasible:
+                    if t == want:
+                        continue
+                    sv = ScoreVector.from_scores(metric, ev.scores(t, metric))
+                    if mode is AggregationMode.SUM:
+                        tied = aggregate_sum(sv) == aggregate_sum(best)
+                        sum_ties += tied
+                    else:
+                        tied = compare_bottleneck_lex(sv, best) is Comparison.EQUAL
+                        tolerance_ties += tied and sv.worst_first() != best.worst_first()
+                    assert not tied or t.triangles > want.triangles, (metric, mode)
+        # the fixture must exercise both tie-breaks
+        assert sum_ties and tolerance_ties
+
+
+class TestOptimizeMemo:
+    def test_cap_checked_on_memo_hit(self):
+        ps = random_point_set(12, seed=1202)
+        optimize(ps, MaxDegree(5), "opposing_angles", AggregationMode.SUM)
+        assert aggregate._last_table.point_set == ps
+        with pytest.raises(EnumerationTooLarge):
+            optimize(ps, MaxDegree(5), "opposing_angles", AggregationMode.SUM, cap=11)
+
+    def test_alternating_sets_match_fresh_tables(self):
+        sets = [random_point_set(7, seed=72), random_point_set(8, seed=82)]
+        queries = [
+            (MinTotalLength(1.1), "lens", AggregationMode.SUM),
+            (MaxDegree(4), "dual_area_overlap", AggregationMode.BOTTLENECK_LEX),
+            (MaxTotalLength(0.95), "triangular_lens", AggregationMode.BOTTLENECK_LEX),
+        ]
+        for c, metric, mode in queries:
+            for ps in sets + sets[::-1]:
+                got = optimize(ps, c, metric, mode)
+                assert aggregate._last_table.point_set == ps
+                fresh = best_triangulation(
+                    triangulation_table(ps), c, metric, mode,
+                    total_edge_length(delaunay(ps)), Evaluator(ps),
+                )
+                assert (got and got.triangles) == (fresh and fresh.triangles)

@@ -11,7 +11,11 @@ from neardelaunay.fileio import (
     write_triangulation,
 )
 from neardelaunay.geom import PointSet
-from neardelaunay.pointgen import random_point_set, wheel_point_set
+from neardelaunay.pointgen import (
+    long_delaunay_point_set,
+    random_point_set,
+    wheel_point_set,
+)
 from neardelaunay.triangulation import (
     MaxDegree,
     MaxTotalLength,
@@ -26,10 +30,12 @@ from neardelaunay.triangulation import (
     max_degree,
     satisfies,
     total_edge_length,
+    triangulation_table,
     validate,
 )
 
 from conftest import jittered_circle_points
+from oracles import enumerate_by_frozenset_walk
 
 CATALAN = {4: 2, 5: 5, 6: 14, 7: 42, 8: 132}
 
@@ -113,6 +119,63 @@ class TestEnumeration:
                 flipped = flip(ps, tri_set, (quad.u, quad.v))
                 if flipped is not None:
                     assert tuple(sorted(flipped)) in universe
+
+
+ORACLE_SETS = {
+    **{
+        f"random{n}-{seed}": lambda n=n, seed=seed: random_point_set(n, seed=seed)
+        for n in range(4, 11)
+        for seed in (300 + n, 400 + n)
+    },
+    "wheel": wheel_point_set,
+    "long_delaunay": long_delaunay_point_set,
+    **{f"circle{n}": lambda n=n: jittered_circle_points(n) for n in (5, 7, 9)},
+}
+
+
+class TestTriangulationTable:
+    @pytest.mark.parametrize("name", sorted(ORACLE_SETS))
+    def test_enumeration_matches_frozenset_walk(self, name):
+        ps = ORACLE_SETS[name]()
+        ours = list(enumerate_triangulations(ps))
+        assert [t.triangles for t in ours] == [
+            t.triangles for t in enumerate_by_frozenset_walk(ps)
+        ]
+
+    def test_enumeration_matches_frozenset_walk_n12(self):
+        ps = random_point_set(12, seed=1201)
+        table = triangulation_table(ps)
+        expected = enumerate_by_frozenset_walk(ps)
+        assert len(table) == len(expected)
+        for row, t in zip(table.rows.tolist(), expected):
+            assert tuple(table.triangles[i] for i in row) == t.triangles
+
+    @pytest.mark.parametrize(
+        "make", [lambda: random_point_set(8, seed=808), wheel_point_set], ids=["random8", "wheel"]
+    )
+    def test_columns_match_per_triangulation_queries(self, make):
+        ps = make()
+        table = triangulation_table(ps)
+        for row in range(len(table)):
+            t = table.triangulation(row)
+            assert table.length[row] == total_edge_length(t)  # bit for bit
+            assert table.max_degree[row] == max_degree(t)
+            assert [table.edge_pairs[e] for e in table.edges[row].tolist()] == list(t.edges())
+            assert [table.quadrilateral(c) for c in table.quads[row].tolist()] == [
+                (q.u, q.v, q.p, q.q) for q in interior_quadrilaterals(t)
+            ]
+
+    def test_three_points(self):
+        ps = PointSet([(0, 0), (2, 0), (1, 2)])
+        table = triangulation_table(ps)
+        assert len(table) == 1
+        assert table.triangulation(0).triangles == ((0, 1, 2),)
+        assert table.quads.shape == (1, 0)
+
+    def test_cap_checked_before_validation(self):
+        ps = PointSet([(0, 0), (1, 0), (2, 0), (0, 1)])  # collinear triple
+        with pytest.raises(EnumerationTooLarge):
+            triangulation_table(ps, cap=3)
 
 
 class TestQuadrilaterals:
