@@ -14,19 +14,14 @@ from enum import Enum
 
 import numpy as np
 
-from .delaunay import delaunay
-from .errors import IncomparableScores
+from .delaunay import cdt, delaunay
+from .errors import IncomparableScores, NearDelaunayError
 from .geom import PointSet
-from .metrics import (
-    EDGE_METRICS,
-    METRIC_ORIENTATION,
-    TRIANGLE_METRICS,
-    Evaluator,
-    ScoreOrientation,
-)
+from .metrics import Evaluator, ScoreOrientation, lookup_metric
 from .triangulation import (
     DEFAULT_ENUMERATION_CAP,
     Constraint,
+    RequiredEdges,
     Triangulation,
     TriangulationTable,
     check_enumeration_cap,
@@ -43,6 +38,11 @@ LEX_TOLERANCE = 1e-12
 class AggregationMode(Enum):
     SUM = "sum"
     BOTTLENECK_LEX = "bottleneck"
+
+    @classmethod
+    def _missing_(cls, value):
+        """AggregationMode(name) rejects an unknown name as a package error."""
+        raise NearDelaunayError(f"unknown mode {value!r}")
 
 
 class Comparison(Enum):
@@ -61,7 +61,7 @@ class ScoreVector:
 
     @classmethod
     def from_scores(cls, metric: str, scores) -> "ScoreVector":
-        return cls(metric, METRIC_ORIENTATION[metric], tuple(s.value for s in scores))
+        return cls(metric, lookup_metric(metric).orientation, tuple(s.value for s in scores))
 
     def worst_first(self) -> tuple[float, ...]:
         return tuple(
@@ -72,6 +72,25 @@ class ScoreVector:
 def aggregate_sum(sv: ScoreVector) -> float:
     # exactly-rounded, hence independent of element order
     return math.fsum(sv.values)
+
+
+def aggregate(sv: ScoreVector, mode: AggregationMode) -> float:
+    """One number per score vector: the exact sum, or the worst element (0
+    for no elements)."""
+    if mode is AggregationMode.SUM:
+        return aggregate_sum(sv)
+    worst = sv.worst_first()
+    return worst[0] if worst else 0.0
+
+
+def comparison(
+    ps: PointSet, constraint: Constraint, dt: Triangulation
+) -> tuple[str, Triangulation]:
+    """The triangulation a constrained result is compared with: the CDT of
+    the required edges, otherwise the Delaunay triangulation dt."""
+    if isinstance(constraint, RequiredEdges):
+        return "cdt", cdt(ps, sorted(constraint.edges))
+    return "delaunay", dt
 
 
 def compare_bottleneck_lex(a: ScoreVector, b: ScoreVector) -> Comparison:
@@ -149,16 +168,12 @@ def best_triangulation(
     Evaluator values are filled only for the elements of feasible rows,
     then gathered per row.
     """
-    lower_better = METRIC_ORIENTATION[metric] is ScoreOrientation.LOWER_BETTER
+    m = lookup_metric(metric)
+    lower_better = m.orientation is ScoreOrientation.LOWER_BETTER
     feasible = np.flatnonzero(feasible_rows(table, constraint, dt_length))
     if not len(feasible):
         return None
-    if metric in TRIANGLE_METRICS:
-        ids, element = table.rows, table.triangles.__getitem__
-    elif metric in EDGE_METRICS:
-        ids, element = table.edges, table.edge_pairs.__getitem__
-    else:
-        ids, element = table.quads, table.quadrilateral
+    ids, element = table.element_ids(m.decomposition)
     ids = ids[feasible]
     used, at = np.unique(ids.ravel(), return_inverse=True)
     values = np.array(
@@ -202,6 +217,7 @@ def optimize(
     The triangulation table of the most recent point set is kept, so
     repeated queries on one set enumerate it once.
     """
+    lookup_metric(metric)  # an unknown name fails before the enumeration
     dt_length = total_edge_length(delaunay(ps))
     if evaluator is None:
         evaluator = Evaluator(ps)

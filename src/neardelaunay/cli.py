@@ -14,14 +14,15 @@ from pathlib import Path
 from .aggregate import (
     AggregationMode,
     ScoreVector,
-    aggregate_sum,
+    aggregate,
+    comparison as comparison_for,
     optimize as optimize_search,
 )
 from .delaunay import cdt as build_cdt, delaunay as build_delaunay
 from .errors import NearDelaunayError
-from .experiment import MODE_BY_NAME, make_default_spec, round12, run_experiment
+from .experiment import make_default_spec, round12, run_experiment
 from .fileio import parse_points, parse_triangulation, write_triangulation
-from .metrics import ALL_METRICS, METRIC_ORIENTATION, Evaluator
+from .metrics import ALL_METRICS, Evaluator
 from .svg import render_svg
 from .triangulation import (
     DEFAULT_ENUMERATION_CAP,
@@ -73,23 +74,18 @@ def _cmd_score(args) -> int:
         raise NearDelaunayError("triangulation file is not a valid triangulation")
     metrics = args.metric or list(ALL_METRICS)
     evaluator = Evaluator(ps)
-    mode = MODE_BY_NAME[args.mode]
+    mode = AggregationMode(args.mode)
     out = {}
     for metric in metrics:
         scores = evaluator.scores(t, metric)
         sv = ScoreVector.from_scores(metric, scores)
-        if mode is AggregationMode.SUM:
-            agg = aggregate_sum(sv)
-        else:
-            worst = sv.worst_first()
-            agg = worst[0] if worst else 0.0
         out[metric] = {
-            "orientation": METRIC_ORIENTATION[metric].value,
+            "orientation": sv.orientation.value,
             "elements": [
                 {"element": list(s.element), "value": round12(s.value)}
                 for s in scores
             ],
-            "aggregate": round12(agg),
+            "aggregate": round12(aggregate(sv, mode)),
         }
     json.dump(out, sys.stdout, indent=2)
     sys.stdout.write("\n")
@@ -118,20 +114,16 @@ def _cmd_optimize(args) -> int:
     ps = _read_points(args.points)
     constraint = _collect_constraint(args)
     best = optimize_search(
-        ps, constraint, args.metric, MODE_BY_NAME[args.mode], cap=args.cap
+        ps, constraint, args.metric, AggregationMode(args.mode), cap=args.cap
     )
+    dt = build_delaunay(ps)
     if best is None:
         print("no feasible triangulation", file=sys.stderr)
         if args.svg:
-            Path(args.svg).write_text(render_svg(build_delaunay(ps)))
+            Path(args.svg).write_text(render_svg(dt))
         return EXIT_NO_FEASIBLE
-    constrained = (
-        constraint.edges if isinstance(constraint, RequiredEdges) else frozenset()
-    )
-    if isinstance(constraint, RequiredEdges):
-        comparison = build_cdt(ps, sorted(constraint.edges))
-    else:
-        comparison = build_delaunay(ps)
+    constrained = constraint.edges if isinstance(constraint, RequiredEdges) else ()
+    _, comparison = comparison_for(ps, constraint, dt)
     _emit_triangulation(
         best, args.out, args.svg, constrained=constrained, diff=edge_diff(best, comparison)
     )
@@ -236,13 +228,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("points")
     p.add_argument("triangulation")
     p.add_argument("--metric", action="append", choices=ALL_METRICS)
-    p.add_argument("--mode", choices=("sum", "bottleneck"), default="sum")
+    p.add_argument("--mode", choices=[m.value for m in AggregationMode], default="sum")
     p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("optimize", help="best triangulation under one constraint")
     p.add_argument("points")
     p.add_argument("--metric", required=True, choices=ALL_METRICS)
-    p.add_argument("--mode", choices=("sum", "bottleneck"), default="sum")
+    p.add_argument("--mode", choices=[m.value for m in AggregationMode], default="sum")
     add_edge_flag(p)
     p.add_argument("--min-length-factor", type=float)
     p.add_argument("--max-length-factor", type=float)

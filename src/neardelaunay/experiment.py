@@ -35,12 +35,18 @@ import json
 import time
 from pathlib import Path
 
-from .aggregate import AggregationMode, ScoreVector, aggregate_sum, best_triangulation
-from .delaunay import cdt, delaunay
+from .aggregate import (
+    AggregationMode,
+    ScoreVector,
+    aggregate,
+    best_triangulation,
+    comparison as comparison_for,
+)
+from .delaunay import delaunay
 from .errors import NearDelaunayError
 from .fileio import parse_points
 from .geom import PointSet
-from .metrics import ALL_METRICS, METRIC_ORIENTATION, Evaluator
+from .metrics import ALL_METRICS, Evaluator, lookup_metric
 from .pointgen import (
     long_delaunay_point_set,
     pick_required_edge,
@@ -64,8 +70,6 @@ CONSTRAINT_LABELS = {
     "max_total_length": "maxlength",
     "max_degree": "maxdegree",
 }
-
-MODE_BY_NAME = {"sum": AggregationMode.SUM, "bottleneck": AggregationMode.BOTTLENECK_LEX}
 
 
 def round12(v: float) -> float:
@@ -130,28 +134,12 @@ def _build_constraint(centry: dict, set_entry: dict, ps: PointSet):
             edges = [picked]
         return RequiredEdges(edges), edges
     if kind == "min_total_length":
-        factor = float(centry.get("factor", 1.2))
-        if factor <= 0:
-            raise NearDelaunayError("length factor must be positive")
-        return MinTotalLength(factor), []
+        return MinTotalLength(float(centry.get("factor", 1.2))), []
     if kind == "max_total_length":
-        factor = float(centry.get("factor", 0.8))
-        if factor <= 0:
-            raise NearDelaunayError("length factor must be positive")
-        return MaxTotalLength(factor), []
+        return MaxTotalLength(float(centry.get("factor", 0.8))), []
     if kind == "max_degree":
-        bound = int(centry.get("bound", 5))
-        if bound < 3:
-            raise NearDelaunayError("degree bound must be at least 3")
-        return MaxDegree(bound), []
+        return MaxDegree(int(centry.get("bound", 5))), []
     raise NearDelaunayError(f"unknown constraint type {kind!r}")
-
-
-def _cell_aggregate(sv: ScoreVector, mode: AggregationMode) -> float:
-    if mode is AggregationMode.SUM:
-        return aggregate_sum(sv)
-    worst = sv.worst_first()
-    return worst[0] if worst else 0.0
 
 
 def run_experiment(
@@ -166,9 +154,8 @@ def run_experiment(
     seed = int(spec.get("seed", 0))
     metrics = list(spec.get("metrics", ALL_METRICS))
     for m in metrics:
-        if m not in ALL_METRICS:
-            raise NearDelaunayError(f"unknown metric {m!r}")
-    modes = [MODE_BY_NAME[m] for m in spec.get("modes", ["sum", "bottleneck"])]
+        lookup_metric(m)
+    modes = [AggregationMode(m) for m in spec.get("modes", ["sum", "bottleneck"])]
     set_entries = spec.get("point_sets", [])
     constraint_entries = spec.get("constraints", [])
 
@@ -229,12 +216,7 @@ def run_experiment(
                             }
                         )
                 continue
-            if isinstance(constraint, RequiredEdges):
-                comparison = cdt(ctx["ps"], sorted(constraint.edges))
-                comparison_name = "cdt"
-            else:
-                comparison = ctx["dt"]
-                comparison_name = "delaunay"
+            comparison_name, comparison = comparison_for(ctx["ps"], constraint, ctx["dt"])
             comp_svg = out_dir / f"{label}{ctx['index']}_comparison.svg"
             comp_svg.write_text(
                 render_svg(comparison, constrained=set(required))
@@ -266,10 +248,8 @@ def run_experiment(
                             (out_dir / svg_name).write_text(render_svg(ctx["dt"]))
                             results[metric] = None
                         else:
-                            sv = ScoreVector(
-                                metric,
-                                METRIC_ORIENTATION[metric],
-                                ctx["evaluator"].values(best, metric),
+                            sv = ScoreVector.from_scores(
+                                metric, ctx["evaluator"].scores(best, metric)
                             )
                             diff = edge_diff(best, comparison)
                             (out_dir / svg_name).write_text(
@@ -282,7 +262,7 @@ def run_experiment(
                             cell.update(
                                 {
                                     "status": "ok",
-                                    "aggregate": round12(_cell_aggregate(sv, mode)),
+                                    "aggregate": round12(aggregate(sv, mode)),
                                     "triangles": [list(t) for t in best.triangles],
                                     "comparison": comparison_name,
                                     "edge_diff": sorted(list(e) for e in diff),

@@ -18,10 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .delaunay import VoronoiDiagram, voronoi
-from .errors import SiteOutsideCircle
+from .errors import NearDelaunayError, SiteOutsideCircle
 from .geom import (
     Circle,
     Orientation,
@@ -39,7 +39,7 @@ from .geom import (
     orientation,
     polygon_area,
 )
-from .triangulation import Quadrilateral, Triangulation, interior_quadrilaterals
+from .triangulation import Decomposition, Quadrilateral, Triangulation, elements
 
 TWO_PI = 2.0 * math.pi
 
@@ -56,44 +56,32 @@ class ElementScore:
     orientation: ScoreOrientation
 
 
-QUADRILATERAL_METRICS = ("opposing_angles", "dual_edge_ratio", "dual_area_overlap")
-EDGE_METRICS = ("lens", "shrunk_circle")
-TRIANGLE_METRICS = ("triangular_lens", "shrunk_circumcircle")
-ALL_METRICS = QUADRILATERAL_METRICS + EDGE_METRICS + TRIANGLE_METRICS
-
-METRIC_ORIENTATION = {
-    **{m: ScoreOrientation.LOWER_BETTER for m in QUADRILATERAL_METRICS},
-    **{m: ScoreOrientation.HIGHER_BETTER for m in EDGE_METRICS + TRIANGLE_METRICS},
-}
-
-PERFECT_VALUE = {
-    "opposing_angles": 0.0,
-    "dual_edge_ratio": 0.0,
-    "dual_area_overlap": 0.0,
-    "lens": math.pi,
-    "shrunk_circle": 1.0,
-    "triangular_lens": 1.0,
-    "shrunk_circumcircle": 1.0,
-}
-
-
 # --- quadrilateral scores ----------------------------------------------------
+# Values of the points u, v of an interior edge and p, q opposite it.
 
 
-def _locally_delaunay(q: Quadrilateral) -> bool:
-    pu, pv, pp, pq = q.coords()
-    return not in_circumcircle(pu, pv, pp, pq)
+def _quad_score(q: Quadrilateral, value) -> ElementScore:
+    return ElementScore(
+        (*q.key()[0], *q.key()[1]), value(*q.coords()), ScoreOrientation.LOWER_BETTER
+    )
+
+
+def _opposing_angles_value(pu: Point, pv: Point, pp: Point, pq: Point) -> float:
+    excess = angle_at(pp, pu, pv) + angle_at(pq, pu, pv) - math.pi
+    return max(0.0, excess)
 
 
 def opposing_angles(q: Quadrilateral) -> ElementScore:
     """Excess of the two opposing angles over pi (0 when locally Delaunay)."""
-    pu, pv, pp, pq = q.coords()
-    excess = angle_at(pp, pu, pv) + angle_at(pq, pu, pv) - math.pi
-    return ElementScore(
-        (*q.key()[0], *q.key()[1]),
-        max(0.0, excess),
-        ScoreOrientation.LOWER_BETTER,
-    )
+    return _quad_score(q, _opposing_angles_value)
+
+
+def _dual_edge_ratio_value(pu: Point, pv: Point, pp: Point, pq: Point) -> float:
+    if not in_circumcircle(pu, pv, pp, pq):
+        return 0.0
+    cp = circumcircle(pu, pv, pp).center
+    cq = circumcircle(pu, pv, pq).center
+    return math.dist(cp, cq) / math.dist(pu, pv)
 
 
 def dual_edge_ratio(q: Quadrilateral) -> ElementScore:
@@ -102,16 +90,7 @@ def dual_edge_ratio(q: Quadrilateral) -> ElementScore:
     Zero when the quadrilateral is locally Delaunay; otherwise the two
     centers sit in inverted order and their separation measures how far.
     """
-    if _locally_delaunay(q):
-        value = 0.0
-    else:
-        pu, pv, pp, pq = q.coords()
-        cp = circumcircle(pu, pv, pp).center
-        cq = circumcircle(pu, pv, pq).center
-        value = math.dist(cp, cq) / math.dist(pu, pv)
-    return ElementScore(
-        (*q.key()[0], *q.key()[1]), value, ScoreOrientation.LOWER_BETTER
-    )
+    return _quad_score(q, _dual_edge_ratio_value)
 
 
 def _bisector_halfplane(keep: Point, cut: Point):
@@ -194,20 +173,19 @@ def _dual_overlap_area(pu: Point, pv: Point, pp: Point, pq: Point) -> float:
     return polygon_area(region)
 
 
+def _dual_area_overlap_value(pu: Point, pv: Point, pp: Point, pq: Point) -> float:
+    if not in_circumcircle(pu, pv, pp, pq):
+        return 0.0
+    return _dual_overlap_area(pu, pv, pp, pq) / math.dist(pu, pv) ** 2
+
+
 def dual_area_overlap(q: Quadrilateral) -> ElementScore:
     """Overlap area of the two opposing local cells over the squared edge length.
 
     The cell of p is bounded by the bisectors of (p, u) and (p, v); for a
     locally Delaunay quadrilateral it is disjoint from q's cell.
     """
-    if _locally_delaunay(q):
-        value = 0.0
-    else:
-        pu, pv, pp, pq = q.coords()
-        value = _dual_overlap_area(pu, pv, pp, pq) / math.dist(pu, pv) ** 2
-    return ElementScore(
-        (*q.key()[0], *q.key()[1]), value, ScoreOrientation.LOWER_BETTER
-    )
+    return _quad_score(q, _dual_area_overlap_value)
 
 
 # --- edge scores -------------------------------------------------------------
@@ -613,17 +591,68 @@ def _shrunk_circumcircle_value(ps: PointSet, tri) -> float:
     return max(0.0, min(1.0, (best * best - ri2) / (r2 - ri2)))
 
 
-def shrunk_circumcircle(tri, ps: PointSet, vd: VoronoiDiagram | None = None) -> ElementScore:
+def shrunk_circumcircle(tri, ps: PointSet) -> ElementScore:
     """Area of the largest empty circle inside the circumcircle that meets
     all three sides, between the inscribed circle (0) and the circumcircle (1).
-
-    `vd` mirrors the covered-fraction score's signature; at this scale the
-    local diagram is rebuilt per triangle from the contained points alone.
     """
     key = tuple(sorted(tri))
     return ElementScore(
         key, _shrunk_circumcircle_value(ps, key), ScoreOrientation.HIGHER_BETTER
     )
+
+
+# --- the registry -------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Metric:
+    """One metric: the elements it scores, its direction, its value on every Delaunay
+    element, and its uncached value as a function of (evaluator, element)."""
+
+    name: str
+    decomposition: Decomposition
+    orientation: ScoreOrientation
+    perfect: float
+    value: Callable[["Evaluator", tuple], float]
+
+
+def _of_points(value):
+    """An element value from the four points of (u, v, p, q)."""
+    return lambda ev, quad: value(*map(ev.point_set.points.__getitem__, quad))
+
+
+_LOWER, _HIGHER = ScoreOrientation.LOWER_BETTER, ScoreOrientation.HIGHER_BETTER
+_QUAD, _EDGE, _TRI = Decomposition.QUADRILATERAL, Decomposition.EDGE, Decomposition.TRIANGLE
+
+METRICS = (
+    Metric("opposing_angles", _QUAD, _LOWER, 0.0, _of_points(_opposing_angles_value)),
+    Metric("dual_edge_ratio", _QUAD, _LOWER, 0.0, _of_points(_dual_edge_ratio_value)),
+    Metric("dual_area_overlap", _QUAD, _LOWER, 0.0, _of_points(_dual_area_overlap_value)),
+    Metric("lens", _EDGE, _HIGHER, math.pi, lambda ev, e: _lens_value(ev.point_set, *e)),
+    Metric("shrunk_circle", _EDGE, _HIGHER, 1.0,
+           lambda ev, e: _shrunk_circle_value(ev.point_set, ev.voronoi(), *e)),
+    Metric("triangular_lens", _TRI, _HIGHER, 1.0,
+           lambda ev, tri: _triangular_lens_value(ev.point_set, tri)),
+    Metric("shrunk_circumcircle", _TRI, _HIGHER, 1.0,
+           lambda ev, tri: _shrunk_circumcircle_value(ev.point_set, tri)),
+)
+
+# Views of the registry, in its order.
+ALL_METRICS = tuple(m.name for m in METRICS)
+QUADRILATERAL_METRICS = tuple(m.name for m in METRICS if m.decomposition is _QUAD)
+EDGE_METRICS = tuple(m.name for m in METRICS if m.decomposition is _EDGE)
+TRIANGLE_METRICS = tuple(m.name for m in METRICS if m.decomposition is _TRI)
+METRIC_ORIENTATION = {m.name: m.orientation for m in METRICS}
+PERFECT_VALUE = {m.name: m.perfect for m in METRICS}
+_BY_NAME = {m.name: m for m in METRICS}
+
+
+def lookup_metric(name: str) -> Metric:
+    """The registry entry of a metric name."""
+    try:
+        return _BY_NAME[name]
+    except (KeyError, TypeError):
+        raise NearDelaunayError(f"unknown metric {name!r}") from None
 
 
 # --- whole-triangulation evaluation ------------------------------------------
@@ -648,68 +677,20 @@ class Evaluator:
             self._vd = voronoi(self.point_set)
         return self._vd
 
-    def _quad_value(self, metric: str, quad: Quadrilateral) -> float:
-        key = quad.key()
-        cache = self._cache[metric]
-        if key not in cache:
-            fn = {
-                "opposing_angles": opposing_angles,
-                "dual_edge_ratio": dual_edge_ratio,
-                "dual_area_overlap": dual_area_overlap,
-            }[metric]
-            cache[key] = fn(quad).value
-        return cache[key]
-
-    def _edge_value(self, metric: str, edge) -> float:
-        cache = self._cache[metric]
-        if edge not in cache:
-            if metric == "lens":
-                cache[edge] = _lens_value(self.point_set, *edge)
-            else:
-                cache[edge] = _shrunk_circle_value(self.point_set, self.voronoi(), *edge)
-        return cache[edge]
-
-    def _triangle_value(self, metric: str, tri) -> float:
-        cache = self._cache[metric]
-        if tri not in cache:
-            if metric == "triangular_lens":
-                cache[tri] = _triangular_lens_value(self.point_set, tri)
-            else:
-                cache[tri] = _shrunk_circumcircle_value(self.point_set, tri)
-        return cache[tri]
-
     def element_value(self, metric: str, element: tuple) -> float:
-        """Cached value of one element: a quadrilateral's (u, v, p, q), an
-        edge's (u, v) or a triangle's triple, as the metric decomposes."""
-        if metric in QUADRILATERAL_METRICS:
-            return self._quad_value(metric, Quadrilateral(self.point_set, *element))
-        if metric in EDGE_METRICS:
-            return self._edge_value(metric, element)
-        if metric in TRIANGLE_METRICS:
-            return self._triangle_value(metric, element)
-        raise ValueError(f"unknown metric {metric!r}")
+        """Cached value of one element in the form ``triangulation.elements``
+        gives; a quadrilateral's sides are not checked here."""
+        cache = self._cache[metric]
+        value = cache.get(element)
+        if value is None:
+            value = cache[element] = _BY_NAME[metric].value(self, element)
+        return value
 
     def scores(self, t: Triangulation, metric: str) -> list[ElementScore]:
-        if metric not in ALL_METRICS:
-            raise ValueError(f"unknown metric {metric!r}")
-        orient = METRIC_ORIENTATION[metric]
-        if metric in QUADRILATERAL_METRICS:
-            return [
-                ElementScore(
-                    (*quad.key()[0], *quad.key()[1]),
-                    self._quad_value(metric, quad),
-                    orient,
-                )
-                for quad in interior_quadrilaterals(t)
-            ]
-        if metric in EDGE_METRICS:
-            return [
-                ElementScore(e, self._edge_value(metric, e), orient)
-                for e in t.edges()
-            ]
+        m = lookup_metric(metric)
         return [
-            ElementScore(tri, self._triangle_value(metric, tri), orient)
-            for tri in t.triangles
+            ElementScore(e, self.element_value(metric, e), m.orientation)
+            for e in elements(t, m.decomposition)
         ]
 
     def values(self, t: Triangulation, metric: str) -> tuple[float, ...]:

@@ -14,11 +14,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from enum import Enum
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import EnumerationTooLarge, MismatchedPointSets
+from .errors import EnumerationTooLarge, MismatchedPointSets, NearDelaunayError
 from .geom import (
     Orientation,
     Point,
@@ -136,7 +137,7 @@ class MinTotalLength:
 
     def __post_init__(self):
         if not self.factor > 0:
-            raise ValueError("length factor must be positive")
+            raise NearDelaunayError("length factor must be positive")
 
 
 @dataclass(frozen=True)
@@ -145,7 +146,7 @@ class MaxTotalLength:
 
     def __post_init__(self):
         if not self.factor > 0:
-            raise ValueError("length factor must be positive")
+            raise NearDelaunayError("length factor must be positive")
 
 
 @dataclass(frozen=True)
@@ -154,7 +155,7 @@ class MaxDegree:
 
     def __post_init__(self):
         if self.bound < 3:
-            raise ValueError("degree bound must be at least 3")
+            raise NearDelaunayError("degree bound must be at least 3")
 
 
 Constraint = RequiredEdges | MinTotalLength | MaxTotalLength | MaxDegree
@@ -174,6 +175,24 @@ def interior_quadrilaterals(t: Triangulation) -> list[Quadrilateral]:
         q = next(i for i in tris[1] if i not in edge)
         quads.append(Quadrilateral(t.point_set, u, v, p, q))
     return quads
+
+
+class Decomposition(Enum):
+    """The elements a metric scores: interior-edge quadrilaterals, edges or triangles."""
+
+    QUADRILATERAL = "quadrilateral"
+    EDGE = "edge"
+    TRIANGLE = "triangle"
+
+
+def elements(t: Triangulation, kind: Decomposition) -> tuple:
+    """Elements in canonical order: (u, v, p, q) per interior edge uv, p < q
+    checked to lie on opposite sides; (u, v) per edge; or the triangles."""
+    if kind is Decomposition.QUADRILATERAL:
+        return tuple((q.u, q.v, q.p, q.q) for q in interior_quadrilaterals(t))
+    if kind is Decomposition.EDGE:
+        return t.edges()
+    return t.triangles
 
 
 def total_edge_length(t: Triangulation) -> float:
@@ -445,6 +464,15 @@ class TriangulationTable:
         """(u, v, p, q) of a quadrilateral code, p from the lower triangle."""
         uv, pq = divmod(code, len(self.edge_pairs))
         return (*self.edge_pairs[uv], *self.edge_pairs[pq])
+
+    def element_ids(self, kind: Decomposition):
+        """The per-row id column of one decomposition, and the decoder from
+        an id to the element in the form :func:`elements` gives."""
+        if kind is Decomposition.QUADRILATERAL:
+            return self.quads, self.quadrilateral
+        if kind is Decomposition.EDGE:
+            return self.edges, self.edge_pairs.__getitem__
+        return self.rows, self.triangles.__getitem__
 
 
 def _flip_moves(ps: PointSet, triangles: list[Triple], tri_id: dict) -> list:

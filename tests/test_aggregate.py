@@ -13,7 +13,7 @@ from neardelaunay.aggregate import (
     optimize,
 )
 from neardelaunay.delaunay import cdt, delaunay
-from neardelaunay.errors import EnumerationTooLarge, IncomparableScores
+from neardelaunay.errors import EnumerationTooLarge, IncomparableScores, NearDelaunayError
 from neardelaunay.geom import PointSet, similarity_transform
 from neardelaunay.metrics import ALL_METRICS, Evaluator, ScoreOrientation
 from neardelaunay.pointgen import pick_required_edge, random_point_set, wheel_point_set
@@ -50,6 +50,32 @@ class TestAggregateSum:
         assert aggregate_sum(lower([0.1, 0.5, 0.2])) == aggregate_sum(
             lower([0.5, 0.2, 0.1])
         )
+
+
+class TestAggregate:
+    def test_sum_mode_is_exact_sum(self):
+        sv = lower([0.1, 0.5, 0.2])
+        assert aggregate.aggregate(sv, AggregationMode.SUM) == aggregate_sum(sv)
+
+    def test_bottleneck_mode_is_worst_element(self):
+        assert aggregate.aggregate(lower([0.1, 0.5, 0.2]), AggregationMode.BOTTLENECK_LEX) == 0.5
+        assert aggregate.aggregate(higher([3.0, 1.0, 2.0]), AggregationMode.BOTTLENECK_LEX) == 1.0
+
+    def test_no_elements(self):
+        for mode in AggregationMode:
+            assert aggregate.aggregate(lower([]), mode) == 0.0
+
+
+class TestComparison:
+    def test_required_edges_compare_with_cdt(self, p4):
+        name, t = aggregate.comparison(p4, RequiredEdges([(0, 1)]), delaunay(p4))
+        assert name == "cdt"
+        assert t.triangles == cdt(p4, [(0, 1)]).triangles
+
+    def test_other_constraints_compare_with_delaunay(self, p4):
+        dt = delaunay(p4)
+        for c in (MinTotalLength(1.2), MaxTotalLength(0.8), MaxDegree(5)):
+            assert aggregate.comparison(p4, c, dt) == ("delaunay", dt)
 
 
 class TestBottleneckLex:
@@ -111,6 +137,13 @@ class TestOptimize:
 
     def test_infeasible_returns_none(self, p4):
         assert optimize(p4, MaxTotalLength(0.5), "lens", AggregationMode.SUM) is None
+
+    def test_unknown_metric_rejected_before_enumeration(self):
+        # 13 points exceed the cap: building the table first would raise
+        # EnumerationTooLarge instead
+        ps = random_point_set(13, seed=3)
+        with pytest.raises(NearDelaunayError, match="unknown metric 'sharpness'"):
+            optimize(ps, MaxDegree(5), "sharpness", AggregationMode.SUM)
 
     def test_cap_propagates(self):
         ps = random_point_set(8, seed=2)

@@ -126,6 +126,19 @@ class TestOptimizeCommand:
         assert "no feasible triangulation" in capsys.readouterr().err
         assert svg.exists()  # the Delaunay triangulation is shown instead
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--max-degree", "2", "degree bound must be at least 3"),
+            ("--min-length-factor", "-1", "length factor must be positive"),
+            ("--max-length-factor", "nan", "length factor must be positive"),
+        ],
+    )
+    def test_bad_constraint_value_is_an_error(self, capsys, points_file, flag, value, message):
+        rc = main(["optimize", str(points_file), "--metric", "lens", flag, value])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_exactly_one_constraint_required(self, capsys, points_file):
         assert main(["optimize", str(points_file), "--metric", "lens"]) == 1
         assert (
@@ -318,6 +331,31 @@ class TestExperiment:
         statuses = {(c["constraint"], c["status"]) for c in report["cells"]}
         assert ("minlength", "error") in statuses
         assert ("maxdegree", "ok") in statuses  # the run continued
+
+    def test_nan_factor_recorded_per_cell(self, tmp_path):
+        spec = json.loads(
+            '{"point_sets": [{"name": "tiny", "points": [[0, 0], [2, 0], [1, 0.5], [1, -0.5]]}],'
+            ' "constraints": [{"type": "max_total_length", "factor": NaN},'
+            ' {"type": "max_degree", "bound": 5}],'
+            ' "metrics": ["lens"], "modes": ["sum"]}'
+        )
+        report = run_experiment(spec, tmp_path / "out")
+        cells = {c["constraint"]: c for c in report["cells"]}
+        assert cells["maxlength"]["status"] == "error"
+        assert cells["maxlength"]["error"] == "length factor must be positive"
+        assert cells["maxdegree"]["status"] == "ok"  # the run continued
+
+    def test_unknown_mode_rejected(self, tmp_path):
+        from neardelaunay.errors import NearDelaunayError
+
+        spec = {
+            "point_sets": [{"name": "tiny", "points": [[0, 0], [2, 0], [1, 0.5], [1, -0.5]]}],
+            "constraints": [{"type": "max_degree", "bound": 5}],
+            "metrics": ["lens"],
+            "modes": ["sum", "avg"],
+        }
+        with pytest.raises(NearDelaunayError, match="unknown mode 'avg'"):
+            run_experiment(spec, tmp_path / "out")
 
     def test_missing_point_file_rejected(self, tmp_path):
         from neardelaunay.errors import NearDelaunayError

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from neardelaunay.delaunay import delaunay, voronoi
-from neardelaunay.errors import SiteOutsideCircle
+from neardelaunay.errors import NearDelaunayError, SiteOutsideCircle
 from neardelaunay.geom import (
     Circle,
     Point,
@@ -16,6 +16,8 @@ from neardelaunay.geom import (
 from neardelaunay.metrics import (
     ALL_METRICS,
     EDGE_METRICS,
+    METRIC_ORIENTATION,
+    METRICS,
     PERFECT_VALUE,
     QUADRILATERAL_METRICS,
     TRIANGLE_METRICS,
@@ -28,6 +30,7 @@ from neardelaunay.metrics import (
     evaluate,
     lens,
     local_voronoi,
+    lookup_metric,
     opposing_angles,
     shrunk_circle,
     shrunk_circumcircle,
@@ -452,6 +455,70 @@ class TestEvaluate:
     def test_unknown_metric(self, p4):
         with pytest.raises(ValueError):
             evaluate(bad_diagonal(p4), "sharpness")
+
+    @pytest.mark.parametrize("metric", QUADRILATERAL_METRICS)
+    def test_same_side_apexes_rejected(self, metric):
+        # both apexes of interior edge (0, 1) lie above it
+        ps = PointSet([(0, 0), (2, 0), (1, 0.5), (1, 1.7)])
+        with pytest.raises(ValueError, match="opposite sides"):
+            evaluate(Triangulation(ps, [(0, 1, 2), (0, 1, 3)]), metric)
+
+
+class TestRegistry:
+    def test_views_of_the_registry(self):
+        assert ALL_METRICS == tuple(m.name for m in METRICS) == (
+            "opposing_angles",
+            "dual_edge_ratio",
+            "dual_area_overlap",
+            "lens",
+            "shrunk_circle",
+            "triangular_lens",
+            "shrunk_circumcircle",
+        )
+        assert QUADRILATERAL_METRICS == ALL_METRICS[:3]
+        assert EDGE_METRICS == ("lens", "shrunk_circle")
+        assert TRIANGLE_METRICS == ("triangular_lens", "shrunk_circumcircle")
+        assert PERFECT_VALUE == {
+            "opposing_angles": 0.0,
+            "dual_edge_ratio": 0.0,
+            "dual_area_overlap": 0.0,
+            "lens": math.pi,
+            "shrunk_circle": 1.0,
+            "triangular_lens": 1.0,
+            "shrunk_circumcircle": 1.0,
+        }
+        assert list(METRIC_ORIENTATION) == list(ALL_METRICS)
+        for name in ALL_METRICS:
+            m = lookup_metric(name)
+            lower = name in QUADRILATERAL_METRICS
+            assert METRIC_ORIENTATION[name] is m.orientation is (
+                ScoreOrientation.LOWER_BETTER if lower else ScoreOrientation.HIGHER_BETTER
+            )
+
+    def test_unknown_name(self):
+        with pytest.raises(NearDelaunayError, match="unknown metric 'sharpness'"):
+            lookup_metric("sharpness")
+
+    def test_element_value_matches_element_functions(self):
+        # the registry's values are the public per-element functions' values
+        ps = random_point_set(8, seed=95)
+        ev = Evaluator(ps)
+        vd = voronoi(ps)
+        for t in [delaunay(ps)] + flip_neighbors(delaunay(ps)):
+            for q in interior_quadrilaterals(t):
+                e = (q.u, q.v, q.p, q.q)
+                assert ev.element_value("opposing_angles", e) == opposing_angles(q).value
+                assert ev.element_value("dual_edge_ratio", e) == dual_edge_ratio(q).value
+                assert ev.element_value("dual_area_overlap", e) == dual_area_overlap(q).value
+            for e in t.edges():
+                assert ev.element_value("lens", e) == lens(e, ps, t).value
+                assert ev.element_value("shrunk_circle", e) == shrunk_circle(e, ps, vd).value
+            for tri in t.triangles:
+                assert ev.element_value("triangular_lens", tri) == triangular_lens(tri, ps).value
+                assert (
+                    ev.element_value("shrunk_circumcircle", tri)
+                    == shrunk_circumcircle(tri, ps).value
+                )
 
 
 class TestSimilarityInvariance:

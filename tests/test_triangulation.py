@@ -3,7 +3,12 @@ import math
 import pytest
 
 from neardelaunay.delaunay import delaunay
-from neardelaunay.errors import EnumerationTooLarge, MismatchedPointSets, ParseError
+from neardelaunay.errors import (
+    EnumerationTooLarge,
+    MismatchedPointSets,
+    NearDelaunayError,
+    ParseError,
+)
 from neardelaunay.fileio import (
     parse_points,
     parse_triangulation,
@@ -17,6 +22,7 @@ from neardelaunay.pointgen import (
     wheel_point_set,
 )
 from neardelaunay.triangulation import (
+    Decomposition,
     MaxDegree,
     MaxTotalLength,
     MinTotalLength,
@@ -24,6 +30,7 @@ from neardelaunay.triangulation import (
     RequiredEdges,
     Triangulation,
     edge_diff,
+    elements,
     enumerate_triangulations,
     flip,
     interior_quadrilaterals,
@@ -165,6 +172,16 @@ class TestTriangulationTable:
                 (q.u, q.v, q.p, q.q) for q in interior_quadrilaterals(t)
             ]
 
+    @pytest.mark.parametrize("kind", list(Decomposition), ids=lambda k: k.value)
+    def test_element_ids_decode_to_elements(self, kind):
+        ps = random_point_set(8, seed=809)
+        table = triangulation_table(ps)
+        ids, element = table.element_ids(kind)
+        assert ids.shape[0] == len(table)
+        for row in range(len(table)):
+            decoded = tuple(element(i) for i in ids[row].tolist())
+            assert decoded == elements(table.triangulation(row), kind)
+
     def test_three_points(self):
         ps = PointSet([(0, 0), (2, 0), (1, 2)])
         table = triangulation_table(ps)
@@ -263,6 +280,19 @@ class TestConstraints:
             MinTotalLength(0.0)
         with pytest.raises(ValueError):
             MaxDegree(2)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: MinTotalLength(-1.0), "length factor must be positive"),
+            (lambda: MaxTotalLength(float("nan")), "length factor must be positive"),
+            (lambda: MaxDegree(2), "degree bound must be at least 3"),
+        ],
+        ids=["min_length", "max_length_nan", "max_degree"],
+    )
+    def test_constraint_errors_are_package_errors(self, build, message):
+        with pytest.raises(NearDelaunayError, match=message):
+            build()
 
 
 class TestEdgeDiff:
