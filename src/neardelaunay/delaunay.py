@@ -169,9 +169,6 @@ class VoronoiDiagram:
     cells: dict[int, tuple[int, ...]]  # site -> incident edge indices
     delaunay: Triangulation
 
-    def vertex_circles(self) -> tuple[Circle, ...]:
-        return tuple(v.circle() for v in self.vertices)
-
 
 def voronoi(ps: PointSet) -> VoronoiDiagram:
     """Voronoi diagram derived as the dual of the Delaunay triangulation."""

@@ -120,6 +120,13 @@ def _load_point_set(entry: dict, base_dir: Path) -> PointSet:
     raise NearDelaunayError(f"point set entry needs points/file/random/fixture: {entry}")
 
 
+def _number(centry: dict, key: str, default, convert):
+    try:
+        return convert(centry.get(key, default))
+    except (TypeError, ValueError):
+        raise NearDelaunayError(f"{key} {centry[key]!r} is not a number") from None
+
+
 def _build_constraint(centry: dict, set_entry: dict, ps: PointSet):
     kind = centry["type"]
     if kind == "required_edges":
@@ -134,11 +141,11 @@ def _build_constraint(centry: dict, set_entry: dict, ps: PointSet):
             edges = [picked]
         return RequiredEdges(edges), edges
     if kind == "min_total_length":
-        return MinTotalLength(float(centry.get("factor", 1.2))), []
+        return MinTotalLength(_number(centry, "factor", 1.2, float)), []
     if kind == "max_total_length":
-        return MaxTotalLength(float(centry.get("factor", 0.8))), []
+        return MaxTotalLength(_number(centry, "factor", 0.8, float)), []
     if kind == "max_degree":
-        return MaxDegree(int(centry.get("bound", 5))), []
+        return MaxDegree(_number(centry, "bound", 5, int)), []
     raise NearDelaunayError(f"unknown constraint type {kind!r}")
 
 
@@ -202,6 +209,7 @@ def run_experiment(
         for ctx in contexts:
             try:
                 constraint, required = _build_constraint(centry, ctx["entry"], ctx["ps"])
+                comparison_name, comparison = comparison_for(ctx["ps"], constraint, ctx["dt"])
             except NearDelaunayError as exc:
                 for metric in metrics:
                     for mode in modes:
@@ -216,7 +224,6 @@ def run_experiment(
                             }
                         )
                 continue
-            comparison_name, comparison = comparison_for(ctx["ps"], constraint, ctx["dt"])
             comp_svg = out_dir / f"{label}{ctx['index']}_comparison.svg"
             comp_svg.write_text(
                 render_svg(comparison, constrained=set(required))
@@ -303,5 +310,7 @@ def run_experiment(
                     }
                 )
 
-    (out_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
+    with open(out_dir / "report.json", "w") as fh:  # streamed: no copy of the text
+        json.dump(report, fh, indent=2)
+        fh.write("\n")
     return report

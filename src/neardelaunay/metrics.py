@@ -270,12 +270,7 @@ def _triangular_lens_value(ps: PointSet, tri) -> float:
     r2 = circ.radius * circ.radius
     tri_area = polygon_area(corners)
     denom = math.pi * r2 - tri_area
-    inside = [
-        i
-        for i, p in enumerate(pts)
-        if i not in tri
-        and (p[0] - circ.center[0]) ** 2 + (p[1] - circ.center[1]) ** 2 < r2
-    ]
+    inside = [i for i, p in enumerate(pts) if i not in tri and in_circumcircle(*corners, p)]
     total = 0.0
     for a, b, opposite in ((iu, iv, iw), (iv, iw, iu), (iw, iu, iv)):
         pa, pb, pc = pts[a], pts[b], pts[opposite]
@@ -381,20 +376,32 @@ def _intersect_intervals(xs, ys):
     return out
 
 
+def _ellipse_linear(ell: Ellipse, v) -> tuple[float, float]:
+    """(A, B) with v . (x(theta) - center) = A cos(theta) + B sin(theta)."""
+    ex, ey = ell.axis
+    return ell.a * (v[0] * ex + v[1] * ey), ell.b * (-v[0] * ey + v[1] * ex)
+
+
+def _cos_sin_roots(big_a: float, big_b: float, big_k: float, slack: float = 0.0):
+    """The angles phi - delta, phi + delta where A cos(theta) + B sin(theta) = K,
+    or None when |K| >= (1 + slack) * hypot(A, B).  A positive slack keeps a
+    tangential root that rounding pushed just past |K| = hypot(A, B)."""
+    rad = math.hypot(big_a, big_b)
+    if abs(big_k) >= (1.0 + slack) * rad:
+        return None
+    phi = math.atan2(big_b, big_a)
+    delta = math.acos(max(-1.0, min(1.0, big_k / rad)))
+    return phi - delta, phi + delta
+
+
 def _ellipse_halfplane_arcs(ell: Ellipse, n, c):
     """Arcs (in parameter space, within [0, 2pi]) where n . x(theta) <= c."""
-    ex, ey = ell.axis
-    big_a = ell.a * (n[0] * ex + n[1] * ey)
-    big_b = ell.b * (-n[0] * ey + n[1] * ex)
-    big_c = c - (n[0] * ell.center[0] + n[1] * ell.center[1])
-    rad = math.hypot(big_a, big_b)
-    if rad <= abs(big_c) or rad == 0.0:
+    big_a, big_b = _ellipse_linear(ell, n)
+    roots = _cos_sin_roots(big_a, big_b, c - (n[0] * ell.center[0] + n[1] * ell.center[1]))
+    if roots is None:
         mid = ell.point_at(1.0)  # arbitrary probe
         return [(0.0, TWO_PI)] if n[0] * mid[0] + n[1] * mid[1] <= c else []
-    phi = math.atan2(big_b, big_a)
-    delta = math.acos(max(-1.0, min(1.0, big_c / rad)))
-    roots = sorted(((phi - delta) % TWO_PI, (phi + delta) % TWO_PI))
-    t1, t2 = roots
+    t1, t2 = sorted(r % TWO_PI for r in roots)
     arcs = []
     for lo, hi in ((t1, t2), (t2, t1 + TWO_PI)):
         mid = ell.point_at((lo + hi) / 2.0)
@@ -415,8 +422,10 @@ def local_voronoi(c: Circle, inside_sites: Sequence[Point]) -> LocalVoronoiDiagr
     o, big_r = c
     sites = tuple(Point(float(p[0]), float(p[1])) for p in inside_sites)
     for s in sites:
-        if math.dist(o, s) >= big_r:
-            raise SiteOutsideCircle(f"site {s} is not strictly inside {c}")
+        # The exact in-circle predicate can put a site inside whose float distance
+        # rounds to R or just above; its ellipse then degenerates (b = 0).
+        if math.dist(o, s) > big_r * (1.0 + 1e-9):
+            raise SiteOutsideCircle(f"site {s} is not inside {c}")
     segments: list[EllipticalSegment | StraightSegment] = []
     ellipses = [_site_ellipse(c, s) for s in sites]
     for i, s in enumerate(sites):
@@ -458,8 +467,11 @@ def local_voronoi(c: Circle, inside_sites: Sequence[Point]) -> LocalVoronoiDiagr
             if lo >= hi:
                 continue
             # keep only the part whose circles fit inside the boundary circle:
-            # |x - si| + |x - o| <= R, i.e. x inside the site's ellipse
-            ell = ellipses[i]
+            # |x - si| + |x - o| <= R, i.e. x inside the site's ellipse; on the
+            # bisector both sites' ellipses cut the same piece
+            ell = ellipses[i] if ellipses[i].b > 0.0 else ellipses[j]
+            if ell.b == 0.0:
+                continue
             ex, ey = ell.axis
             px, py = mid[0] - ell.center[0], mid[1] - ell.center[1]
             p1, p2 = px * ex + py * ey, -px * ey + py * ex
@@ -495,47 +507,88 @@ def _dist_point_segment(x: Point, a: Point, b: Point) -> float:
     return math.hypot(x[0] - a[0] - t * dx, x[1] - a[1] - t * dy)
 
 
-def _crossings(f, lo: float, hi: float, samples: int = 129) -> list[float]:
-    """Roots of f on [lo, hi] located by sampling plus bisection."""
-    if hi <= lo:
-        return []
-    xs = [lo + (hi - lo) * k / (samples - 1) for k in range(samples)]
-    vals = [f(x) for x in xs]
-    roots = []
-    for k in range(samples - 1):
-        v0, v1 = vals[k], vals[k + 1]
-        if v0 == 0.0:
-            roots.append(xs[k])
-            continue
-        if v0 * v1 < 0.0:
-            a, b = xs[k], xs[k + 1]
-            fa = v0
-            for _ in range(80):
-                m = (a + b) / 2.0
-                fm = f(m)
-                if fm == 0.0:
-                    break
-                if fa * fm < 0.0:
-                    b = m
-                else:
-                    a, fa = m, fm
-            roots.append((a + b) / 2.0)
-    if vals[-1] == 0.0:
-        roots.append(xs[-1])
+def _quadratic_roots(qa: float, qb: float, qc: float) -> list[float]:
+    """Real roots of qa t^2 + qb t + qc = 0, plus the vertex -qb / (2 qa), which
+    stands in for a double root that rounding pushed off the real line."""
+    if qa == 0.0:
+        return [-qc / qb] if qb != 0.0 else []
+    disc = qb * qb - 4.0 * qa * qc
+    roots = [-qb / (2.0 * qa)]
+    if disc >= 0.0:
+        q = -0.5 * (qb + math.copysign(math.sqrt(disc), qb))
+        roots.append(q / qa)
+        if q != 0.0:
+            roots.append(qc / q)
     return roots
+
+
+def _straight_candidates(seg: StraightSegment, sides):
+    """Circles centred at x(t) = a + t (b - a), t in [0, 1], through the site S
+    (radius |x - S|) at t = 0, 1 and wherever the distance to a side's line or
+    to a corner equals the radius.  Squared, the first is a quadratic in t; the
+    second puts x on the bisector of the corner and S, which is linear in t."""
+    sa, sb = seg.a, seg.b
+    site = seg.sites[0]
+    wx, wy = sb[0] - sa[0], sb[1] - sa[1]
+    dx, dy = sa[0] - site[0], sa[1] - site[1]
+    d0w, d0d0 = dx * wx + dy * wy, dx * dx + dy * dy
+    params = [0.0, 1.0]
+    for a, b in sides:
+        length = math.dist(a, b)
+        ux, uy = (b[0] - a[0]) / length, (b[1] - a[1]) / length
+        # signed distance of x(t) to the line is al + be t, with n = (-uy, ux)
+        al = -uy * (sa[0] - a[0]) + ux * (sa[1] - a[1])
+        be = -uy * wx + ux * wy
+        uw = ux * wx + uy * wy  # be^2 - |w|^2 = -uw^2
+        params.extend(_quadratic_roots(-uw * uw, 2.0 * (al * be - d0w), al * al - d0d0))
+        # |x - a|^2 - |x - S|^2 = |sa - a|^2 - |d0|^2 + 2 t (S - a) . w
+        den = 2.0 * ((site[0] - a[0]) * wx + (site[1] - a[1]) * wy)
+        if den != 0.0:
+            params.append((d0d0 - (sa[0] - a[0]) ** 2 - (sa[1] - a[1]) ** 2) / den)
+    out = []
+    for t in params:
+        if 0.0 <= t <= 1.0:
+            x = Point(sa[0] + t * wx, sa[1] + t * wy)
+            out.append((x, math.dist(x, site)))
+    return out
+
+
+def _arc_candidates(seg: EllipticalSegment, sides):
+    """Circles centred on the arc at its ends and wherever the distance to a
+    side's line or to a corner equals the radius a + c cos(theta).  The signed
+    line distance and the corner's bisector are affine in (cos, sin), so each
+    case is one A cos(theta) + B sin(theta) = K."""
+    ell = seg.ellipse
+    (cx, cy), (sx, sy) = ell.center, seg.site
+    equations = []
+    for a, b in sides:
+        length = math.dist(a, b)
+        n = ((a[1] - b[1]) / length, (b[0] - a[0]) / length)
+        big_a, big_b = _ellipse_linear(ell, n)
+        g0 = n[0] * (cx - a[0]) + n[1] * (cy - a[1])
+        for s in (1.0, -1.0):  # n . (x - a) = +r or -r
+            equations.append((big_a - s * ell.c, big_b, s * ell.a - g0))
+        # |x - a| = |x - S|: (x - center) . (S - a) = (|S - center|^2 - |a - center|^2) / 2
+        big_a, big_b = _ellipse_linear(ell, (sx - a[0], sy - a[1]))
+        k = ((sx - cx) ** 2 + (sy - cy) ** 2 - (a[0] - cx) ** 2 - (a[1] - cy) ** 2) / 2.0
+        equations.append((big_a, big_b, k))
+    params = [seg.theta_lo, seg.theta_hi]
+    for eq in equations:
+        roots = _cos_sin_roots(*eq, slack=1e-12)
+        if roots is not None:
+            params.extend(
+                th for th in (r % TWO_PI for r in roots) if seg.theta_lo <= th <= seg.theta_hi
+            )
+    return [(ell.point_at(th), ell.radius_at(th)) for th in params]
 
 
 def _shrunk_circumcircle_value(ps: PointSet, tri) -> float:
     pts = ps.points
     corners = tuple(pts[i] for i in tri)
     circ = circumcircle(*corners)
-    o, big_r = circ
+    big_r = circ.radius
     r2 = big_r * big_r
-    sites = [
-        p
-        for i, p in enumerate(pts)
-        if i not in tri and (p[0] - o[0]) ** 2 + (p[1] - o[1]) ** 2 < r2
-    ]
+    sites = [p for i, p in enumerate(pts) if i not in tri and in_circumcircle(*corners, p)]
     if not sites:
         return 1.0
     inc = inscribed_circle(*corners)
@@ -544,41 +597,12 @@ def _shrunk_circumcircle_value(ps: PointSet, tri) -> float:
         (corners[1], corners[2]),
         (corners[2], corners[0]),
     ]
-    diagram = local_voronoi(circ, sites)
     candidates: list[tuple[Point, float]] = []
-    for seg in diagram.segments:
+    for seg in local_voronoi(circ, sites).segments:
         if isinstance(seg, StraightSegment):
-            sa, sb = seg.a, seg.b
-            site = seg.sites[0]
-
-            def pos(t, sa=sa, sb=sb):
-                return Point(sa[0] + t * (sb[0] - sa[0]), sa[1] + t * (sb[1] - sa[1]))
-
-            def rad(t, site=site, pos=pos):
-                return math.dist(pos(t), site)
-
-            params = [0.0, 1.0]
-            for a, b in sides:
-                params.extend(
-                    _crossings(
-                        lambda t: _dist_point_segment(pos(t), a, b) - rad(t), 0.0, 1.0
-                    )
-                )
-            candidates.extend((pos(t), rad(t)) for t in params)
+            candidates.extend(_straight_candidates(seg, sides))
         else:
-            ell = seg.ellipse
-
-            params = [seg.theta_lo, seg.theta_hi]
-            for a, b in sides:
-                params.extend(
-                    _crossings(
-                        lambda th: _dist_point_segment(ell.point_at(th), a, b)
-                        - ell.radius_at(th),
-                        seg.theta_lo,
-                        seg.theta_hi,
-                    )
-                )
-            candidates.extend((ell.point_at(th), ell.radius_at(th)) for th in params)
+            candidates.extend(_arc_candidates(seg, sides))
     slack = 1e-9 * big_r
     best = inc.radius  # the incircle is always empty and meets all three sides
     for x, r in candidates:

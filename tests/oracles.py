@@ -2,9 +2,10 @@
 
 These deliberately avoid the code paths of the package: brute-force grids,
 explicit arc constructions, and a separate polygon clipper.  The flip walk
-over frozensets and the per-candidate search scan are the exceptions: they
-are the package's per-triangulation implementations from before the
-integer triangulation table, kept as the references that table must match.
+over frozensets, the per-candidate search scan and the sampled root finder
+of shrunk_circumcircle are the exceptions: they are the package's
+implementations from before the integer triangulation table and the
+closed-form roots, kept as the references those must match.
 """
 
 from __future__ import annotations
@@ -31,7 +32,13 @@ from neardelaunay.geom import (
     orientation,
     validate_general_position,
 )
-from neardelaunay.metrics import METRIC_ORIENTATION, ScoreOrientation
+from neardelaunay.metrics import (
+    METRIC_ORIENTATION,
+    ScoreOrientation,
+    StraightSegment,
+    _dist_point_segment,
+    local_voronoi,
+)
 from neardelaunay.triangulation import (
     Triangulation,
     flip,
@@ -286,6 +293,104 @@ def _grid_dist_to_segment(X, Y, a, b):
     dd = d[0] * d[0] + d[1] * d[1]
     t = np.clip(((X - a[0]) * d[0] + (Y - a[1]) * d[1]) / dd, 0.0, 1.0)
     return np.hypot(X - a[0] - t * d[0], Y - a[1] - t * d[1])
+
+
+def _crossings(f, lo: float, hi: float, samples: int = 129) -> list[float]:
+    """Roots of f on [lo, hi] located by sampling plus bisection."""
+    if hi <= lo:
+        return []
+    xs = [lo + (hi - lo) * k / (samples - 1) for k in range(samples)]
+    vals = [f(x) for x in xs]
+    roots = []
+    for k in range(samples - 1):
+        v0, v1 = vals[k], vals[k + 1]
+        if v0 == 0.0:
+            roots.append(xs[k])
+            continue
+        if v0 * v1 < 0.0:
+            a, b = xs[k], xs[k + 1]
+            fa = v0
+            for _ in range(80):
+                m = (a + b) / 2.0
+                fm = f(m)
+                if fm == 0.0:
+                    break
+                if fa * fm < 0.0:
+                    b = m
+                else:
+                    a, fa = m, fm
+            roots.append((a + b) / 2.0)
+    if vals[-1] == 0.0:
+        roots.append(xs[-1])
+    return roots
+
+
+def bisection_shrunk_circumcircle(ps: PointSet, tri) -> float:
+    """shrunk_circumcircle with its roots found by 129 samples per local-Voronoi
+    segment and side plus 80 bisection steps per sign change, as the package did
+    before its closed-form roots.  It misses a root where a side's residual
+    touches 0, or dips below it, between two samples."""
+    pts = ps.points
+    corners = tuple(pts[i] for i in tri)
+    circ = circumcircle(*corners)
+    o, big_r = circ
+    r2 = big_r * big_r
+    sites = [
+        p
+        for i, p in enumerate(pts)
+        if i not in tri and (p[0] - o[0]) ** 2 + (p[1] - o[1]) ** 2 < r2
+    ]
+    if not sites:
+        return 1.0
+    inc = inscribed_circle(*corners)
+    sides = [
+        (corners[0], corners[1]),
+        (corners[1], corners[2]),
+        (corners[2], corners[0]),
+    ]
+    candidates = []
+    for seg in local_voronoi(circ, sites).segments:
+        if isinstance(seg, StraightSegment):
+            sa, sb = seg.a, seg.b
+            site = seg.sites[0]
+
+            def pos(t, sa=sa, sb=sb):
+                return (sa[0] + t * (sb[0] - sa[0]), sa[1] + t * (sb[1] - sa[1]))
+
+            def rad(t, site=site, pos=pos):
+                return math.dist(pos(t), site)
+
+            params = [0.0, 1.0]
+            for a, b in sides:
+                params.extend(
+                    _crossings(
+                        lambda t: _dist_point_segment(pos(t), a, b) - rad(t), 0.0, 1.0
+                    )
+                )
+            candidates.extend((pos(t), rad(t)) for t in params)
+        else:
+            ell = seg.ellipse
+            params = [seg.theta_lo, seg.theta_hi]
+            for a, b in sides:
+                params.extend(
+                    _crossings(
+                        lambda th: _dist_point_segment(ell.point_at(th), a, b)
+                        - ell.radius_at(th),
+                        seg.theta_lo,
+                        seg.theta_hi,
+                    )
+                )
+            candidates.extend((ell.point_at(th), ell.radius_at(th)) for th in params)
+    slack = 1e-9 * big_r
+    best = inc.radius
+    for x, r in candidates:
+        if r <= best:
+            continue
+        if all(_dist_point_segment(x, a, b) <= r + slack for a, b in sides):
+            best = r
+    best = min(best, big_r)
+    ri2 = inc.radius * inc.radius
+    return max(0.0, min(1.0, (best * best - ri2) / (r2 - ri2)))
 
 
 def grid_shrunk_circumcircle(ps: PointSet, tri, res: int = 400) -> float:

@@ -345,6 +345,31 @@ class TestExperiment:
         assert cells["maxlength"]["error"] == "length factor must be positive"
         assert cells["maxdegree"]["status"] == "ok"  # the run continued
 
+    def _one_bad_constraint(self, tmp_path, bad):
+        spec = {
+            "point_sets": [{"name": "tiny", "points": [[0, 0], [2, 0], [1, 0.5], [1, -0.5]]}],
+            "constraints": [bad, {"type": "max_degree", "bound": 5}],
+            "metrics": ["lens"],
+            "modes": ["sum"],
+        }
+        report = run_experiment(spec, tmp_path / "out")
+        return {c["constraint"]: c for c in report["cells"]}
+
+    def test_unusable_required_edge_recorded_per_cell(self, tmp_path):
+        cells = self._one_bad_constraint(
+            tmp_path, {"type": "required_edges", "edges": [[0, 9]]}
+        )
+        assert cells["required"]["status"] == "error"
+        assert cells["maxdegree"]["status"] == "ok"  # the run continued
+
+    def test_non_numeric_factor_recorded_per_cell(self, tmp_path):
+        cells = self._one_bad_constraint(
+            tmp_path, {"type": "min_total_length", "factor": "x"}
+        )
+        assert cells["minlength"]["status"] == "error"
+        assert cells["minlength"]["error"] == "factor 'x' is not a number"
+        assert cells["maxdegree"]["status"] == "ok"
+
     def test_unknown_mode_rejected(self, tmp_path):
         from neardelaunay.errors import NearDelaunayError
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -7,10 +8,14 @@ from neardelaunay.delaunay import delaunay, voronoi
 from neardelaunay.errors import NearDelaunayError, SiteOutsideCircle
 from neardelaunay.geom import (
     Circle,
+    Orientation,
     Point,
     PointSet,
     Segment,
     chord_overlap_length,
+    circumcircle,
+    in_circumcircle,
+    orientation,
     similarity_transform,
 )
 from neardelaunay.metrics import (
@@ -25,6 +30,7 @@ from neardelaunay.metrics import (
     Evaluator,
     ScoreOrientation,
     StraightSegment,
+    _dist_point_segment,
     dual_area_overlap,
     dual_edge_ratio,
     evaluate,
@@ -36,7 +42,7 @@ from neardelaunay.metrics import (
     shrunk_circumcircle,
     triangular_lens,
 )
-from neardelaunay.pointgen import random_point_set
+from neardelaunay.pointgen import long_delaunay_point_set, random_point_set, wheel_point_set
 from neardelaunay.triangulation import (
     Triangulation,
     flip,
@@ -45,6 +51,7 @@ from neardelaunay.triangulation import (
 
 from divergence import ALL_PAIRS, score_element
 from oracles import (
+    bisection_shrunk_circumcircle,
     clip_dual_overlap_oracle,
     grid_shrunk_circle,
     grid_shrunk_circumcircle,
@@ -385,13 +392,66 @@ class TestShrunkCircumcircle:
                     grid_shrunk_circumcircle(ps, tri), abs=2e-3
                 )
 
+    def test_matches_grid_oracle_on_fixtures(self):
+        for ps in (wheel_point_set(), long_delaunay_point_set()):
+            t = flip_neighbors(delaunay(ps))[0]
+            dt = set(delaunay(ps).triangles)
+            for tri in (tri for tri in t.triangles if tri not in dt):
+                assert shrunk_circumcircle(tri, ps).value == pytest.approx(
+                    grid_shrunk_circumcircle(ps, tri), abs=2e-3
+                )
+
+    def test_closed_form_matches_bisection(self):
+        # Absolute tolerance: the normalisation (best^2 - ri^2) / (R^2 - ri^2)
+        # cancels near 0, so a relative one fails on scores of order 1e-8.
+        rng = random.Random(5)
+        for n in (7, 8, 9, 10):
+            ps = random_point_set(n, seed=rng.randrange(10**6))
+            for tri in itertools.combinations(range(n), 3):
+                if orientation(*(ps[i] for i in tri)) is Orientation.COLLINEAR:
+                    continue
+                ours = shrunk_circumcircle(tri, ps).value
+                sampled = bisection_shrunk_circumcircle(ps, tri)
+                assert abs(ours - sampled) <= 1e-12
+                assert ours >= sampled - 1e-12
+
+    def test_root_between_samples(self):
+        # The site was moved until, along its ellipse, side (0, 1)'s residual
+        # (distance to the side minus radius) is positive only on a window
+        # narrower than the sample spacing, peaking at +1e-4 R between two of
+        # the 129 samples, with side (2, 0)'s root inside that window.  The
+        # largest admissible circle sits at the window's upper edge.  Every
+        # sample is feasible for (0, 1), so bisection sees no sign change and
+        # settles for a smaller circle; the closed form solves for the edge.
+        ps = PointSet(
+            [
+                (0.0, 0.0),
+                (1.0, 0.0),
+                (0.26845186591912995, 0.3300428452780354),
+                (0.38188343935943175, 5.172567786802894e-05),
+            ]
+        )
+        tri = (0, 1, 2)
+        (seg,) = local_voronoi(circumcircle(*ps.points[:3]), [ps[3]]).segments
+        ell = seg.ellipse
+
+        def residual(th):
+            x = ell.point_at(th)
+            return _dist_point_segment(x, ps[0], ps[1]) - ell.radius_at(th)
+
+        samples = [seg.theta_hi * k / 128 for k in range(129)]
+        dense = [seg.theta_hi * k / (128 * 64) for k in range(128 * 64 + 1)]
+        window = [th for th in dense if residual(th) > 0.0]
+        assert window and window[-1] - window[0] < samples[1]
+        assert all(residual(th) <= 0.0 for th in samples)
+        value = shrunk_circumcircle(tri, ps).value
+        assert value > bisection_shrunk_circumcircle(ps, tri) + 0.01
+        assert value == pytest.approx(grid_shrunk_circumcircle(ps, tri), abs=2e-3)
+
     def test_furthest_point_rejected_for_tangency(self, p4):
         # In the worked fixture the far vertex of the ellipse defines a circle
         # that misses the long side entirely; the side filter must reject it
         # and settle on a tangency placement instead.
-        from neardelaunay.geom import circumcircle
-        from neardelaunay.metrics import _dist_point_segment
-
         circ = circumcircle(p4[0], p4[1], p4[2])
         lv = local_voronoi(circ, [p4[3]])
         ell = lv.segments[0].ellipse
@@ -403,6 +463,43 @@ class TestShrunkCircumcircle:
         inc = 0.2360680
         far_score = (far_radius**2 - inc**2) / (circ.radius**2 - inc**2)
         assert far_score > value
+
+
+class TestNearCocircular:
+    """Sites within rounding of a circumcircle: both triangle metrics pick them
+    with the exact in_circumcircle predicate, as the Delaunay construction does."""
+
+    def test_float_inside_exact_not_inside(self):
+        # In exact arithmetic the fourth point is not inside the circle through
+        # the first three, while its float squared distance is below R^2.
+        ps = PointSet([(-24.9, 0.3), (-23.9, -6.7), (-14.9, -19.7), (-19.9, 15.3)])
+        circ = circumcircle(*ps.points[:3])
+        assert not in_circumcircle(*ps.points[:3], ps[3])
+        assert (ps[3].x - circ.center.x) ** 2 + (ps[3].y - circ.center.y) ** 2 < circ.radius**2
+        assert shrunk_circumcircle((0, 1, 2), ps).value == 1.0
+        assert triangular_lens((0, 1, 2), ps).value == pytest.approx(1.0, abs=1e-12)
+
+    def test_exact_inside_float_on_circle(self):
+        # The fourth point is inside by the predicate, but its float distance
+        # rounds to R, so its ellipse degenerates to a segment (b = 0).
+        ps = PointSet(
+            [
+                (-24.9, 0.3),
+                (-14.9, -19.7),
+                (-6.9, -23.7),
+                (-23.899999999999995, 7.299999999999999),
+                (-20.0, 0.0),
+            ]
+        )
+        circ = circumcircle(*ps.points[:3])
+        assert in_circumcircle(*ps.points[:3], ps[3])
+        assert math.dist(circ.center, ps[3]) >= circ.radius
+        lv = local_voronoi(circ, [ps[3], ps[4]])
+        assert any(isinstance(s, StraightSegment) for s in lv.segments)
+        on_circle = PointSet(ps.points[:4])
+        assert shrunk_circumcircle((0, 1, 2), on_circle).value == pytest.approx(1.0, abs=1e-9)
+        assert triangular_lens((0, 1, 2), on_circle).value == pytest.approx(1.0, abs=1e-9)
+        assert 0.0 <= shrunk_circumcircle((0, 1, 2), ps).value < 1.0
 
 
 class TestEvaluate:
