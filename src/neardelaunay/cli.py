@@ -113,17 +113,17 @@ def _collect_constraint(args):
 def _cmd_optimize(args) -> int:
     ps = _read_points(args.points)
     constraint = _collect_constraint(args)
+    dt = build_delaunay(ps)
+    _, comparison = comparison_for(ps, constraint, dt)
     best = optimize_search(
         ps, constraint, args.metric, AggregationMode(args.mode), cap=args.cap
     )
-    dt = build_delaunay(ps)
     if best is None:
         print("no feasible triangulation", file=sys.stderr)
         if args.svg:
             Path(args.svg).write_text(render_svg(dt))
         return EXIT_NO_FEASIBLE
     constrained = constraint.edges if isinstance(constraint, RequiredEdges) else ()
-    _, comparison = comparison_for(ps, constraint, dt)
     _emit_triangulation(
         best, args.out, args.svg, constrained=constrained, diff=edge_diff(best, comparison)
     )

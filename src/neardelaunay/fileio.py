@@ -18,15 +18,12 @@ def fmt_coord(v: float) -> str:
     return format(v, ".12g")
 
 
-def parse_points(text: str, guard: float | None = None) -> PointSet:
+def parse_points(text: str) -> PointSet:
     """Parse a point file and validate general position."""
     lines = text.splitlines()
     pts, _ = _parse_point_block(lines)
     ps = PointSet(pts)
-    if guard is None:
-        validate_general_position(ps)
-    else:
-        validate_general_position(ps, guard)
+    validate_general_position(ps)
     return ps
 
 

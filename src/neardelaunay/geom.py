@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -214,6 +215,14 @@ def circular_segment_area(circle: Circle, chord: Segment, side: SegmentSide) -> 
     return math.pi * r * r - minor
 
 
+def dist_point_segment(x: Point, a: Point, b: Point) -> float:
+    """Distance from x to the closed segment ab."""
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    t = ((x[0] - a[0]) * dx + (x[1] - a[1]) * dy) / (dx * dx + dy * dy)
+    t = max(0.0, min(1.0, t))
+    return math.hypot(x[0] - a[0] - t * dx, x[1] - a[1] - t * dy)
+
+
 def chord_overlap_length(circle: Circle, seg: Segment) -> float:
     """Length of the intersection of the closed disk with the segment."""
     (cx, cy), r = circle
@@ -331,14 +340,19 @@ def similarity_transform(
     return PointSet(out)
 
 
-def _triple_violations(coords: np.ndarray, guard: float):
-    n = len(coords)
-    from itertools import combinations
+def _subsets(n: int, k: int):
+    """Index rows of every k-subset of range(n) in `combinations` order, one
+    block of O(n^(k-1)) rows per lowest index i: i joined to the last
+    C(n-1-i, k-1) (k-1)-subsets of range(1, n), which are those above i."""
+    rest = np.fromiter(combinations(range(1, n), k - 1), np.dtype((np.int64, k - 1)))
+    for i in range(n - k + 1):
+        tail = rest[len(rest) - math.comb(n - 1 - i, k - 1) :]
+        yield np.column_stack((np.full(len(tail), i), tail))
 
-    idx = np.fromiter(
-        (k for c in combinations(range(n), 3) for k in c), dtype=np.int64
-    ).reshape(-1, 3)
-    a, b, c = coords[idx[:, 0]], coords[idx[:, 1]], coords[idx[:, 2]]
+
+def _collinear(p: np.ndarray, guard: float) -> np.ndarray:
+    """Mask of the rows of p (rows x 3 x 2) whose triangle is near-collinear."""
+    a, b, c = p.swapaxes(0, 1)
     det = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
         c[:, 0] - a[:, 0]
     )
@@ -346,37 +360,26 @@ def _triple_violations(coords: np.ndarray, guard: float):
         ((b - a) ** 2).sum(1),
         np.maximum(((c - a) ** 2).sum(1), ((c - b) ** 2).sum(1)),
     )
-    bad = np.abs(det) <= guard * l2
-    return idx[bad]
+    return np.abs(det) <= guard * l2
 
 
-def _quad_violations(coords: np.ndarray, guard: float):
-    from itertools import combinations
-
-    n = len(coords)
-    combos = list(combinations(range(n), 4))
-    chunk = 200_000
-    for start in range(0, len(combos), chunk):
-        idx = np.array(combos[start : start + chunk], dtype=np.int64)
-        a, b, c, d = (coords[idx[:, k]] for k in range(4))
-        ad, bd, cd = a - d, b - d, c - d
-        alift = (ad**2).sum(1)
-        blift = (bd**2).sum(1)
-        clift = (cd**2).sum(1)
-        det = (
-            alift * (bd[:, 0] * cd[:, 1] - cd[:, 0] * bd[:, 1])
-            + blift * (cd[:, 0] * ad[:, 1] - ad[:, 0] * cd[:, 1])
-            + clift * (ad[:, 0] * bd[:, 1] - bd[:, 0] * ad[:, 1])
-        )
-        l2 = np.zeros(len(idx))
-        pts = (a, b, c, d)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                l2 = np.maximum(l2, ((pts[i] - pts[j]) ** 2).sum(1))
-        bad = np.abs(det) <= guard * l2 * l2
-        if bad.any():
-            return idx[bad]
-    return np.empty((0, 4), dtype=np.int64)
+def _cocircular(p: np.ndarray, guard: float) -> np.ndarray:
+    """Mask of the rows of p (rows x 4 x 2) whose quadruple is near-cocircular."""
+    a, b, c, d = p.swapaxes(0, 1)
+    ad, bd, cd = a - d, b - d, c - d
+    alift = (ad**2).sum(1)
+    blift = (bd**2).sum(1)
+    clift = (cd**2).sum(1)
+    det = (
+        alift * (bd[:, 0] * cd[:, 1] - cd[:, 0] * bd[:, 1])
+        + blift * (cd[:, 0] * ad[:, 1] - ad[:, 0] * cd[:, 1])
+        + clift * (ad[:, 0] * bd[:, 1] - bd[:, 0] * ad[:, 1])
+    )
+    l2 = np.zeros(len(p))
+    for i in range(4):
+        for j in range(i + 1, 4):
+            l2 = np.maximum(l2, ((p[:, i] - p[:, j]) ** 2).sum(1))
+    return np.abs(det) <= guard * l2 * l2
 
 
 def validate_general_position(ps: PointSet, guard: float = DEGENERACY_GUARD) -> None:
@@ -385,23 +388,21 @@ def validate_general_position(ps: PointSet, guard: float = DEGENERACY_GUARD) -> 
     `guard` is a relative threshold: a triple is degenerate when its
     orientation determinant is at most guard * L^2 (L the longest involved
     edge), a quadruple when its circle determinant is at most guard * L^4.
-    Raises GeneralPositionViolated naming the first offending tuple.
+    All triples are scanned before any quadruple, each in `combinations`
+    order; GeneralPositionViolated names the first offending tuple.
     """
     if ps._gp_guard >= guard:
         return
     coords = np.asarray(ps.points, dtype=np.float64)
-    bad3 = _triple_violations(coords, guard)
-    if len(bad3):
-        i, j, k = (int(v) for v in bad3[0])
-        raise GeneralPositionViolated(
-            f"points {i}, {j}, {k} are collinear (within guard {guard:g})"
-        )
-    bad4 = _quad_violations(coords, guard)
-    if len(bad4):
-        i, j, k, l = (int(v) for v in bad4[0])
-        raise GeneralPositionViolated(
-            f"points {i}, {j}, {k}, {l} are cocircular (within guard {guard:g})"
-        )
+    scans = ((3, _collinear, "collinear"), (4, _cocircular, "cocircular"))
+    for k, degenerate, what in scans:
+        for rows in _subsets(len(coords), k):
+            bad = rows[degenerate(coords[rows], guard)]
+            if len(bad):
+                raise GeneralPositionViolated(
+                    f"points {', '.join(map(str, bad[0].tolist()))} are {what} "
+                    f"(within guard {guard:g})"
+                )
     ps._gp_guard = guard
 
 

@@ -34,6 +34,7 @@ from .geom import (
     circular_segment_area,
     circumcircle,
     clip_polygon_halfplane,
+    dist_point_segment as _dist_point_segment,
     in_circumcircle,
     inscribed_circle,
     orientation,
@@ -498,13 +499,6 @@ def local_voronoi(c: Circle, inside_sites: Sequence[Point]) -> LocalVoronoiDiagr
 
 
 # --- largest contained empty circle ------------------------------------------
-
-
-def _dist_point_segment(x: Point, a: Point, b: Point) -> float:
-    dx, dy = b[0] - a[0], b[1] - a[1]
-    t = ((x[0] - a[0]) * dx + (x[1] - a[1]) * dy) / (dx * dx + dy * dy)
-    t = max(0.0, min(1.0, t))
-    return math.hypot(x[0] - a[0] - t * dx, x[1] - a[1] - t * dy)
 
 
 def _quadratic_roots(qa: float, qb: float, qc: float) -> list[float]:

@@ -6,19 +6,17 @@ import math
 import random
 
 from .delaunay import delaunay
-from .geom import PointSet, is_general_position
+from .geom import PointSet, dist_point_segment, is_general_position
 from .triangulation import EdgeKey
 
 
-def random_point_set(
-    n: int, seed: int, guard: float = 1e-9, box: float = 1.0
-) -> PointSet:
-    """Uniform points in a square, rejection-sampled until the general-position
-    validation passes with the requested margin."""
+def random_point_set(n: int, seed: int, guard: float = 1e-9) -> PointSet:
+    """Uniform points in the unit square, rejection-sampled until the
+    general-position validation passes with the requested margin."""
     rng = random.Random(seed)
     while True:
         ps = PointSet(
-            [(rng.uniform(0.0, box), rng.uniform(0.0, box)) for _ in range(n)]
+            [(rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)) for _ in range(n)]
         )
         if is_general_position(ps, guard):
             return ps
@@ -79,7 +77,7 @@ def pick_required_edge(ps: PointSet) -> EdgeKey | None:
             a, b = pts[i], pts[j]
             length = math.dist(a, b)
             clearance = min(
-                _dist_to_segment(pts[k], a, b)
+                dist_point_segment(pts[k], a, b)
                 for k in range(len(ps))
                 if k not in (i, j)
             )
@@ -93,10 +91,3 @@ def pick_required_edge(ps: PointSet) -> EdgeKey | None:
             if not dt.has_edge(i, j):
                 return (i, j)
     return None
-
-
-def _dist_to_segment(x, a, b) -> float:
-    dx, dy = b[0] - a[0], b[1] - a[1]
-    t = ((x[0] - a[0]) * dx + (x[1] - a[1]) * dy) / (dx * dx + dy * dy)
-    t = max(0.0, min(1.0, t))
-    return math.hypot(x[0] - a[0] - t * dx, x[1] - a[1] - t * dy)

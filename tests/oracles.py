@@ -2,15 +2,17 @@
 
 These deliberately avoid the code paths of the package: brute-force grids,
 explicit arc constructions, and a separate polygon clipper.  The flip walk
-over frozensets, the per-candidate search scan and the sampled root finder
-of shrunk_circumcircle are the exceptions: they are the package's
-implementations from before the integer triangulation table and the
-closed-form roots, kept as the references those must match.
+over frozensets, the per-candidate search scan, the sampled root finder
+of shrunk_circumcircle and the whole-list general-position check are the
+exceptions: they are the package's implementations from before the integer
+triangulation table, the closed-form roots and the streamed subset scan,
+kept as the references those must match.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import numpy as np
 
@@ -90,6 +92,68 @@ def count_triangulations_by_edge_sets(ps: PointSet) -> int:
 
     recurse(0, frozenset(), frozenset())
     return count
+
+
+# --- general position over whole lists of triples and quadruples -------------
+
+
+def _triple_violations(coords: np.ndarray, guard: float):
+    n = len(coords)
+    idx = np.fromiter(
+        (k for c in combinations(range(n), 3) for k in c), dtype=np.int64
+    ).reshape(-1, 3)
+    a, b, c = coords[idx[:, 0]], coords[idx[:, 1]], coords[idx[:, 2]]
+    det = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
+        c[:, 0] - a[:, 0]
+    )
+    l2 = np.maximum(
+        ((b - a) ** 2).sum(1),
+        np.maximum(((c - a) ** 2).sum(1), ((c - b) ** 2).sum(1)),
+    )
+    bad = np.abs(det) <= guard * l2
+    return idx[bad]
+
+
+def _quad_violations(coords: np.ndarray, guard: float):
+    n = len(coords)
+    combos = list(combinations(range(n), 4))
+    chunk = 200_000
+    for start in range(0, len(combos), chunk):
+        idx = np.array(combos[start : start + chunk], dtype=np.int64)
+        a, b, c, d = (coords[idx[:, k]] for k in range(4))
+        ad, bd, cd = a - d, b - d, c - d
+        alift = (ad**2).sum(1)
+        blift = (bd**2).sum(1)
+        clift = (cd**2).sum(1)
+        det = (
+            alift * (bd[:, 0] * cd[:, 1] - cd[:, 0] * bd[:, 1])
+            + blift * (cd[:, 0] * ad[:, 1] - ad[:, 0] * cd[:, 1])
+            + clift * (ad[:, 0] * bd[:, 1] - bd[:, 0] * ad[:, 1])
+        )
+        l2 = np.zeros(len(idx))
+        pts = (a, b, c, d)
+        for i in range(4):
+            for j in range(i + 1, 4):
+                l2 = np.maximum(l2, ((pts[i] - pts[j]) ** 2).sum(1))
+        bad = np.abs(det) <= guard * l2 * l2
+        if bad.any():
+            return idx[bad]
+    return np.empty((0, 4), dtype=np.int64)
+
+
+def general_position_message(ps: PointSet, guard: float) -> str | None:
+    """The GeneralPositionViolated message validate_general_position gave
+    when it held every triple and every quadruple in one list, or None."""
+    coords = np.asarray(ps.points, dtype=np.float64)
+    bad3 = _triple_violations(coords, guard)
+    if len(bad3):
+        i, j, k = (int(v) for v in bad3[0])
+        return f"points {i}, {j}, {k} are collinear (within guard {guard:g})"
+    bad4 = _quad_violations(coords, guard)
+    if len(bad4):
+        i, j, k, l = (int(v) for v in bad4[0])
+        return f"points {i}, {j}, {k}, {l} are cocircular (within guard {guard:g})"
+    return None
 
 
 # --- enumeration by a flip walk over triangle sets --------------------------

@@ -13,6 +13,7 @@ from neardelaunay.svg import render_svg
 from neardelaunay.triangulation import Triangulation
 
 P4_TEXT = "4\n0 0\n2 0\n1 0.5\n1 -0.5\n"
+P5_TEXT = "5\n0 0\n2 0\n1 0.5\n1 -0.5\n3 3\n"
 
 
 @pytest.fixture
@@ -137,6 +138,23 @@ class TestOptimizeCommand:
     def test_bad_constraint_value_is_an_error(self, capsys, points_file, flag, value, message):
         rc = main(["optimize", str(points_file), "--metric", "lens", flag, value])
         assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            (["0,99"], "bad edge (0, 99)"),
+            (["0,1", "2,3"], "required edges (0, 1) and (2, 3) cross"),
+        ],
+    )
+    def test_bad_required_edges_are_an_error(self, capsys, tmp_path, edges, message):
+        path = tmp_path / "p5.txt"
+        path.write_text(P5_TEXT)
+        flags = [arg for edge in edges for arg in ("--required-edge", edge)]
+        rc = main(["optimize", str(path), "--metric", "lens", *flags])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert main(["cdt", str(path), *flags]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_exactly_one_constraint_required(self, capsys, points_file):

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -29,7 +30,9 @@ from neardelaunay.geom import (
     validate_general_position,
 )
 
-from oracles import incircle_distance_oracle
+from neardelaunay.pointgen import wheel_point_set
+
+from oracles import general_position_message, incircle_distance_oracle
 
 
 class TestOrientation:
@@ -318,6 +321,115 @@ class TestPointSetValidation:
         for s in (1.0, 1e6):
             pts = [(0, 0), (s, 1e-10 * s), (2 * s, 0), (s, s)]
             assert not is_general_position(PointSet(pts), guard=1e-9)
+
+
+GP_GUARDS = (1e-12, 1e-9, 1e-6, 1e-4, 1e-2, 0.1)
+
+
+def _random_sets(rng):
+    for n in range(3, 41):
+        yield [(rng.random(), rng.random()) for _ in range(n)]
+
+
+def _lattices(rng):
+    """5-wide lattices, exact and jittered, rows shuffled into random order."""
+    for rows in (1, 2, 3, 4):
+        for jitter in (0.0, 1e-9, 1e-6, 1e-3, 1e-1):
+            pts = [
+                (i + jitter * rng.uniform(-1, 1), j + jitter * rng.uniform(-1, 1))
+                for j in range(rows)
+                for i in range(5)
+            ]
+            rng.shuffle(pts)
+            yield pts
+
+
+def _jittered_circles(rng):
+    for n in (4, 5, 8, 13, 21):
+        for jitter in (0.0, 1e-9, 1e-6, 1e-3, 1e-1):
+            pts = []
+            for k in range(n):
+                ang = 2.0 * math.pi * (k + rng.uniform(-0.3, 0.3)) / n
+                r = 1.0 + jitter * rng.uniform(-1, 1)
+                pts.append((r * math.cos(ang), r * math.sin(ang)))
+            pts += [(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(rng.randrange(4))]
+            rng.shuffle(pts)
+            yield pts
+
+
+def _wheels(rng):
+    """The experiment's wheel fixture, and a hub inside an exactly drawn rim."""
+    for n_rim in range(4, 13):
+        yield list(wheel_point_set(n_rim))
+        angles = [2.0 * math.pi * k / n_rim + 0.3 for k in range(n_rim)]
+        pts = [(0.01, 0.02)] + [(math.cos(t), math.sin(t)) for t in angles]
+        pts.insert(rng.randrange(len(pts)), pts.pop(0))
+        yield pts
+
+
+def _with_midpoints(rng):
+    """Random sets with the (possibly nudged) midpoint of two points inserted."""
+    for n in (5, 9, 16, 25, 36):
+        for nudge in (0.0, 1e-8, 1e-5, 1e-2):
+            pts = [(rng.random(), rng.random()) for _ in range(n)]
+            (ax, ay), (bx, by) = rng.sample(pts, 2)
+            mid = ((ax + bx) / 2.0 + nudge, (ay + by) / 2.0 - nudge)
+            pts.insert(rng.randrange(n + 1), mid)
+            yield pts
+
+
+class TestGeneralPositionScan:
+    """The streamed subset scan against the whole-list check it replaced."""
+
+    @staticmethod
+    def _message(pts, guard):
+        try:
+            validate_general_position(PointSet(pts), guard)
+        except GeneralPositionViolated as exc:
+            return str(exc)
+        return None
+
+    @pytest.mark.parametrize(
+        "family", [_random_sets, _lattices, _jittered_circles, _wheels, _with_midpoints]
+    )
+    def test_same_message_as_whole_list_oracle(self, family):
+        outcomes = set()
+        for pts in family(random.Random(family.__name__)):
+            for guard in GP_GUARDS:
+                want = general_position_message(PointSet(pts), guard)
+                assert self._message(pts, guard) == want, (pts, guard)
+                outcomes.add(want is None)
+        assert outcomes == {True, False}  # both accepted and rejected sets
+
+    def test_first_tuple_in_combinations_order(self):
+        # 0-4 lie on the unit circle; (0, 3) is on the line through 1 and 3
+        pts = [(1, 0), (0, 1), (-1, 0), (0, -1), (0.6, -0.8), (0, 3)]
+        assert self._message(pts, 1e-12) == "points 1, 3, 5 are collinear (within guard 1e-12)"
+        pts[5] = (3, 5)
+        assert self._message(pts, 1e-12) == (
+            "points 0, 1, 2, 3 are cocircular (within guard 1e-12)"
+        )
+        # no offending tuple has lowest index 0: the next block names it
+        pts = pts[5:] + pts[:5]
+        assert self._message(pts, 1e-12) == (
+            "points 1, 2, 3, 4 are cocircular (within guard 1e-12)"
+        )
+
+    def test_triples_before_quadruples(self):
+        # {0, 1, 2, 3} is cocircular, {4, 5, 6} collinear: the triple is named
+        pts = [(1, 0), (0, 1), (-1, 0), (0, -1), (2.0, 3.2), (3.0, 3.7), (4.0, 4.2)]
+        assert self._message(pts, 1e-12) == "points 4, 5, 6 are collinear (within guard 1e-12)"
+
+    def test_memory_is_one_block(self):
+        rng = random.Random(60)
+        ps = PointSet([(rng.random(), rng.random()) for _ in range(60)])
+        tracemalloc.start()
+        try:
+            validate_general_position(ps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20  # the whole-list check peaked at 94 MiB
 
 
 class TestConvexHull:
