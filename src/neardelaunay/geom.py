@@ -340,19 +340,17 @@ def similarity_transform(
     return PointSet(out)
 
 
-def _subsets(n: int, k: int):
-    """Index rows of every k-subset of range(n) in `combinations` order, one
-    block of O(n^(k-1)) rows per lowest index i: i joined to the last
-    C(n-1-i, k-1) (k-1)-subsets of range(1, n), which are those above i."""
-    rest = np.fromiter(combinations(range(1, n), k - 1), np.dtype((np.int64, k - 1)))
-    for i in range(n - k + 1):
-        tail = rest[len(rest) - math.comb(n - 1 - i, k - 1) :]
-        yield np.column_stack((np.full(len(tail), i), tail))
+def _colex(m: int, k: int) -> np.ndarray:
+    """The k-subsets of range(m) in colex order (by highest index, then the
+    next highest, ...), as k columns.  Its first C(d, k) rows are the
+    k-subsets of range(d).  Colex order is reversed lex order of the
+    subsets mirrored by x -> m - 1 - x."""
+    lex = np.fromiter(combinations(range(m), k), np.dtype((np.int64, k)))
+    return np.ascontiguousarray((m - 1 - lex[::-1, ::-1]).T)
 
 
-def _collinear(p: np.ndarray, guard: float) -> np.ndarray:
-    """Mask of the rows of p (rows x 3 x 2) whose triangle is near-collinear."""
-    a, b, c = p.swapaxes(0, 1)
+def _collinear(a: np.ndarray, b: np.ndarray, c: np.ndarray, guard: float) -> np.ndarray:
+    """Mask of the rows of a, b, c (rows x 2 each) whose triangle is near-collinear."""
     det = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
         c[:, 0] - a[:, 0]
     )
@@ -363,23 +361,50 @@ def _collinear(p: np.ndarray, guard: float) -> np.ndarray:
     return np.abs(det) <= guard * l2
 
 
-def _cocircular(p: np.ndarray, guard: float) -> np.ndarray:
-    """Mask of the rows of p (rows x 4 x 2) whose quadruple is near-cocircular."""
-    a, b, c, d = p.swapaxes(0, 1)
-    ad, bd, cd = a - d, b - d, c - d
-    alift = (ad**2).sum(1)
-    blift = (bd**2).sum(1)
-    clift = (cd**2).sum(1)
-    det = (
-        alift * (bd[:, 0] * cd[:, 1] - cd[:, 0] * bd[:, 1])
-        + blift * (cd[:, 0] * ad[:, 1] - ad[:, 0] * cd[:, 1])
-        + clift * (ad[:, 0] * bd[:, 1] - bd[:, 0] * ad[:, 1])
-    )
-    l2 = np.zeros(len(p))
-    for i in range(4):
-        for j in range(i + 1, 4):
-            l2 = np.maximum(l2, ((p[:, i] - p[:, j]) ** 2).sum(1))
-    return np.abs(det) <= guard * l2 * l2
+def _smallest(rows: np.ndarray, mask: np.ndarray, n: int, d: int):
+    """The lexicographically smallest masked row of `rows` (columns of
+    indices below d) with d appended, or None when the mask is empty."""
+    if not mask.any():
+        return None
+    bad = rows[:, mask]
+    key = bad[0]
+    for col in bad[1:]:
+        key = key * n + col
+    return (*bad[:, key.argmin()].tolist(), d)
+
+
+def _collinear_triples(coords: np.ndarray, guard: float):
+    """For each highest index d, the smallest near-collinear triple (a, b, d),
+    or None; the pairs (a, b) are the first C(d, 2) rows of one table."""
+    n = len(coords)
+    pairs = _colex(n - 1, 2)
+    for d in range(2, n):
+        a, b = rows = pairs[:, : math.comb(d, 2)]
+        c = np.broadcast_to(coords[d], (len(a), 2))
+        yield _smallest(rows, _collinear(coords[a], coords[b], c, guard), n, d)
+
+
+def _cocircular_quadruples(coords: np.ndarray, guard: float):
+    """For each highest index d, the smallest near-cocircular quadruple
+    (a, b, c, d), or None.  d is the origin the block's quadruples share: the
+    in-circle determinant is the orientation of the points lifted relative to
+    d (Shewchuk 1997), so the lifts and the 2x2 cross terms are computed once
+    per block and gathered, and the squared distances once per point set."""
+    n = len(coords)
+    sq = ((coords[:, None, :] - coords[None, :, :]) ** 2).sum(2)
+    triples = _colex(n - 1, 3)
+    for d in range(3, n):
+        a, b, c = rows = triples[:, : math.comb(d, 3)]
+        v = coords[:d] - coords[d]
+        lift = (v**2).sum(1)
+        cross = v[:, 0][:, None] * v[:, 1][None, :] - v[:, 0][None, :] * v[:, 1][:, None]
+        det = lift[a] * cross[b, c] + lift[b] * cross[c, a] + lift[c] * cross[a, b]
+        to_d = sq[:d, d]
+        l2 = np.maximum(
+            np.maximum(np.maximum(sq[a, b], sq[a, c]), np.maximum(sq[b, c], to_d[a])),
+            np.maximum(to_d[b], to_d[c]),
+        )
+        yield _smallest(rows, np.abs(det) <= guard * l2 * l2, n, d)
 
 
 def validate_general_position(ps: PointSet, guard: float = DEGENERACY_GUARD) -> None:
@@ -388,21 +413,21 @@ def validate_general_position(ps: PointSet, guard: float = DEGENERACY_GUARD) -> 
     `guard` is a relative threshold: a triple is degenerate when its
     orientation determinant is at most guard * L^2 (L the longest involved
     edge), a quadruple when its circle determinant is at most guard * L^4.
-    All triples are scanned before any quadruple, each in `combinations`
-    order; GeneralPositionViolated names the first offending tuple.
+    All triples are scanned before any quadruple, each in blocks by highest
+    index; GeneralPositionViolated names the lexicographically first
+    offending tuple, the smallest of the blocks' first ones.
     """
     if ps._gp_guard >= guard:
         return
     coords = np.asarray(ps.points, dtype=np.float64)
-    scans = ((3, _collinear, "collinear"), (4, _cocircular, "cocircular"))
-    for k, degenerate, what in scans:
-        for rows in _subsets(len(coords), k):
-            bad = rows[degenerate(coords[rows], guard)]
-            if len(bad):
-                raise GeneralPositionViolated(
-                    f"points {', '.join(map(str, bad[0].tolist()))} are {what} "
-                    f"(within guard {guard:g})"
-                )
+    scans = ((_collinear_triples, "collinear"), (_cocircular_quadruples, "cocircular"))
+    for scan, what in scans:
+        bad = [t for t in scan(coords, guard) if t is not None]
+        if bad:
+            raise GeneralPositionViolated(
+                f"points {', '.join(map(str, min(bad)))} are {what} "
+                f"(within guard {guard:g})"
+            )
     ps._gp_guard = guard
 
 

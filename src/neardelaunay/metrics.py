@@ -427,16 +427,22 @@ def local_voronoi(c: Circle, inside_sites: Sequence[Point]) -> LocalVoronoiDiagr
         # rounds to R or just above; its ellipse then degenerates (b = 0).
         if math.dist(o, s) > big_r * (1.0 + 1e-9):
             raise SiteOutsideCircle(f"site {s} is not inside {c}")
+    # Each site's bisector halfplanes, and the other sites nearest-first: a
+    # near site is the likeliest to cut an arc or a bisector to nothing, and
+    # the clips below stop once nothing is left.  Clipping intersects
+    # intervals with exact max/min, so the order does not change the result.
+    halfplanes = [[_bisector_halfplane(s, other) for other in sites] for s in sites]
+    nearest = [
+        sorted((k for k in range(len(sites)) if k != i), key=lambda k: math.dist(s, sites[k]))
+        for i, s in enumerate(sites)
+    ]
     segments: list[EllipticalSegment | StraightSegment] = []
     ellipses = [_site_ellipse(c, s) for s in sites]
     for i, s in enumerate(sites):
         ell = ellipses[i]
         arcs = [(0.0, TWO_PI)]
-        for j, other in enumerate(sites):
-            if j == i:
-                continue
-            n, cc = _bisector_halfplane(s, other)
-            arcs = _intersect_intervals(arcs, _ellipse_halfplane_arcs(ell, n, cc))
+        for j in nearest[i]:
+            arcs = _intersect_intervals(arcs, _ellipse_halfplane_arcs(ell, *halfplanes[i][j]))
             if not arcs:
                 break
         for lo, hi in sorted(arcs):
@@ -449,10 +455,10 @@ def local_voronoi(c: Circle, inside_sites: Sequence[Point]) -> LocalVoronoiDiagr
             norm = math.hypot(dx, dy)
             d = (-dy / norm, dx / norm)
             lo, hi = -math.inf, math.inf
-            for k, other in enumerate(sites):
-                if k in (i, j):
+            for k in nearest[i]:
+                if k == j:
                     continue
-                n, cc = _bisector_halfplane(si, other)
+                n, cc = halfplanes[i][k]
                 a0 = n[0] * mid[0] + n[1] * mid[1] - cc
                 a1 = n[0] * d[0] + n[1] * d[1]
                 if a1 == 0.0:
@@ -465,6 +471,8 @@ def local_voronoi(c: Circle, inside_sites: Sequence[Point]) -> LocalVoronoiDiagr
                     hi = min(hi, t)
                 else:
                     lo = max(lo, t)
+                if lo >= hi:
+                    break
             if lo >= hi:
                 continue
             # keep only the part whose circles fit inside the boundary circle:

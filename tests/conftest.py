@@ -24,3 +24,14 @@ def jittered_circle_points(n: int, base_radius: float = 1.0) -> PointSet:
         r = base_radius * (1.0 + 0.01 * math.sin(7.0 * k + 1.0))
         pts.append((r * math.cos(ang), r * math.sin(ang)))
     return PointSet(pts)
+
+
+def random_jittered_circle(rng, n: int, jitter: float) -> list[tuple[float, float]]:
+    """n points near the unit circle: angles moved by up to 0.3 of their
+    spacing and radii by up to `jitter`, drawn from `rng`."""
+    pts = []
+    for k in range(n):
+        ang = 2.0 * math.pi * (k + rng.uniform(-0.3, 0.3)) / n
+        r = 1.0 + jitter * rng.uniform(-1, 1)
+        pts.append((r * math.cos(ang), r * math.sin(ang)))
+    return pts

@@ -3,10 +3,11 @@
 These deliberately avoid the code paths of the package: brute-force grids,
 explicit arc constructions, and a separate polygon clipper.  The flip walk
 over frozensets, the per-candidate search scan, the sampled root finder
-of shrunk_circumcircle and the whole-list general-position check are the
-exceptions: they are the package's implementations from before the integer
-triangulation table, the closed-form roots and the streamed subset scan,
-kept as the references those must match.
+of shrunk_circumcircle, the whole-list general-position check and the
+index-order local Voronoi diagram are the exceptions: they are the package's
+implementations from before the integer triangulation table, the closed-form
+roots, the streamed subset scan and the nearest-first clipping, kept as the
+references those must match.
 """
 
 from __future__ import annotations
@@ -24,7 +25,9 @@ from neardelaunay.aggregate import (
     compare_bottleneck_lex,
 )
 from neardelaunay.geom import (
+    Circle,
     Orientation,
+    Point,
     PointSet,
     Segment,
     SegmentSide,
@@ -34,11 +37,19 @@ from neardelaunay.geom import (
     orientation,
     validate_general_position,
 )
+from neardelaunay.errors import SiteOutsideCircle
 from neardelaunay.metrics import (
     METRIC_ORIENTATION,
+    TWO_PI,
+    EllipticalSegment,
+    LocalVoronoiDiagram,
     ScoreOrientation,
     StraightSegment,
+    _bisector_halfplane,
     _dist_point_segment,
+    _ellipse_halfplane_arcs,
+    _intersect_intervals,
+    _site_ellipse,
     local_voronoi,
 )
 from neardelaunay.triangulation import (
@@ -608,3 +619,83 @@ def _segment_area_explicit(a, b, w, side):
         else SegmentSide.OPPOSITE_CENTER
     )
     return circular_segment_area(circ, Segment(a, b), kind)
+
+
+# --- local Voronoi diagram, clipped in index order ---------------------------
+
+
+def local_voronoi_in_index_order(c: Circle, inside_sites) -> LocalVoronoiDiagram:
+    """The package's local_voronoi before nearest-first clipping: every arc
+    and bisector is clipped by every other site in index order, with each
+    bisector halfplane recomputed where it is used."""
+    o, big_r = c
+    sites = tuple(Point(float(p[0]), float(p[1])) for p in inside_sites)
+    for s in sites:
+        if math.dist(o, s) > big_r * (1.0 + 1e-9):
+            raise SiteOutsideCircle(f"site {s} is not inside {c}")
+    segments = []
+    ellipses = [_site_ellipse(c, s) for s in sites]
+    for i, s in enumerate(sites):
+        ell = ellipses[i]
+        arcs = [(0.0, TWO_PI)]
+        for j, other in enumerate(sites):
+            if j == i:
+                continue
+            n, cc = _bisector_halfplane(s, other)
+            arcs = _intersect_intervals(arcs, _ellipse_halfplane_arcs(ell, n, cc))
+            if not arcs:
+                break
+        for lo, hi in sorted(arcs):
+            segments.append(EllipticalSegment(s, ell, lo, hi))
+    for i in range(len(sites)):
+        for j in range(i + 1, len(sites)):
+            si, sj = sites[i], sites[j]
+            mid = Point((si[0] + sj[0]) / 2.0, (si[1] + sj[1]) / 2.0)
+            dx, dy = sj[0] - si[0], sj[1] - si[1]
+            norm = math.hypot(dx, dy)
+            d = (-dy / norm, dx / norm)
+            lo, hi = -math.inf, math.inf
+            for k, other in enumerate(sites):
+                if k in (i, j):
+                    continue
+                n, cc = _bisector_halfplane(si, other)
+                a0 = n[0] * mid[0] + n[1] * mid[1] - cc
+                a1 = n[0] * d[0] + n[1] * d[1]
+                if a1 == 0.0:
+                    if a0 > 0.0:
+                        lo, hi = 1.0, 0.0
+                        break
+                    continue
+                t = -a0 / a1
+                if a1 > 0.0:
+                    hi = min(hi, t)
+                else:
+                    lo = max(lo, t)
+            if lo >= hi:
+                continue
+            ell = ellipses[i] if ellipses[i].b > 0.0 else ellipses[j]
+            if ell.b == 0.0:
+                continue
+            ex, ey = ell.axis
+            px, py = mid[0] - ell.center[0], mid[1] - ell.center[1]
+            p1, p2 = px * ex + py * ey, -px * ey + py * ex
+            d1, d2 = d[0] * ex + d[1] * ey, -d[0] * ey + d[1] * ex
+            qa = (d1 / ell.a) ** 2 + (d2 / ell.b) ** 2
+            qb = 2.0 * (p1 * d1 / ell.a**2 + p2 * d2 / ell.b**2)
+            qc = (p1 / ell.a) ** 2 + (p2 / ell.b) ** 2 - 1.0
+            disc = qb * qb - 4.0 * qa * qc
+            if disc <= 0.0:
+                continue
+            root = math.sqrt(disc)
+            lo = max(lo, (-qb - root) / (2.0 * qa))
+            hi = min(hi, (-qb + root) / (2.0 * qa))
+            if lo >= hi:
+                continue
+            segments.append(
+                StraightSegment(
+                    (si, sj),
+                    Point(mid[0] + lo * d[0], mid[1] + lo * d[1]),
+                    Point(mid[0] + hi * d[0], mid[1] + hi * d[1]),
+                )
+            )
+    return LocalVoronoiDiagram(c, sites, tuple(segments))

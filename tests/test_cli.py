@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -182,6 +186,16 @@ class TestStructureCommands:
         assert rc == 0
         out = capsys.readouterr().out
         assert parse_triangulation(out).triangles == delaunay(p4).triangles
+
+    def test_python_m_entry_point(self, points_file, p4):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "neardelaunay", "delaunay", str(points_file)],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert parse_triangulation(proc.stdout).triangles == delaunay(p4).triangles
 
     def test_cdt_command(self, capsys, points_file, p4):
         rc = main(["cdt", str(points_file), "--required-edge", "0,1"])

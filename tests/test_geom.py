@@ -32,6 +32,7 @@ from neardelaunay.geom import (
 
 from neardelaunay.pointgen import wheel_point_set
 
+from conftest import random_jittered_circle
 from oracles import general_position_message, incircle_distance_oracle
 
 
@@ -347,11 +348,7 @@ def _lattices(rng):
 def _jittered_circles(rng):
     for n in (4, 5, 8, 13, 21):
         for jitter in (0.0, 1e-9, 1e-6, 1e-3, 1e-1):
-            pts = []
-            for k in range(n):
-                ang = 2.0 * math.pi * (k + rng.uniform(-0.3, 0.3)) / n
-                r = 1.0 + jitter * rng.uniform(-1, 1)
-                pts.append((r * math.cos(ang), r * math.sin(ang)))
+            pts = random_jittered_circle(rng, n, jitter)
             pts += [(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(rng.randrange(4))]
             rng.shuffle(pts)
             yield pts
@@ -409,11 +406,20 @@ class TestGeneralPositionScan:
         assert self._message(pts, 1e-12) == (
             "points 0, 1, 2, 3 are cocircular (within guard 1e-12)"
         )
-        # no offending tuple has lowest index 0: the next block names it
+        # no offending tuple has lowest index 0
         pts = pts[5:] + pts[:5]
         assert self._message(pts, 1e-12) == (
             "points 1, 2, 3, 4 are cocircular (within guard 1e-12)"
         )
+
+    def test_first_tuple_from_a_later_block(self):
+        # {3, 4, 5, 6} and {0, 1, 2, 9} are each exactly cocircular; the block
+        # of highest index 6 is scanned first, but 0, 1, 2, 9 comes first
+        pts = [(1, 0), (0, 1), (-1, 0), (4.375, 1.5), (3.5, 1.375), (3.625, 0.5), (4.625, 1)]
+        pts += [(2.3, -1.7), (-0.6, 2.9), (0, -1)]
+        want = "points 0, 1, 2, 9 are cocircular (within guard 1e-12)"
+        assert general_position_message(PointSet(pts), 1e-12) == want
+        assert self._message(pts, 1e-12) == want
 
     def test_triples_before_quadruples(self):
         # {0, 1, 2, 3} is cocircular, {4, 5, 6} collinear: the triple is named
@@ -430,6 +436,26 @@ class TestGeneralPositionScan:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20  # the whole-list check peaked at 94 MiB
+
+    @pytest.mark.parametrize(
+        "guard, want",
+        [
+            # every 60-point circle has a near-collinear triple at guard 0.1
+            (0.1, "points 0, 1, 2 are collinear (within guard 0.1)"),
+            # every triple passes and every quadruple offends
+            (1e-3, "points 0, 1, 2, 3 are cocircular (within guard 0.001)"),
+        ],
+    )
+    def test_rejection_memory_is_one_block(self, guard, want):
+        pts = random_jittered_circle(random.Random(60), 60, 1e-6)
+        tracemalloc.start()
+        try:
+            message = self._message(pts, guard)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert message == want
+        assert peak < 32 * 2**20
 
 
 class TestConvexHull:

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from neardelaunay.delaunay import delaunay, voronoi
+from neardelaunay import metrics
+from neardelaunay.delaunay import cdt, delaunay, voronoi
 from neardelaunay.errors import NearDelaunayError, SiteOutsideCircle
 from neardelaunay.geom import (
     Circle,
@@ -31,6 +32,7 @@ from neardelaunay.metrics import (
     ScoreOrientation,
     StraightSegment,
     _dist_point_segment,
+    _shrunk_circumcircle_value,
     dual_area_overlap,
     dual_edge_ratio,
     evaluate,
@@ -49,6 +51,7 @@ from neardelaunay.triangulation import (
     interior_quadrilaterals,
 )
 
+from conftest import random_jittered_circle
 from divergence import ALL_PAIRS, score_element
 from oracles import (
     bisection_shrunk_circumcircle,
@@ -56,6 +59,7 @@ from oracles import (
     grid_shrunk_circle,
     grid_shrunk_circumcircle,
     lens_arc_oracle,
+    local_voronoi_in_index_order,
     sampled_triangular_lens,
 )
 
@@ -286,6 +290,83 @@ class TestTriangularLens:
             values.append(triangular_lens((0, 1, 2), ps).value)
         assert values[0] > values[1] > values[2]
         assert values[2] < 0.05
+
+
+def _crossing_chords(pts):
+    """Three chords between the points nearest to (0.15, y) and (0.85, y)."""
+
+    def nearest(q):
+        return min(range(len(pts)), key=lambda i: math.dist(pts[i], q))
+
+    return [tuple(sorted((nearest((0.15, y)), nearest((0.85, y))))) for y in (0.25, 0.5, 0.75)]
+
+
+class TestLocalVoronoiNearestFirst:
+    """Nearest-first clipping with early stops gives exactly the diagram, and
+    the shrunk_circumcircle values, of clipping every site in index order."""
+
+    @staticmethod
+    def _check(monkeypatch, ps, triangles):
+        """Compare every occupied circumcircle; return their number and the
+        largest number of sites inside one."""
+        pts = ps.points
+        occupied, k_max = [], 0
+        for tri in triangles:
+            corners = [pts[i] for i in tri]
+            sites = [p for i, p in enumerate(pts) if i not in tri and in_circumcircle(*corners, p)]
+            if sites:
+                circ = circumcircle(*corners)
+                assert local_voronoi(circ, sites) == local_voronoi_in_index_order(circ, sites)
+                occupied.append(tri)
+                k_max = max(k_max, len(sites))
+        values = [_shrunk_circumcircle_value(ps, tri) for tri in occupied]
+        with monkeypatch.context() as m:
+            m.setattr(metrics, "local_voronoi", local_voronoi_in_index_order)
+            assert [_shrunk_circumcircle_value(ps, tri) for tri in occupied] == values
+        return len(occupied), k_max
+
+    def test_cdt_with_crossing_chords(self, monkeypatch):
+        k_max = 0
+        for n in (40, 60, 80):
+            rng = random.Random(f"lv-cdt/{n}")
+            pts = [(rng.random(), rng.random()) for _ in range(n)]
+            ps = PointSet(pts)
+            count, k = self._check(monkeypatch, ps, cdt(ps, _crossing_chords(pts)).triangles)
+            assert count > 0
+            k_max = max(k_max, k)
+        assert k_max >= 40
+
+    def test_every_triangle_of_random_sets(self, monkeypatch):
+        rng = random.Random(10)
+        for _ in range(40):
+            ps = PointSet([(rng.random(), rng.random()) for _ in range(10)])
+            self._check(monkeypatch, ps, itertools.combinations(range(10), 3))
+
+    def test_near_cocircular_sets(self, monkeypatch):
+        rng = random.Random(11)
+        for jitter in (1e-12, 1e-9, 1e-6, 1e-3):
+            ps = PointSet(random_jittered_circle(rng, 9, jitter))
+            count, k = self._check(monkeypatch, ps, itertools.combinations(range(9), 3))
+            assert k == 6
+
+    def test_sites_on_the_circle_and_at_the_centre(self):
+        rng = random.Random(12)
+        circle = Circle(Point(0.3, -0.2), 1.7)
+        (ox, oy), big_r = circle
+        for _ in range(30):
+            sites = []
+            for _ in range(rng.randrange(1, 5)):  # ellipse b about 0
+                ang = rng.uniform(0.0, 2.0 * math.pi)
+                r = big_r * (1.0 + rng.uniform(-1e-9, 1e-9))
+                sites.append(Point(ox + r * math.cos(ang), oy + r * math.sin(ang)))
+            if rng.random() < 0.5:
+                sites.append(circle.center)
+            for _ in range(rng.randrange(6)):
+                r = big_r * math.sqrt(rng.random())
+                ang = rng.uniform(0.0, 2.0 * math.pi)
+                sites.append(Point(ox + r * math.cos(ang), oy + r * math.sin(ang)))
+            rng.shuffle(sites)
+            assert local_voronoi(circle, sites) == local_voronoi_in_index_order(circle, sites)
 
 
 class TestLocalVoronoi:
