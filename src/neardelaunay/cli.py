@@ -18,7 +18,7 @@ from .aggregate import (
     comparison as comparison_for,
     optimize as optimize_search,
 )
-from .delaunay import cdt as build_cdt, delaunay as build_delaunay
+from .delaunay import cdt as build_cdt, delaunay as build_delaunay, normalize_edges
 from .errors import NearDelaunayError
 from .experiment import make_default_spec, round12, run_experiment
 from .fileio import parse_points, parse_triangulation, write_triangulation
@@ -162,12 +162,13 @@ def _cmd_enumerate(args) -> int:
 def _cmd_render(args) -> int:
     ps = _read_points(args.points)
     t = parse_triangulation(Path(args.triangulation).read_text(), ps)
+    constrained = set(normalize_edges(ps, args.required_edge or []))
     diff = set()
     if args.compare:
         other = parse_triangulation(Path(args.compare).read_text(), ps)
         diff = edge_diff(t, other)
     Path(args.svg).write_text(
-        render_svg(t, constrained=set(args.required_edge or []), diff=diff)
+        render_svg(t, constrained=constrained, diff=diff)
     )
     return EXIT_OK
 

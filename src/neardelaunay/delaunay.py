@@ -3,12 +3,15 @@
 Construction is incremental at desk scale: build any triangulation by a
 lexicographic scan, then legalize with flips until every interior edge is
 locally Delaunay.  Constrained edges are inserted by flipping away the
-edges that cross them, then legalizing every unconstrained edge.
+edges that cross them, then legalizing every unconstrained edge.  All of
+it flips one apex map (edge -> opposite vertices) in place.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
 from .errors import InvalidConstraintEdges
@@ -23,50 +26,43 @@ from .geom import (
     validate_general_position,
 )
 from .triangulation import (
+    ApexMap,
     EdgeKey,
     Triangulation,
     Triple,
-    flip,
-    flip_partner,
+    apex_map,
+    apex_triangles,
+    flip_edge,
     scan_triangulation,
 )
 
 
-def _legalize(
-    ps: PointSet, tris: frozenset[Triple], frozen: frozenset[EdgeKey]
-) -> frozenset[Triple]:
+def _legalize(pts: Sequence[Point], apex: ApexMap, frozen: frozenset[EdgeKey]) -> None:
     """Flip non-frozen interior edges until all are locally Delaunay."""
-    pts = ps.points
-    pending = set()
-    for t in tris:
-        i, j, k = t
-        pending.update(((i, j), (i, k), (j, k)))
-    pending -= frozen
+    pending = set(apex) - frozen
     while pending:
         edge = pending.pop()
-        partner = flip_partner(tris, edge)
-        if partner is None:
+        opp = apex.get(edge)
+        if opp is None or len(opp) != 2:
             continue
         u, v = edge
-        p, q = partner
+        p, q = opp
         if not in_circumcircle(pts[u], pts[v], pts[p], pts[q]):
             continue
-        flipped = flip(ps, tris, edge)
-        if flipped is None:  # non-convex quadrilateral; nothing to fix here
+        if flip_edge(pts, apex, edge) is None:  # non-convex quadrilateral; nothing to fix here
             continue
-        tris = flipped
         for e in ((u, p), (u, q), (v, p), (v, q)):
             e = (min(e), max(e))
             if e not in frozen:
                 pending.add(e)
-    return tris
 
 
 def delaunay(ps: PointSet) -> Triangulation:
     """The (unique, under general position) Delaunay triangulation."""
     validate_general_position(ps)
-    seed = frozenset(scan_triangulation(ps).triangles)
-    return Triangulation(ps, _legalize(ps, seed, frozenset()))
+    apex = apex_map(scan_triangulation(ps).triangles)
+    _legalize(ps.points, apex, frozenset())
+    return Triangulation(ps, apex_triangles(apex))
 
 
 # --- constrained Delaunay ---------------------------------------------------
@@ -83,61 +79,50 @@ def _proper_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
     return o1 is not o2 and o3 is not o4
 
 
-def _insert_edge(ps: PointSet, tris: frozenset[Triple], edge: EdgeKey) -> frozenset[Triple]:
+def _insert_edge(pts: Sequence[Point], apex: ApexMap, edge: EdgeKey) -> None:
     """Force an edge into the triangulation by flipping the edges crossing it."""
-    pts = ps.points
     u, v = edge
-    crossing = [
-        e
-        for e in {tuple(sorted((i, j))) for t in tris for i in t for j in t if i < j}
-        if _proper_cross(pts[u], pts[v], pts[e[0]], pts[e[1]])
-    ]
-    from collections import deque
-
-    queue = deque(sorted(crossing))
+    queue = deque(
+        sorted(e for e in apex if _proper_cross(pts[u], pts[v], pts[e[0]], pts[e[1]]))
+    )
     guard = 0
-    limit = 10 * (len(ps) ** 4 + 100)
+    limit = 10 * (len(pts) ** 4 + 100)
     while queue:
         guard += 1
         if guard > limit:
             raise RuntimeError(f"edge insertion did not converge for {edge}")
         e = queue.popleft()
-        flipped = flip(ps, tris, e)
-        if flipped is None:
+        new_edge = flip_edge(pts, apex, e)
+        if new_edge is None:
             queue.append(e)  # blocked by a non-convex quadrilateral; retry later
-            continue
-        partner = flip_partner(tris, e)
-        tris = flipped
-        new_edge = (min(partner), max(partner))
-        if _proper_cross(pts[u], pts[v], pts[new_edge[0]], pts[new_edge[1]]):
+        elif _proper_cross(pts[u], pts[v], pts[new_edge[0]], pts[new_edge[1]]):
             queue.append(new_edge)
-    return tris
+
+
+def normalize_edges(ps: PointSet, edges) -> list[EdgeKey]:
+    """Sorted distinct edge keys; InvalidConstraintEdges for a bad index pair."""
+    norm: set[EdgeKey] = set()
+    for i, j in edges:
+        if i == j or not (0 <= i < len(ps)) or not (0 <= j < len(ps)):
+            raise InvalidConstraintEdges(f"bad edge ({i}, {j})")
+        norm.add((min(i, j), max(i, j)))
+    return sorted(norm)
 
 
 def cdt(ps: PointSet, required: Sequence[EdgeKey] | set[EdgeKey]) -> Triangulation:
     """Triangulation containing the required edges, locally Delaunay elsewhere."""
     validate_general_position(ps)
     pts = ps.points
-    norm: set[EdgeKey] = set()
-    for i, j in required:
-        if i == j or not (0 <= i < len(ps)) or not (0 <= j < len(ps)):
-            raise InvalidConstraintEdges(f"bad edge ({i}, {j})")
-        norm.add((min(i, j), max(i, j)))
-    edges = sorted(norm)
-    for a in range(len(edges)):
-        for b in range(a + 1, len(edges)):
-            (i, j), (k, l) = edges[a], edges[b]
-            if _proper_cross(pts[i], pts[j], pts[k], pts[l]):
-                raise InvalidConstraintEdges(
-                    f"required edges {edges[a]} and {edges[b]} cross"
-                )
-    tris = frozenset(delaunay(ps).triangles)
+    edges = normalize_edges(ps, required)
+    for e, f in combinations(edges, 2):
+        if _proper_cross(pts[e[0]], pts[e[1]], pts[f[0]], pts[f[1]]):
+            raise InvalidConstraintEdges(f"required edges {e} and {f} cross")
+    apex = apex_map(delaunay(ps).triangles)
     for e in edges:
-        present = any(e[0] in t and e[1] in t for t in tris)
-        if not present:
-            tris = _insert_edge(ps, tris, e)
-    tris = _legalize(ps, tris, frozenset(edges))
-    return Triangulation(ps, tris)
+        if e not in apex:
+            _insert_edge(pts, apex, e)
+    _legalize(pts, apex, frozenset(edges))
+    return Triangulation(ps, apex_triangles(apex))
 
 
 # --- Voronoi dual -----------------------------------------------------------
@@ -182,13 +167,13 @@ def voronoi(ps: PointSet) -> VoronoiDiagram:
         verts.append(VoronoiVertex(c.center, t, c.radius))
     edges = []
     cells: dict[int, list[int]] = {i: [] for i in range(len(ps))}
-    for edge, owners in sorted(dt.edge_map().items()):
+    for edge, opp in sorted(dt.apexes().items()):
         u, v = edge
-        if len(owners) == 2:
-            ve = VoronoiEdge(edge, tri_index[owners[0]], tri_index[owners[1]], None)
+        ends = [tri_index[tuple(sorted((u, v, w)))] for w in opp]
+        if len(opp) == 2:
+            ve = VoronoiEdge(edge, ends[0], ends[1], None)
         else:
-            (t,) = owners
-            apex = next(i for i in t if i not in edge)
+            (apex,) = opp
             dx, dy = pts[v][0] - pts[u][0], pts[v][1] - pts[u][1]
             norm = (dx * dx + dy * dy) ** 0.5
             n = (dy / norm, -dx / norm)
@@ -196,7 +181,7 @@ def voronoi(ps: PointSet) -> VoronoiDiagram:
             ax, ay = pts[apex][0] - pts[u][0], pts[apex][1] - pts[u][1]
             if n[0] * ax + n[1] * ay > 0:
                 n = (-n[0], -n[1])
-            ve = VoronoiEdge(edge, tri_index[t], None, n)
+            ve = VoronoiEdge(edge, ends[0], None, n)
         cells[u].append(len(edges))
         cells[v].append(len(edges))
         edges.append(ve)

@@ -109,7 +109,11 @@ def _load_point_set(entry: dict, base_dir: Path) -> PointSet:
         return parse_points(path.read_text())
     if "random" in entry:
         r = entry["random"]
-        return random_point_set(int(r["n"]), int(r["seed"]))
+        try:
+            n, seed = int(r["n"]), int(r["seed"])
+        except (KeyError, TypeError, ValueError):
+            raise NearDelaunayError(f"random point set needs integer n and seed: {r}") from None
+        return random_point_set(n, seed)
     if "fixture" in entry:
         kind = entry["fixture"]
         if kind == "wheel":
@@ -128,6 +132,8 @@ def _number(centry: dict, key: str, default, convert):
 
 
 def _build_constraint(centry: dict, set_entry: dict, ps: PointSet):
+    if "type" not in centry:
+        raise NearDelaunayError(f"constraint entry needs a type: {centry}")
     kind = centry["type"]
     if kind == "required_edges":
         if "edges" in centry:

@@ -23,6 +23,7 @@ from .errors import (
     DegenerateTriangle,
     GeneralPositionViolated,
     InvalidScale,
+    NearDelaunayError,
     NotAChord,
 )
 
@@ -261,12 +262,12 @@ class PointSet:
         for p in points:
             x, y = float(p[0]), float(p[1])
             if not (math.isfinite(x) and math.isfinite(y)):
-                raise ValueError(f"non-finite coordinate {p!r}")
+                raise NearDelaunayError(f"non-finite coordinate {p!r}")
             pts.append(Point(x, y))
         if len(pts) < 3:
-            raise ValueError(f"need at least 3 points, got {len(pts)}")
+            raise NearDelaunayError(f"need at least 3 points, got {len(pts)}")
         if len(set(pts)) != len(pts):
-            raise ValueError("duplicate points")
+            raise DegeneratePoints("duplicate points")
         self.points: tuple[Point, ...] = tuple(pts)
         self._gp_guard = 0.0
         self._hull: tuple[int, ...] | None = None

@@ -31,6 +31,7 @@ from .geom import (
 
 Triple = tuple[int, int, int]
 EdgeKey = tuple[int, int]
+ApexMap = dict[EdgeKey, tuple[int, ...]]  # see apex_map
 
 DEFAULT_ENUMERATION_CAP = 12
 
@@ -39,34 +40,45 @@ def _canon_triples(triangles) -> tuple[Triple, ...]:
     return tuple(sorted(tuple(sorted(t)) for t in triangles))
 
 
-class Triangulation:
-    """Immutable triangle set over a PointSet."""
+def apex_map(triangles) -> ApexMap:
+    """Sorted edge -> opposite ("apex") vertices, one per triple in the order
+    given, so ascending for canonical triangles.  Edges enter as (i, j),
+    (i, k), (j, k) of each ascending (i, j, k)."""
+    m: ApexMap = {}
+    for i, j, k in triangles:
+        for e, w in (((i, j), k), ((i, k), j), ((j, k), i)):
+            m[e] = m.get(e, ()) + (w,)
+    return m
 
-    __slots__ = ("point_set", "triangles", "_edge_map", "_length", "_degree")
+
+def apex_triangles(apex: ApexMap) -> set[Triple]:
+    """The ascending triangles an apex map describes."""
+    return {tuple(sorted((u, v, w))) for (u, v), ws in apex.items() for w in ws}
+
+
+class Triangulation:
+    """Immutable triangle set over a PointSet; its apex map is built on first use."""
+
+    __slots__ = ("point_set", "triangles", "_apexes", "_length", "_degree")
 
     def __init__(self, point_set: PointSet, triangles):
         self.point_set = point_set
         self.triangles: tuple[Triple, ...] = _canon_triples(triangles)
-        self._edge_map: dict[EdgeKey, tuple[Triple, ...]] | None = None
+        self._apexes: ApexMap | None = None
         self._length: float | None = None
         self._degree: int | None = None
 
-    def edge_map(self) -> dict[EdgeKey, tuple[Triple, ...]]:
-        """Sorted edge -> incident triangles."""
-        if self._edge_map is None:
-            m: dict[EdgeKey, list[Triple]] = {}
-            for t in self.triangles:
-                i, j, k = t
-                for e in ((i, j), (i, k), (j, k)):
-                    m.setdefault(e, []).append(t)
-            self._edge_map = {e: tuple(ts) for e, ts in m.items()}
-        return self._edge_map
+    def apexes(self) -> ApexMap:
+        """Sorted edge -> opposite vertices, ascending (:func:`apex_map`)."""
+        if self._apexes is None:
+            self._apexes = apex_map(self.triangles)
+        return self._apexes
 
     def edges(self) -> tuple[EdgeKey, ...]:
-        return tuple(sorted(self.edge_map()))
+        return tuple(sorted(self.apexes()))
 
     def has_edge(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self.edge_map()
+        return (min(i, j), max(i, j)) in self.apexes()
 
     def __eq__(self, other) -> bool:
         return (
@@ -167,13 +179,9 @@ Constraint = RequiredEdges | MinTotalLength | MaxTotalLength | MaxDegree
 def interior_quadrilaterals(t: Triangulation) -> list[Quadrilateral]:
     """One quadrilateral per non-hull edge, ordered by edge."""
     quads = []
-    for edge, tris in sorted(t.edge_map().items()):
-        if len(tris) != 2:
-            continue
-        u, v = edge
-        p = next(i for i in tris[0] if i not in edge)
-        q = next(i for i in tris[1] if i not in edge)
-        quads.append(Quadrilateral(t.point_set, u, v, p, q))
+    for (u, v), opp in sorted(t.apexes().items()):
+        if len(opp) == 2:
+            quads.append(Quadrilateral(t.point_set, u, v, *opp))
     return quads
 
 
@@ -197,11 +205,11 @@ def elements(t: Triangulation, kind: Decomposition) -> tuple:
 
 def total_edge_length(t: Triangulation) -> float:
     if t._length is None:
-        # Left to right in edge_map order, plain float additions, which the
+        # Left to right in apex_map order, plain float additions, which the
         # table's length column repeats (sum() compensates from Python 3.12).
         pts = t.point_set.points
         total = 0.0
-        for i, j in t.edge_map():
+        for i, j in t.apexes():
             total += math.dist(pts[i], pts[j])
         t._length = total
     return t._length
@@ -210,7 +218,7 @@ def total_edge_length(t: Triangulation) -> float:
 def max_degree(t: Triangulation) -> int:
     if t._degree is None:
         deg: dict[int, int] = {}
-        for i, j in t.edge_map():
+        for i, j in t.apexes():
             deg[i] = deg.get(i, 0) + 1
             deg[j] = deg.get(j, 0) + 1
         t._degree = max(deg.values())
@@ -220,7 +228,7 @@ def max_degree(t: Triangulation) -> int:
 def satisfies(t: Triangulation, c: Constraint, dt_length: float) -> bool:
     """Check a constraint; dt_length is the Delaunay triangulation's total length."""
     if isinstance(c, RequiredEdges):
-        return all(e in t.edge_map() for e in c.edges)
+        return all(e in t.apexes() for e in c.edges)
     if isinstance(c, MinTotalLength):
         return total_edge_length(t) >= c.factor * dt_length
     if isinstance(c, MaxTotalLength):
@@ -254,7 +262,7 @@ def edge_diff(t1: Triangulation, t2: Triangulation) -> set[EdgeKey]:
     """Edges of t1 that are absent from t2."""
     if t1.point_set != t2.point_set:
         raise MismatchedPointSets("triangulations are over different point sets")
-    return set(t1.edge_map()) - set(t2.edge_map())
+    return set(t1.apexes()) - set(t2.apexes())
 
 
 def _triangles_overlap(pa: Sequence[Point], pb: Sequence[Point]) -> bool:
@@ -309,9 +317,8 @@ def validate(t: Triangulation) -> bool:
     h = len(hull)
     if len(tris) != 2 * n - h - 2:
         return False
-    if len(t.edge_map()) != 3 * n - h - 3:
-        return False
-    if any(len(owners) > 2 for owners in t.edge_map().values()):
+    apex = t.apexes()
+    if len(apex) != 3 * n - h - 3 or any(len(opp) > 2 for opp in apex.values()):
         return False
     # disjoint triangles inside the hull tile it iff the areas add up
     hull_area = polygon_area([pts[i] for i in hull])
@@ -332,36 +339,35 @@ def validate(t: Triangulation) -> bool:
 # --- flips and enumeration -------------------------------------------------
 
 
-def flip_partner(tris: frozenset[Triple], edge: EdgeKey) -> tuple[int, int] | None:
-    """Opposing vertices (p, q) of an edge if it is interior, else None."""
-    u, v = edge
-    opp = [i for t in tris if u in t and v in t for i in t if i != u and i != v]
-    if len(opp) != 2:
-        return None
-    return opp[0], opp[1]
-
-
-def flip(ps: PointSet, tris: frozenset[Triple], edge: EdgeKey) -> frozenset[Triple] | None:
-    """Replace interior edge (u, v) with the opposite diagonal (p, q).
-
-    Returns None when the edge is not interior or the surrounding
-    quadrilateral is not strictly convex (the flip would fold over).
-    """
-    partner = flip_partner(tris, edge)
-    if partner is None:
+def flip_edge(pts: Sequence[Point], apex: ApexMap, edge: EdgeKey) -> EdgeKey | None:
+    """Flip interior edge (u, v) of an ascending apex map in place to the
+    opposite diagonal (p, q) and return (p, q).  Returns None, leaving the
+    map untouched, for an absent or hull edge or a quadrilateral that is not
+    strictly convex (the flip would fold over)."""
+    opp = apex.get(edge)
+    if opp is None or len(opp) != 2:
         return None
     u, v = edge
-    p, q = partner
-    pts = ps.points
+    p, q = opp
     su = orientation(pts[p], pts[q], pts[u])
     sv = orientation(pts[p], pts[q], pts[v])
     if su is Orientation.COLLINEAR or sv is Orientation.COLLINEAR or su is sv:
         return None
-    old1 = tuple(sorted((u, v, p)))
-    old2 = tuple(sorted((u, v, q)))
-    new1 = tuple(sorted((u, p, q)))
-    new2 = tuple(sorted((v, p, q)))
-    return (tris - {old1, old2}) | {new1, new2}
+    del apex[edge]
+    # side (a, x) swaps apex b, the old diagonal's far end, for y
+    for a, b, x, y in ((u, v, p, q), (u, v, q, p), (v, u, p, q), (v, u, q, p)):
+        e = (a, x) if a < x else (x, a)
+        apex[e] = tuple(sorted(y if w == b else w for w in apex[e]))
+    apex[p, q] = edge
+    return p, q
+
+
+def flip(ps: PointSet, tris: frozenset[Triple], edge: EdgeKey) -> frozenset[Triple] | None:
+    """The triangle set with edge (u, v) flipped by :func:`flip_edge`, or None."""
+    apex = apex_map(sorted(tris))
+    if flip_edge(ps.points, apex, edge) is None:
+        return None
+    return frozenset(apex_triangles(apex))
 
 
 def scan_triangulation(ps: PointSet) -> Triangulation:
@@ -480,7 +486,7 @@ def _flip_moves(ps: PointSet, triangles: list[Triple], tri_id: dict) -> list:
     of the higher-id triangles across that edge, and for each partner whose
     flip is legal, the XOR mask of its four triangle bits.
 
-    Legality is the test :func:`flip` makes: the new diagonal pq must have
+    Legality is the test :func:`flip_edge` makes: the new diagonal pq must have
     u and v strictly on opposite sides.
     """
     pts = ps.points
@@ -589,7 +595,7 @@ def _row_columns(ps: PointSet, triangles, pairs, edge_lut: np.ndarray, rows: np.
     n = len(pts)
     h = len(ps.hull())
     n_edges, n_interior = 3 * n - h - 3, 3 * n - 2 * h - 3
-    # per triangle: its edges in edge_map insertion order, the vertex opposite each
+    # per triangle: its edges in apex_map insertion order, the vertex opposite each
     corners = np.array(triangles, dtype=np.intp)
     tri_edges = edge_lut[corners[:, [0, 0, 1]], corners[:, [1, 2, 2]]]
     tri_opp = corners[:, [2, 1, 0]]
@@ -619,7 +625,7 @@ def _row_columns(ps: PointSet, triangles, pairs, edge_lut: np.ndarray, rows: np.
         q = np.take_along_axis(opp, perm[:, 1:], axis=1)[again]
         uv = srt[:, 1:][again].astype(quad_dtype)
         quads[lo : lo + b] = (uv * len(pairs) + edge_lut[p, q]).reshape(b, n_interior)
-        # total length summed left to right in edge_map insertion order
+        # total length summed left to right in apex_map insertion order
         in_order = np.zeros(seq.shape, dtype=bool)
         np.put_along_axis(in_order, perm, first, axis=1)
         inserted = seq[in_order].reshape(b, n_edges)

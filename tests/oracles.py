@@ -3,16 +3,18 @@
 These deliberately avoid the code paths of the package: brute-force grids,
 explicit arc constructions, and a separate polygon clipper.  The flip walk
 over frozensets, the per-candidate search scan, the sampled root finder
-of shrunk_circumcircle, the whole-list general-position check and the
-index-order local Voronoi diagram are the exceptions: they are the package's
-implementations from before the integer triangulation table, the closed-form
-roots, the streamed subset scan and the nearest-first clipping, kept as the
-references those must match.
+of shrunk_circumcircle, the whole-list general-position check, the
+index-order local Voronoi diagram and the frozenset Delaunay and CDT
+construction are the exceptions: they are the package's implementations
+from before the integer triangulation table, the closed-form roots, the
+streamed subset scan, the nearest-first clipping and the in-place apex map,
+kept as the references those must match.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from itertools import combinations
 
 import numpy as np
@@ -33,11 +35,13 @@ from neardelaunay.geom import (
     SegmentSide,
     circular_segment_area,
     circumcircle,
+    in_circumcircle,
     inscribed_circle,
     orientation,
     validate_general_position,
 )
-from neardelaunay.errors import SiteOutsideCircle
+from neardelaunay.delaunay import _proper_cross
+from neardelaunay.errors import InvalidConstraintEdges, SiteOutsideCircle
 from neardelaunay.metrics import (
     METRIC_ORIENTATION,
     TWO_PI,
@@ -190,6 +194,127 @@ def enumerate_by_frozenset_walk(ps: PointSet) -> list[Triangulation]:
                 seen.add(nxt)
                 stack.append(nxt)
     return [Triangulation(ps, tris) for tris in sorted(tuple(sorted(s)) for s in seen)]
+
+
+# --- Delaunay and CDT construction over frozensets of triangles ---------------
+
+
+def frozenset_flip_partner(tris: frozenset, edge) -> tuple[int, int] | None:
+    """Opposing vertices (p, q) of an edge if it is interior, else None,
+    by a scan of every triangle."""
+    u, v = edge
+    opp = [i for t in tris if u in t and v in t for i in t if i != u and i != v]
+    if len(opp) != 2:
+        return None
+    return opp[0], opp[1]
+
+
+def frozenset_flip(ps: PointSet, tris: frozenset, edge) -> frozenset | None:
+    """Replace interior edge (u, v) with the opposite diagonal (p, q), or
+    None when the edge is not interior or the quadrilateral is not strictly
+    convex."""
+    partner = frozenset_flip_partner(tris, edge)
+    if partner is None:
+        return None
+    u, v = edge
+    p, q = partner
+    pts = ps.points
+    su = orientation(pts[p], pts[q], pts[u])
+    sv = orientation(pts[p], pts[q], pts[v])
+    if su is Orientation.COLLINEAR or sv is Orientation.COLLINEAR or su is sv:
+        return None
+    old1 = tuple(sorted((u, v, p)))
+    old2 = tuple(sorted((u, v, q)))
+    new1 = tuple(sorted((u, p, q)))
+    new2 = tuple(sorted((v, p, q)))
+    return (tris - {old1, old2}) | {new1, new2}
+
+
+def _frozenset_legalize(ps: PointSet, tris: frozenset, frozen: frozenset) -> frozenset:
+    pts = ps.points
+    pending = set()
+    for i, j, k in tris:
+        pending.update(((i, j), (i, k), (j, k)))
+    pending -= frozen
+    while pending:
+        edge = pending.pop()
+        partner = frozenset_flip_partner(tris, edge)
+        if partner is None:
+            continue
+        u, v = edge
+        p, q = partner
+        if not in_circumcircle(pts[u], pts[v], pts[p], pts[q]):
+            continue
+        flipped = frozenset_flip(ps, tris, edge)
+        if flipped is None:
+            continue
+        tris = flipped
+        for e in ((u, p), (u, q), (v, p), (v, q)):
+            e = (min(e), max(e))
+            if e not in frozen:
+                pending.add(e)
+    return tris
+
+
+def _frozenset_insert_edge(ps: PointSet, tris: frozenset, edge) -> frozenset:
+    pts = ps.points
+    u, v = edge
+    crossing = [
+        e
+        for e in {tuple(sorted((i, j))) for t in tris for i in t for j in t if i < j}
+        if _proper_cross(pts[u], pts[v], pts[e[0]], pts[e[1]])
+    ]
+    queue = deque(sorted(crossing))
+    guard = 0
+    limit = 10 * (len(ps) ** 4 + 100)
+    while queue:
+        guard += 1
+        if guard > limit:
+            raise RuntimeError(f"edge insertion did not converge for {edge}")
+        e = queue.popleft()
+        flipped = frozenset_flip(ps, tris, e)
+        if flipped is None:
+            queue.append(e)
+            continue
+        partner = frozenset_flip_partner(tris, e)
+        tris = flipped
+        new_edge = (min(partner), max(partner))
+        if _proper_cross(pts[u], pts[v], pts[new_edge[0]], pts[new_edge[1]]):
+            queue.append(new_edge)
+    return tris
+
+
+def frozenset_delaunay(ps: PointSet) -> Triangulation:
+    """Delaunay triangulation by flips over a frozenset of triangles, each
+    flip's partner found by scanning every triangle."""
+    validate_general_position(ps)
+    seed = frozenset(scan_triangulation(ps).triangles)
+    return Triangulation(ps, _frozenset_legalize(ps, seed, frozenset()))
+
+
+def frozenset_cdt(ps: PointSet, required) -> Triangulation:
+    """Constrained Delaunay triangulation over frozensets, with the same
+    errors as the package's cdt."""
+    validate_general_position(ps)
+    pts = ps.points
+    norm = set()
+    for i, j in required:
+        if i == j or not (0 <= i < len(ps)) or not (0 <= j < len(ps)):
+            raise InvalidConstraintEdges(f"bad edge ({i}, {j})")
+        norm.add((min(i, j), max(i, j)))
+    edges = sorted(norm)
+    for a in range(len(edges)):
+        for b in range(a + 1, len(edges)):
+            (i, j), (k, l) = edges[a], edges[b]
+            if _proper_cross(pts[i], pts[j], pts[k], pts[l]):
+                raise InvalidConstraintEdges(
+                    f"required edges {edges[a]} and {edges[b]} cross"
+                )
+    tris = frozenset(frozenset_delaunay(ps).triangles)
+    for e in edges:
+        if not any(e[0] in t and e[1] in t for t in tris):
+            tris = _frozenset_insert_edge(ps, tris, e)
+    return Triangulation(ps, _frozenset_legalize(ps, tris, frozenset(edges)))
 
 
 # --- constrained search by a scan over candidates ------------------------------

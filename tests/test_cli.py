@@ -243,6 +243,16 @@ class TestStructureCommands:
         assert rc == 0
         assert 'stroke="green"' in svg.read_text()  # the swapped diagonal
 
+    def test_render_rejects_out_of_range_edge(self, capsys, points_file, tmp_path, p4):
+        tri = tmp_path / "t.txt"
+        tri.write_text(write_triangulation(delaunay(p4)))
+        svg = tmp_path / "x.svg"
+        rc = main(["render", str(points_file), str(tri), "--svg", str(svg),
+                   "--required-edge", "0,9"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: bad edge (0, 9)\n"
+        assert not svg.exists()
+
 
 class TestSvgRendering:
     def test_byte_determinism(self):
@@ -426,6 +436,32 @@ class TestExperiment:
         with pytest.raises(NearDelaunayError, match="does not exist"):
             run_experiment(spec, tmp_path / "out", base_dir=tmp_path)
 
+    def test_untyped_constraint_recorded_per_cell(self, tmp_path):
+        cells = self._one_bad_constraint(tmp_path, {"factor": 1.2})
+        assert cells[None]["status"] == "error"
+        assert cells[None]["error"] == "constraint entry needs a type: {'factor': 1.2}"
+        assert cells["maxdegree"]["status"] == "ok"
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"random": {"seed": 1}}, "random point set needs integer n and seed"),
+            ({"random": {"n": 6}}, "random point set needs integer n and seed"),
+            ({"points": [[0, 0], [1, 0]]}, "need at least 3 points, got 2"),
+        ],
+    )
+    def test_bad_point_set_entry_is_an_error(self, tmp_path, capsys, entry, message):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "point_sets": [entry],
+            "constraints": [{"type": "max_degree", "bound": 5}],
+            "metrics": ["lens"],
+            "modes": ["sum"],
+        }))
+        rc = main(["experiment", str(spec_path), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
     def test_default_spec_shape(self):
         spec = make_default_spec(7)
         assert len(spec["point_sets"]) == 10
@@ -453,6 +489,20 @@ class TestExperiment:
 
 
 class TestPointFileGuard:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("4\n0 0\n2 0\n1 0.5\n0 0\n", "duplicate points"),
+            ("3\n0 0\n2 0\ninf 1\n", "non-finite coordinate (inf, 1.0)"),
+        ],
+    )
+    def test_bad_points_are_an_error(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        rc = main(["delaunay", str(bad)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_degenerate_file_names_offenders(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("4\n0 0\n1 1\n2 2\n0 5\n")

@@ -1,10 +1,11 @@
 import math
 import random
+from itertools import combinations
 
 import pytest
 from scipy.spatial import Delaunay as ScipyDelaunay
 
-from neardelaunay.delaunay import cdt, delaunay, voronoi
+from neardelaunay.delaunay import _proper_cross, cdt, delaunay, voronoi
 from neardelaunay.errors import GeneralPositionViolated, InvalidConstraintEdges
 from neardelaunay.geom import (
     PointSet,
@@ -12,13 +13,20 @@ from neardelaunay.geom import (
     in_circumcircle,
     similarity_transform,
 )
-from neardelaunay.pointgen import random_point_set
+from neardelaunay.pointgen import (
+    long_delaunay_point_set,
+    random_point_set,
+    wheel_point_set,
+)
 from neardelaunay.triangulation import (
     Triangulation,
     enumerate_triangulations,
     interior_quadrilaterals,
     validate,
 )
+
+from conftest import random_jittered_circle
+from oracles import frozenset_cdt, frozenset_delaunay
 
 
 def all_quads_locally_delaunay(t: Triangulation, skip_edges=frozenset()) -> bool:
@@ -125,12 +133,12 @@ class TestVoronoi:
         vd = voronoi(ps)
         dt = vd.delaunay
         for e in vd.edges:
-            owners = dt.edge_map()[e.sites]
+            owners = {tuple(sorted((*e.sites, w))) for w in dt.apexes()[e.sites]}
             if e.end is None:
                 assert len(owners) == 1
             else:
                 got = {vd.vertices[e.start].sites, vd.vertices[e.end].sites}
-                assert got == set(owners)
+                assert got == owners
 
     def test_cells_list_incident_edges(self):
         ps = random_point_set(9, seed=13)
@@ -235,3 +243,73 @@ class TestCdt:
             and all_quads_locally_delaunay(t, skip_edges=set(chosen))
         ]
         assert matches == [result.triangles]
+
+
+def _outcome(build, *args):
+    """The triangles a construction returns, or its exception type and message."""
+    try:
+        return build(*args).triangles
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture(scope="module")
+def sweep_sets():
+    rng = random.Random(90)
+    sets = [random_point_set(n, seed=900 + n) for n in range(4, 81)]
+    sets += [wheel_point_set(), wheel_point_set(14), long_delaunay_point_set()]
+    for n, jitter in ((8, 1e-3), (12, 1e-4), (20, 1e-2), (30, 1e-3)):
+        sets.append(PointSet(random_jittered_circle(rng, n, jitter)))
+    return sets
+
+
+def _chords(ps, rng, count):
+    """Up to count pairwise non-crossing chords.  The first joins the
+    leftmost and rightmost points, so it crosses many edges."""
+    n = len(ps)
+    order = sorted(range(n), key=lambda i: ps[i])
+    chosen = [(min(order[0], order[-1]), max(order[0], order[-1]))]
+    for _ in range(50 * count):
+        if len(chosen) == count:
+            break
+        i, j = sorted(rng.sample(range(n), 2))
+        if (i, j) not in chosen and not any(
+            _proper_cross(ps[i], ps[j], ps[k], ps[l]) for k, l in chosen
+        ):
+            chosen.append((i, j))
+    return chosen
+
+
+class TestFrozensetOracle:
+    """Construction on the in-place apex map gives the triangles and errors
+    of the frozenset construction in tests/oracles.py."""
+
+    def test_delaunay_matches(self, sweep_sets):
+        for ps in sweep_sets:
+            assert _outcome(delaunay, ps) == _outcome(frozenset_delaunay, ps)
+
+    def test_cdt_matches(self, sweep_sets):
+        rng = random.Random(91)
+        most_crossed = 0
+        for k, ps in enumerate(sweep_sets):
+            edges = _chords(ps, rng, 1 + k % 3)
+            assert _outcome(cdt, ps, edges) == _outcome(frozenset_cdt, ps, edges)
+            (i, j) = edges[0]
+            most_crossed = max(most_crossed, sum(
+                _proper_cross(ps[i], ps[j], ps[a], ps[b]) for a, b in delaunay(ps).edges()
+            ))
+        assert most_crossed >= 10  # the long chords flip many edges away
+
+    def test_errors_match(self):
+        for n in (5, 12, 30):
+            ps = random_point_set(n, seed=930 + n)
+            crossing = next(
+                [e, f]
+                for e in delaunay(ps).edges()
+                for f in combinations(range(n), 2)
+                if _proper_cross(ps[e[0]], ps[e[1]], ps[f[0]], ps[f[1]])
+            )
+            for edges in (crossing, [(0, n)], [(-1, 2)], [(3, 3)], [(0, 1), (2, n + 4)]):
+                got = _outcome(cdt, ps, edges)
+                assert got[0] is InvalidConstraintEdges
+                assert got == _outcome(frozenset_cdt, ps, edges)

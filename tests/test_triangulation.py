@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 
 import pytest
 
@@ -29,10 +31,13 @@ from neardelaunay.triangulation import (
     Quadrilateral,
     RequiredEdges,
     Triangulation,
+    apex_map,
+    apex_triangles,
     edge_diff,
     elements,
     enumerate_triangulations,
     flip,
+    flip_edge,
     interior_quadrilaterals,
     max_degree,
     satisfies,
@@ -42,7 +47,7 @@ from neardelaunay.triangulation import (
 )
 
 from conftest import jittered_circle_points
-from oracles import enumerate_by_frozenset_walk
+from oracles import enumerate_by_frozenset_walk, frozenset_flip
 
 CATALAN = {4: 2, 5: 5, 6: 14, 7: 42, 8: 132}
 
@@ -126,6 +131,64 @@ class TestEnumeration:
                 flipped = flip(ps, tri_set, (quad.u, quad.v))
                 if flipped is not None:
                     assert tuple(sorted(flipped)) in universe
+
+
+class TestFlipEdge:
+    SETS = {
+        "random6": lambda: random_point_set(6, seed=61),
+        "random7": lambda: random_point_set(7, seed=62),
+        "random8": lambda: random_point_set(8, seed=63),
+        "wheel7": lambda: wheel_point_set(6),
+    }
+
+    @pytest.mark.parametrize("name", SETS)
+    def test_flip_matches_frozenset_oracle(self, name):
+        ps = self.SETS[name]()
+        refused = 0
+        for t in enumerate_triangulations(ps):
+            tris = frozenset(t.triangles)
+            for e in t.edges():
+                got = flip(ps, tris, e)
+                assert got == frozenset_flip(ps, tris, e)
+                refused += got is None and len(t.apexes()[e]) == 2
+        assert refused  # some interior edges sit in non-convex quadrilaterals
+
+    def test_refused_flip_leaves_map_untouched(self):
+        ps = random_point_set(8, seed=63)
+        cases = {"hull": 0, "non-convex": 0, "absent": 0}
+        for t in enumerate_triangulations(ps):
+            apex = apex_map(t.triangles)
+            before = dict(apex)
+            absent = next(e for e in itertools.combinations(range(8), 2) if e not in apex)
+            for e in [*t.edges(), absent]:
+                if flip_edge(ps.points, apex, e) is not None:
+                    apex = dict(before)
+                    continue
+                assert apex == before
+                kind = "absent" if e not in before else (
+                    "hull" if len(before[e]) == 1 else "non-convex"
+                )
+                cases[kind] += 1
+        assert all(cases.values()), cases
+
+    def test_walk_keeps_map_consistent(self):
+        ps = random_point_set(20, seed=64)
+        apex = apex_map(delaunay(ps).triangles)
+        rng = random.Random(65)
+        flips = 0
+        while flips < 200:
+            edge = rng.choice(sorted(apex))
+            before = dict(apex)
+            diagonal = flip_edge(ps.points, apex, edge)
+            if diagonal is None:
+                continue
+            flips += 1
+            assert edge not in apex and apex[diagonal] == edge
+            assert apex == apex_map(sorted(apex_triangles(apex)))
+            assert frozenset(apex_triangles(apex)) == frozenset_flip(
+                ps, frozenset(apex_triangles(before)), edge
+            )
+        assert validate(Triangulation(ps, apex_triangles(apex)))
 
 
 ORACLE_SETS = {
