@@ -58,11 +58,14 @@ def _legalize(pts: Sequence[Point], apex: ApexMap, frozen: frozenset[EdgeKey]) -
 
 
 def delaunay(ps: PointSet) -> Triangulation:
-    """The (unique, under general position) Delaunay triangulation."""
+    """The (unique, under general position) Delaunay triangulation, built
+    once per point set and kept on it."""
     validate_general_position(ps)
-    apex = apex_map(scan_triangulation(ps).triangles)
-    _legalize(ps.points, apex, frozenset())
-    return Triangulation(ps, apex_triangles(apex))
+    if ps._delaunay is None:
+        apex = apex_map(scan_triangulation(ps).triangles)
+        _legalize(ps.points, apex, frozenset())
+        ps._delaunay = Triangulation(ps, apex_triangles(apex))
+    return ps._delaunay
 
 
 # --- constrained Delaunay ---------------------------------------------------

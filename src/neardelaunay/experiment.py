@@ -101,7 +101,13 @@ def make_default_spec(seed: int = 0) -> dict:
 
 def _load_point_set(entry: dict, base_dir: Path) -> PointSet:
     if "points" in entry:
-        return PointSet([(p[0], p[1]) for p in entry["points"]])
+        pts = []
+        for p in entry["points"]:
+            try:
+                pts.append((float(p[0]), float(p[1])))
+            except (IndexError, KeyError, TypeError, ValueError):
+                raise NearDelaunayError(f"point {p!r} needs two numbers") from None
+        return PointSet(pts)
     if "file" in entry:
         path = base_dir / entry["file"]
         if not path.exists():

@@ -255,7 +255,7 @@ class PointSet:
     position call for themselves.
     """
 
-    __slots__ = ("points", "_gp_guard", "_hull")
+    __slots__ = ("points", "_gp_guard", "_hull", "_delaunay")
 
     def __init__(self, points: Iterable[Sequence[float]]):
         pts = []
@@ -271,6 +271,7 @@ class PointSet:
         self.points: tuple[Point, ...] = tuple(pts)
         self._gp_guard = 0.0
         self._hull: tuple[int, ...] | None = None
+        self._delaunay = None  # built and kept by delaunay.delaunay
 
     def __len__(self) -> int:
         return len(self.points)

@@ -6,7 +6,10 @@ defines determinism for enumeration, tie-breaking and file output.
 
 Enumeration builds one integer table per point set (:class:`TriangulationTable`):
 every triangulation as a row of triangle ids, with the per-row columns that
-constraints filter on and that scores are gathered by.
+constraints filter on and that scores are gathered by.  One breadth-first
+walk of the flip graph finds the rows a level at a time, in numpy, and
+derives each row's columns when it expands the row; a row's key is the
+bitmask of its non-hull edges, which determines the triangulation.
 """
 
 from __future__ import annotations
@@ -408,8 +411,8 @@ def scan_triangulation(ps: PointSet) -> Triangulation:
 
 # --- the triangulation table ------------------------------------------------
 
-# Rows per block when deriving the per-row columns; bounds the temporaries.
-_BLOCK_ROWS = 1024
+# Rows per block when deriving columns and flips; bounds the temporaries.
+_BLOCK_ROWS = 256
 
 
 def _id_dtype(count: int):
@@ -441,6 +444,14 @@ class TriangulationTable:
     * ``length``: total edge length, equal to :func:`total_edge_length`
       bit for bit;
     * ``max_degree``: the largest vertex degree.
+
+    :func:`triangulation_table` finds the rows by one breadth-first walk of
+    the flip graph and fills every column as it expands them.  A row's key
+    is the bitmask of its non-hull edges.  It is exact: a triangulation is
+    determined by its edge set, and every triangulation has all hull edges.
+    A level of rows is expanded in blocks; one bincount over (row, edge)
+    gives each edge's count and its other triangle, from which follow the
+    columns and the row's legal flips.
     """
 
     __slots__ = (
@@ -481,10 +492,9 @@ class TriangulationTable:
         return self.rows, self.triangles.__getitem__
 
 
-def _flip_moves(ps: PointSet, triangles: list[Triple], tri_id: dict) -> list:
-    """Per triangle id t, one (partners, flips) pair per edge of t: the bits
-    of the higher-id triangles across that edge, and for each partner whose
-    flip is legal, the XOR mask of its four triangle bits.
+def _legal_flips(ps: PointSet) -> list[tuple[int, int, int, int]]:
+    """Every flip a triangulation of ps can make, as (u, v, p, q): triangles
+    uvp and uvq, p left and q right of u -> v, become upq and vpq.
 
     Legality is the test :func:`flip_edge` makes: the new diagonal pq must have
     u and v strictly on opposite sides.
@@ -495,147 +505,147 @@ def _flip_moves(ps: PointSet, triangles: list[Triple], tri_id: dict) -> list:
         (a, b): [orientation(pts[a], pts[b], w) for w in pts]
         for a, b in itertools.combinations(range(n), 2)
     }
-    moves = []
-    for t, (i, j, k) in enumerate(triangles):
-        per_edge = []
-        for u, v, p in ((i, j, k), (i, k, j), (j, k, i)):
-            partners = 0
-            flips = {}
-            for q in range(n):
-                if q in (u, v, p):
-                    continue
-                other = tri_id[tuple(sorted((u, v, q)))]
-                if other < t:  # each pair is seen once, from its lower id
-                    continue
-                bit = 1 << other
-                partners |= bit
-                s = side[min(p, q), max(p, q)]
-                su, sv = s[u], s[v]
-                if Orientation.COLLINEAR not in (su, sv) and su is not sv:
-                    flips[bit] = (
-                        (1 << t)
-                        | bit
-                        | (1 << tri_id[tuple(sorted((u, p, q)))])
-                        | (1 << tri_id[tuple(sorted((v, p, q)))])
-                    )
-            if partners:
-                per_edge.append((partners, flips))
-        moves.append(per_edge)
-    return moves
+    flips = []
+    for (u, v), s in side.items():
+        left = [w for w in range(n) if s[w] is Orientation.CCW]
+        right = [w for w in range(n) if s[w] is Orientation.CW]
+        for p, q in itertools.product(left, right):
+            su, sv = side[min(p, q), max(p, q)][u], side[min(p, q), max(p, q)][v]
+            if Orientation.COLLINEAR not in (su, sv) and su is not sv:
+                flips.append((u, v, p, q))
+    return flips
 
 
-def _walk_flip_graph(seed: int, moves: list) -> set[int]:
-    """Every triangulation reachable from seed by flips, as triangle-id bitmasks."""
-    seen = {seed}
-    stack = [seed]
-    while stack:
-        cur = stack.pop()
-        rest = cur
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            for partners, flips in moves[low.bit_length() - 1]:
-                across = cur & partners
-                if across:
-                    mask = flips.get(across)
-                    if mask is not None:
-                        nxt = cur ^ mask
-                        if nxt not in seen:
-                            seen.add(nxt)
-                            stack.append(nxt)
-    return seen
-
-
-def _decode_rows(masks: set[int], id_count: int, width: int) -> np.ndarray:
-    """Bitmasks -> ascending id rows, rows in lexicographic order."""
-    nbytes = (id_count + 7) // 8
-    it = iter(masks)
-    blocks = []
-    while True:
-        buf = b"".join(m.to_bytes(nbytes, "little") for m in itertools.islice(it, _BLOCK_ROWS))
-        if not buf:
-            break
-        bits = np.unpackbits(
-            np.frombuffer(buf, np.uint8).reshape(-1, nbytes), axis=1, bitorder="little"
-        )
-        blocks.append(np.nonzero(bits)[1].astype(_id_dtype(id_count)).reshape(-1, width))
-    rows = np.concatenate(blocks)
-    return rows[np.lexsort(rows.T[::-1])]
+def _one_bit(bits: np.ndarray, words: int) -> np.ndarray:
+    """Per bit index, a key of `words` uint64 words with only that bit set."""
+    key = np.zeros((len(bits), words), dtype=np.uint64)
+    key[np.arange(len(bits)), bits // 64] = np.uint64(1) << (bits % 64).astype(np.uint64)
+    return key
 
 
 def triangulation_table(
     ps: PointSet, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> TriangulationTable:
-    """Enumerate every triangulation of ps once, by a walk of the flip graph
-    (connected for full triangulations of a point set) from a seed."""
+    """Enumerate every triangulation of ps once, by a breadth-first walk of
+    the flip graph from the sweep triangulation, one level of rows at a
+    time.  The flip graph of a point set is connected (Lawson, "Transforming
+    triangulations", 1972), so the walk reaches every triangulation.
+
+    Rows are keyed by their non-hull edges (see :class:`TriangulationTable`);
+    a flip XORs the leaving and the entering edge's bits into the parent's
+    key, and only the rows with new keys are built.
+    """
     check_enumeration_cap(ps, cap)
     validate_general_position(ps)
     n = len(ps)
     triangles = list(itertools.combinations(range(n), 3))
-    tri_id = {t: i for i, t in enumerate(triangles)}
     pairs = list(itertools.combinations(range(n), 2))
-    edge_lut = np.full((n, n), -1, dtype=_id_dtype(len(pairs)))
-    for e, (i, j) in enumerate(pairs):
-        edge_lut[i, j] = edge_lut[j, i] = e
-    seed = 0
-    for t in scan_triangulation(ps).triangles:
-        seed |= 1 << tri_id[t]
-    masks = _walk_flip_graph(seed, _flip_moves(ps, triangles, tri_id))
-    rows = _decode_rows(masks, len(triangles), seed.bit_count())
-    del masks
-    return TriangulationTable(
-        ps, triangles, pairs, rows, *_row_columns(ps, triangles, pairs, edge_lut, rows)
-    )
-
-
-def _row_columns(ps: PointSet, triangles, pairs, edge_lut: np.ndarray, rows: np.ndarray):
-    """Edge ids, quadrilateral codes, total length and maximum degree of
-    every row, derived block by block."""
-    pts = ps.points
-    n = len(pts)
-    h = len(ps.hull())
-    n_edges, n_interior = 3 * n - h - 3, 3 * n - 2 * h - 3
-    # per triangle: its edges in apex_map insertion order, the vertex opposite each
+    n_pairs = len(pairs)
     corners = np.array(triangles, dtype=np.intp)
+    ends = np.array(pairs, dtype=np.int32)
+    tri_lut = np.full((n, n, n), -1, dtype=_id_dtype(len(triangles)))
+    for perm in itertools.permutations(range(3)):
+        tri_lut[tuple(corners[:, perm].T)] = np.arange(len(triangles))
+    edge_lut = np.full((n, n), -1, dtype=_id_dtype(n_pairs))
+    edge_lut[ends[:, 0], ends[:, 1]] = edge_lut[ends[:, 1], ends[:, 0]] = np.arange(n_pairs)
+    # per triangle: its edges in apex_map insertion order, the vertex opposite each
     tri_edges = edge_lut[corners[:, [0, 0, 1]], corners[:, [1, 2, 2]]]
-    tri_opp = corners[:, [2, 1, 0]]
-    edge_len = np.array([math.dist(pts[i], pts[j]) for i, j in pairs])
-    ends = np.array(pairs, dtype=np.intp)
-    quad_dtype = _id_dtype(len(pairs) ** 2)
+    tri_opp = corners[:, [2, 1, 0]].astype(edge_lut.dtype)
+    edge_len = np.array([math.dist(ps[i], ps[j]) for i, j in pairs])
+    hull = np.array(ps.hull())
+    h = len(hull)
+    n_edges, n_interior = 3 * n - h - 3, 3 * n - 2 * h - 3
+    quad_dtype = _id_dtype(n_pairs**2)
 
-    count = len(rows)
-    edges = np.empty((count, n_edges), dtype=edge_lut.dtype)
-    quads = np.empty((count, n_interior), dtype=quad_dtype)
-    length = np.empty(count)
-    max_deg = np.empty(count, dtype=np.int16)
-    for lo in range(0, count, _BLOCK_ROWS):
-        block = rows[lo : lo + _BLOCK_ROWS]
+    # key bit of each non-hull edge; hull edges, in every row, get none
+    bit = np.full(n_pairs, -1, dtype=np.intp)
+    interior = np.ones(n_pairs, dtype=bool)
+    interior[edge_lut[hull, np.roll(hull, -1)]] = False
+    bit[interior] = np.arange(n_pairs - h)
+    words = (n_pairs - h) // 64 + 1
+
+    u, v, p, q = np.array(_legal_flips(ps), dtype=np.intp).reshape(-1, 4).T
+    gone = np.stack([tri_lut[u, v, p], tri_lut[u, v, q]], axis=1)
+    born = np.stack([tri_lut[u, p, q], tri_lut[v, p, q]], axis=1)
+    flip_at = np.full((len(triangles),) * 2, -1, dtype=_id_dtype(len(u)))  # (lower, higher)
+    flip_at[gone.min(axis=1), gone.max(axis=1)] = np.arange(len(u))
+    flip_key = _one_bit(bit[edge_lut[u, v]], words) | _one_bit(bit[edge_lut[p, q]], words)
+
+    def expand(block: np.ndarray):
+        """The table columns of a block of rows, and each row's legal flips
+        as (row in block, flip)."""
         b = len(block)
         seq = tri_edges[block].reshape(b, -1)  # every edge once per triangle
         opp = tri_opp[block].reshape(b, -1)
-        perm = np.argsort(seq, axis=1, kind="stable")
-        srt = np.take_along_axis(seq, perm, axis=1)
-        first = np.ones(srt.shape, dtype=bool)
-        first[:, 1:] = srt[:, 1:] != srt[:, :-1]
-        edges[lo : lo + b] = srt[first].reshape(b, n_edges)
-        # An interior edge's second occurrence; stable sorting keeps the
-        # lower triangle, and with it the smaller opposing vertex p, first.
-        again = ~first[:, 1:]
-        p = np.take_along_axis(opp, perm[:, :-1], axis=1)[again]
-        q = np.take_along_axis(opp, perm[:, 1:], axis=1)[again]
-        uv = srt[:, 1:][again].astype(quad_dtype)
-        quads[lo : lo + b] = (uv * len(pairs) + edge_lut[p, q]).reshape(b, n_interior)
-        # total length summed left to right in apex_map insertion order
-        in_order = np.zeros(seq.shape, dtype=bool)
-        np.put_along_axis(in_order, perm, first, axis=1)
-        inserted = seq[in_order].reshape(b, n_edges)
-        acc = np.zeros(b)
-        for c in range(n_edges):
-            acc += edge_len[inserted[:, c]]
-        length[lo : lo + b] = acc
-        at = ends[edges[lo : lo + b]].reshape(b, -1) + n * np.arange(b)[:, None]
-        max_deg[lo : lo + b] = np.bincount(at.ravel(), minlength=b * n).reshape(b, n).max(axis=1)
-    return edges, quads, length, max_deg
+        slot = np.arange(seq.shape[1], dtype=np.int32)
+        at = (seq + np.arange(0, b * n_pairs, n_pairs, dtype=np.int32)[:, None]).ravel()
+        # per (row, edge): 4 * (sum of its one or two slots) + its count
+        tally = np.bincount(at, weights=np.tile(4 * slot + 1, b), minlength=b * n_pairs)
+        tally = tally[at].astype(np.int32).reshape(b, -1)
+        mate = (tally >> 2) - slot  # an interior edge's other slot
+        # Rows ascend, so the first slot of an interior edge is in its lower
+        # triangle: these with the hull edges are apex_map's insertion order.
+        lower = mate > slot
+        inserted = seq[lower | (tally & 3 == 1)].reshape(b, n_edges)
+        length = np.zeros(b)
+        for c in range(n_edges):  # left to right, as total_edge_length adds
+            length += edge_len[inserted[:, c]]
+        edges = np.sort(inserted, axis=1)
+        r, s = np.nonzero(lower)
+        t = mate[r, s]
+        pq = edge_lut[opp[r, s], opp[r, t]]
+        quads = (seq[r, s].astype(quad_dtype) * n_pairs + pq).reshape(b, n_interior)
+        quads.sort(axis=1)
+        at = (ends[edges] + np.arange(0, b * n, n, dtype=np.int32)[:, None, None]).ravel()
+        degree = np.bincount(at, minlength=b * n).reshape(b, n).max(axis=1).astype(np.int16)
+        flips = flip_at[block[r, s // 3], block[r, t // 3]]
+        legal = flips >= 0
+        return (edges, quads, length, degree), r[legal], flips[legal]
+
+    rows = np.array([[tri_lut[tri] for tri in scan_triangulation(ps).triangles]])
+    seed_bits = bit[np.unique(tri_edges[rows])]
+    keys = np.bitwise_or.reduce(_one_bit(seed_bits[seed_bits >= 0], words), 0, keepdims=True)
+    before = keys[:0]
+    found = ([], [], [], [], [])  # per column: its part for every level, rows first
+    while len(rows):
+        parent, flips, blocks = [], [], ([], [], [], [])
+        for lo in range(0, len(rows), _BLOCK_ROWS):
+            columns, r, f = expand(rows[lo : lo + _BLOCK_ROWS])
+            for part, column in zip(blocks, columns):
+                part.append(column)
+            parent.append(r + lo)
+            flips.append(f)
+        for part, column in zip(found, (rows, *map(np.concatenate, blocks))):
+            part.append(column)
+        del blocks
+        parent, flips = np.concatenate(parent), np.concatenate(flips)
+        # A flip moves one step in the flip graph, so a neighbour of this
+        # breadth-first level lies in the level before, this one or the
+        # next: only those two earlier levels can hold a candidate already.
+        pool = np.concatenate([before, keys, keys[parent] ^ flip_key[flips]])
+        order = np.lexsort(pool.T)  # stable, so a known key comes first
+        pool = pool[order]
+        fresh = np.ones(len(pool), dtype=bool)
+        fresh[1:] = (pool[1:] != pool[:-1]).any(axis=1)
+        fresh &= order >= len(before) + len(keys)
+        pick = order[fresh] - (len(before) + len(keys))
+        before, keys = keys, pool[fresh]
+        parent, flips = parent[pick], flips[pick]
+        grown = rows[parent]
+        rows = np.where(
+            grown == gone[flips, :1],
+            born[flips, :1],
+            np.where(grown == gone[flips, 1:], born[flips, 1:], grown),
+        )
+        rows.sort(axis=1)
+    order = np.lexsort(np.concatenate(found[0]).T[::-1])
+    columns = []
+    for part in found:  # one column at a time, each freed once permuted
+        column = np.concatenate(part)
+        part.clear()
+        columns.append(column[order])
+        del column
+    return TriangulationTable(ps, triangles, pairs, *columns)
 
 
 def enumerate_triangulations(

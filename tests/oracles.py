@@ -2,20 +2,20 @@
 
 These deliberately avoid the code paths of the package: brute-force grids,
 explicit arc constructions, and a separate polygon clipper.  The flip walk
-over frozensets, the per-candidate search scan, the sampled root finder
-of shrunk_circumcircle, the whole-list general-position check, the
-index-order local Voronoi diagram and the frozenset Delaunay and CDT
-construction are the exceptions: they are the package's implementations
-from before the integer triangulation table, the closed-form roots, the
-streamed subset scan, the nearest-first clipping and the in-place apex map,
-kept as the references those must match.
+over frozensets, the bitmask table walk, the per-candidate search scan, the
+sampled root finder of shrunk_circumcircle, the whole-list general-position
+check, the index-order local Voronoi diagram and the frozenset Delaunay and
+CDT construction are the exceptions: they are the package's implementations
+from before the integer triangulation table, the level-by-level numpy walk,
+the closed-form roots, the streamed subset scan, the nearest-first clipping
+and the in-place apex map, kept as the references those must match.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -57,7 +57,10 @@ from neardelaunay.metrics import (
     local_voronoi,
 )
 from neardelaunay.triangulation import (
+    DEFAULT_ENUMERATION_CAP,
     Triangulation,
+    TriangulationTable,
+    check_enumeration_cap,
     flip,
     satisfies,
     scan_triangulation,
@@ -194,6 +197,171 @@ def enumerate_by_frozenset_walk(ps: PointSet) -> list[Triangulation]:
                 seen.add(nxt)
                 stack.append(nxt)
     return [Triangulation(ps, tris) for tris in sorted(tuple(sorted(s)) for s in seen)]
+
+
+# --- the triangulation table by a bitmask walk --------------------------------
+
+_ORACLE_BLOCK_ROWS = 1024
+
+
+def _id_dtype(count: int):
+    return np.int16 if count <= np.iinfo(np.int16).max + 1 else np.int32
+
+
+def _flip_moves(ps: PointSet, triangles: list, tri_id: dict) -> list:
+    """Per triangle id t, one (partners, flips) pair per edge of t: the bits
+    of the higher-id triangles across that edge, and for each partner whose
+    flip is legal, the XOR mask of its four triangle bits.
+
+    Legality is the test :func:`flip_edge` makes: the new diagonal pq must have
+    u and v strictly on opposite sides.
+    """
+    pts = ps.points
+    n = len(pts)
+    side = {
+        (a, b): [orientation(pts[a], pts[b], w) for w in pts]
+        for a, b in combinations(range(n), 2)
+    }
+    moves = []
+    for t, (i, j, k) in enumerate(triangles):
+        per_edge = []
+        for u, v, p in ((i, j, k), (i, k, j), (j, k, i)):
+            partners = 0
+            flips = {}
+            for q in range(n):
+                if q in (u, v, p):
+                    continue
+                other = tri_id[tuple(sorted((u, v, q)))]
+                if other < t:  # each pair is seen once, from its lower id
+                    continue
+                bit = 1 << other
+                partners |= bit
+                s = side[min(p, q), max(p, q)]
+                su, sv = s[u], s[v]
+                if Orientation.COLLINEAR not in (su, sv) and su is not sv:
+                    flips[bit] = (
+                        (1 << t)
+                        | bit
+                        | (1 << tri_id[tuple(sorted((u, p, q)))])
+                        | (1 << tri_id[tuple(sorted((v, p, q)))])
+                    )
+            if partners:
+                per_edge.append((partners, flips))
+        moves.append(per_edge)
+    return moves
+
+
+def _walk_flip_graph(seed: int, moves: list) -> set[int]:
+    """Every triangulation reachable from seed by flips, as triangle-id bitmasks."""
+    seen = {seed}
+    stack = [seed]
+    while stack:
+        cur = stack.pop()
+        rest = cur
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            for partners, flips in moves[low.bit_length() - 1]:
+                across = cur & partners
+                if across:
+                    mask = flips.get(across)
+                    if mask is not None:
+                        nxt = cur ^ mask
+                        if nxt not in seen:
+                            seen.add(nxt)
+                            stack.append(nxt)
+    return seen
+
+
+def _decode_rows(masks: set[int], id_count: int, width: int) -> np.ndarray:
+    """Bitmasks -> ascending id rows, rows in lexicographic order."""
+    nbytes = (id_count + 7) // 8
+    it = iter(masks)
+    blocks = []
+    while True:
+        buf = b"".join(m.to_bytes(nbytes, "little") for m in islice(it, _ORACLE_BLOCK_ROWS))
+        if not buf:
+            break
+        bits = np.unpackbits(
+            np.frombuffer(buf, np.uint8).reshape(-1, nbytes), axis=1, bitorder="little"
+        )
+        blocks.append(np.nonzero(bits)[1].astype(_id_dtype(id_count)).reshape(-1, width))
+    rows = np.concatenate(blocks)
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+def bitmask_table(ps: PointSet, cap: int = DEFAULT_ENUMERATION_CAP) -> TriangulationTable:
+    """Every triangulation of ps as a table, by a depth-first walk of the flip
+    graph over Python-int triangle bitmasks, then a block-wise argsort pass
+    that derives the columns."""
+    check_enumeration_cap(ps, cap)
+    validate_general_position(ps)
+    n = len(ps)
+    triangles = list(combinations(range(n), 3))
+    tri_id = {t: i for i, t in enumerate(triangles)}
+    pairs = list(combinations(range(n), 2))
+    edge_lut = np.full((n, n), -1, dtype=_id_dtype(len(pairs)))
+    for e, (i, j) in enumerate(pairs):
+        edge_lut[i, j] = edge_lut[j, i] = e
+    seed = 0
+    for t in scan_triangulation(ps).triangles:
+        seed |= 1 << tri_id[t]
+    masks = _walk_flip_graph(seed, _flip_moves(ps, triangles, tri_id))
+    rows = _decode_rows(masks, len(triangles), seed.bit_count())
+    del masks
+    return TriangulationTable(
+        ps, triangles, pairs, rows, *_row_columns(ps, triangles, pairs, edge_lut, rows)
+    )
+
+
+def _row_columns(ps: PointSet, triangles, pairs, edge_lut: np.ndarray, rows: np.ndarray):
+    """Edge ids, quadrilateral codes, total length and maximum degree of
+    every row, derived block by block."""
+    pts = ps.points
+    n = len(pts)
+    h = len(ps.hull())
+    n_edges, n_interior = 3 * n - h - 3, 3 * n - 2 * h - 3
+    # per triangle: its edges in apex_map insertion order, the vertex opposite each
+    corners = np.array(triangles, dtype=np.intp)
+    tri_edges = edge_lut[corners[:, [0, 0, 1]], corners[:, [1, 2, 2]]]
+    tri_opp = corners[:, [2, 1, 0]]
+    edge_len = np.array([math.dist(pts[i], pts[j]) for i, j in pairs])
+    ends = np.array(pairs, dtype=np.intp)
+    quad_dtype = _id_dtype(len(pairs) ** 2)
+
+    count = len(rows)
+    edges = np.empty((count, n_edges), dtype=edge_lut.dtype)
+    quads = np.empty((count, n_interior), dtype=quad_dtype)
+    length = np.empty(count)
+    max_deg = np.empty(count, dtype=np.int16)
+    for lo in range(0, count, _ORACLE_BLOCK_ROWS):
+        block = rows[lo : lo + _ORACLE_BLOCK_ROWS]
+        b = len(block)
+        seq = tri_edges[block].reshape(b, -1)  # every edge once per triangle
+        opp = tri_opp[block].reshape(b, -1)
+        perm = np.argsort(seq, axis=1, kind="stable")
+        srt = np.take_along_axis(seq, perm, axis=1)
+        first = np.ones(srt.shape, dtype=bool)
+        first[:, 1:] = srt[:, 1:] != srt[:, :-1]
+        edges[lo : lo + b] = srt[first].reshape(b, n_edges)
+        # An interior edge's second occurrence; stable sorting keeps the
+        # lower triangle, and with it the smaller opposing vertex p, first.
+        again = ~first[:, 1:]
+        p = np.take_along_axis(opp, perm[:, :-1], axis=1)[again]
+        q = np.take_along_axis(opp, perm[:, 1:], axis=1)[again]
+        uv = srt[:, 1:][again].astype(quad_dtype)
+        quads[lo : lo + b] = (uv * len(pairs) + edge_lut[p, q]).reshape(b, n_interior)
+        # total length summed left to right in apex_map insertion order
+        in_order = np.zeros(seq.shape, dtype=bool)
+        np.put_along_axis(in_order, perm, first, axis=1)
+        inserted = seq[in_order].reshape(b, n_edges)
+        acc = np.zeros(b)
+        for c in range(n_edges):
+            acc += edge_len[inserted[:, c]]
+        length[lo : lo + b] = acc
+        at = ends[edges[lo : lo + b]].reshape(b, -1) + n * np.arange(b)[:, None]
+        max_deg[lo : lo + b] = np.bincount(at.ravel(), minlength=b * n).reshape(b, n).max(axis=1)
+    return edges, quads, length, max_deg
 
 
 # --- Delaunay and CDT construction over frozensets of triangles ---------------

@@ -448,6 +448,8 @@ class TestExperiment:
             ({"random": {"seed": 1}}, "random point set needs integer n and seed"),
             ({"random": {"n": 6}}, "random point set needs integer n and seed"),
             ({"points": [[0, 0], [1, 0]]}, "need at least 3 points, got 2"),
+            ({"points": [[0, 0], [1, 0], [0]]}, "point [0] needs two numbers"),
+            ({"points": [["a", 1], [1, 0], [0, 1]]}, "point ['a', 1] needs two numbers"),
         ],
     )
     def test_bad_point_set_entry_is_an_error(self, tmp_path, capsys, entry, message):

@@ -87,6 +87,12 @@ class TestDelaunay:
             )
             assert delaunay(moved).triangles == base
 
+    def test_built_once_per_point_set(self):
+        ps = random_point_set(12, seed=42)
+        dt = delaunay(ps)
+        assert delaunay(ps) is dt
+        assert voronoi(ps).delaunay is dt
+
     def test_degenerate_input_rejected(self):
         ps = PointSet([(0, 0), (1, 1), (2, 2), (0, 3)])
         with pytest.raises(GeneralPositionViolated):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -46,8 +47,8 @@ from neardelaunay.triangulation import (
     validate,
 )
 
-from conftest import jittered_circle_points
-from oracles import enumerate_by_frozenset_walk, frozenset_flip
+from conftest import jittered_circle_points, random_jittered_circle
+from oracles import bitmask_table, enumerate_by_frozenset_walk, frozenset_flip
 
 CATALAN = {4: 2, 5: 5, 6: 14, 7: 42, 8: 132}
 
@@ -256,6 +257,61 @@ class TestTriangulationTable:
         ps = PointSet([(0, 0), (1, 0), (2, 0), (0, 1)])  # collinear triple
         with pytest.raises(EnumerationTooLarge):
             triangulation_table(ps, cap=3)
+
+
+BITMASK_ORACLE_SETS = {
+    **{f"random{n}": lambda n=n: random_point_set(n, seed=1100 + n) for n in range(3, 13)},
+    "random12-1201": lambda: random_point_set(12, seed=1201),
+    "wheel": wheel_point_set,
+    "long_delaunay": long_delaunay_point_set,
+    **{
+        f"jittered{n}": lambda n=n, jitter=jitter: PointSet(
+            random_jittered_circle(random.Random(1300 + n), n, jitter)
+        )
+        for n, jitter in ((8, 1e-3), (10, 1e-4), (12, 1e-2))
+    },
+}
+
+
+def assert_same_table(ours, oracle):
+    """Equal ids and every column equal bit for bit, with equal dtypes."""
+    assert ours.triangles == oracle.triangles
+    assert ours.edge_pairs == oracle.edge_pairs
+    for name in ("rows", "edges", "quads", "length", "max_degree"):
+        got, want = getattr(ours, name), getattr(oracle, name)
+        assert got.dtype == want.dtype, name
+        assert got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+class TestTableMatchesBitmaskOracle:
+    """The level-by-level numpy walk against the Python-int bitmask walk it
+    replaced, column by column."""
+
+    @pytest.mark.parametrize("name", sorted(BITMASK_ORACLE_SETS))
+    def test_columns_equal(self, name):
+        ps = BITMASK_ORACLE_SETS[name]()
+        assert_same_table(triangulation_table(ps), bitmask_table(ps))
+
+    def test_two_word_edge_keys(self):
+        # 13 points have at least 78 - 13 = 65 non-hull edges: keys of two words
+        ps = random_point_set(13, seed=0)
+        table = triangulation_table(ps, cap=13)
+        assert len(table) == 54791
+        assert_same_table(table, bitmask_table(ps, cap=13))
+
+    def test_peak_memory_at_most_the_oracle(self):
+        ps = random_point_set(12, seed=1201)
+        triangulation_table(ps)  # validation and hull are cached for both builds
+        peaks = {}
+        for build in (bitmask_table, triangulation_table):
+            tracemalloc.start()
+            try:
+                build(ps)
+                peaks[build.__name__] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["triangulation_table"] <= peaks["bitmask_table"], peaks
 
 
 class TestQuadrilaterals:
