@@ -57,6 +57,13 @@ def _read_points(path: str):
     return parse_points(Path(path).read_text())
 
 
+def _read_triangulation(path: str, ps):
+    t = parse_triangulation(Path(path).read_text(), ps)
+    if not validate(t):
+        raise NearDelaunayError("triangulation file is not a valid triangulation")
+    return t
+
+
 def _emit_triangulation(t, out: str | None, svg: str | None, constrained=(), diff=()):
     text = write_triangulation(t)
     if out:
@@ -69,9 +76,7 @@ def _emit_triangulation(t, out: str | None, svg: str | None, constrained=(), dif
 
 def _cmd_score(args) -> int:
     ps = _read_points(args.points)
-    t = parse_triangulation(Path(args.triangulation).read_text(), ps)
-    if not validate(t):
-        raise NearDelaunayError("triangulation file is not a valid triangulation")
+    t = _read_triangulation(args.triangulation, ps)
     metrics = args.metric or list(ALL_METRICS)
     evaluator = Evaluator(ps)
     mode = AggregationMode(args.mode)
@@ -161,12 +166,11 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_render(args) -> int:
     ps = _read_points(args.points)
-    t = parse_triangulation(Path(args.triangulation).read_text(), ps)
+    t = _read_triangulation(args.triangulation, ps)
     constrained = set(normalize_edges(ps, args.required_edge or []))
     diff = set()
     if args.compare:
-        other = parse_triangulation(Path(args.compare).read_text(), ps)
-        diff = edge_diff(t, other)
+        diff = edge_diff(t, _read_triangulation(args.compare, ps))
     Path(args.svg).write_text(
         render_svg(t, constrained=constrained, diff=diff)
     )
@@ -183,7 +187,12 @@ def _cmd_experiment(args) -> int:
     if not args.spec:
         raise NearDelaunayError("an experiment spec file is required (or --emit-default-spec)")
     spec_path = Path(args.spec)
-    spec = json.loads(spec_path.read_text())
+    try:
+        spec = json.loads(spec_path.read_text())
+    except json.JSONDecodeError as exc:
+        raise NearDelaunayError(f"experiment spec is not valid JSON: {exc}") from None
+    if not isinstance(spec, dict):
+        raise NearDelaunayError("experiment spec must be a JSON object")
     if args.seed is not None:
         spec["seed"] = args.seed
     out_dir = Path(args.out or spec.get("output_dir", "experiment_out"))

@@ -17,12 +17,11 @@ from typing import Sequence
 from .errors import InvalidConstraintEdges
 from .geom import (
     Circle,
-    Orientation,
     Point,
     PointSet,
     circumcircle,
     in_circumcircle,
-    orientation,
+    separates,
     validate_general_position,
 )
 from .triangulation import (
@@ -73,13 +72,7 @@ def delaunay(ps: PointSet) -> Triangulation:
 
 def _proper_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
     """Open segments ab and cd intersect in a single interior point."""
-    o1 = orientation(a, b, c)
-    o2 = orientation(a, b, d)
-    o3 = orientation(c, d, a)
-    o4 = orientation(c, d, b)
-    if Orientation.COLLINEAR in (o1, o2, o3, o4):
-        return False
-    return o1 is not o2 and o3 is not o4
+    return separates(a, b, c, d) and separates(c, d, a, b)
 
 
 def _insert_edge(pts: Sequence[Point], apex: ApexMap, edge: EdgeKey) -> None:

@@ -103,6 +103,14 @@ def orientation(a: Point, b: Point, c: Point) -> Orientation:
     return Orientation.COLLINEAR
 
 
+def separates(a: Point, b: Point, c: Point, d: Point) -> bool:
+    """True iff c and d lie strictly on opposite sides of the line through a
+    and b: their exact orientations against a -> b differ and neither is
+    collinear."""
+    side_c, side_d = orientation(a, b, c), orientation(a, b, d)
+    return side_c is not side_d and Orientation.COLLINEAR not in (side_c, side_d)
+
+
 def _incircle_det(ax, ay, bx, by, cx, cy, dx, dy):
     adx, ady = ax - dx, ay - dy
     bdx, bdy = bx - dx, by - dy

@@ -28,7 +28,7 @@ from .geom import (
     Point,
     PointSet,
     orientation,
-    polygon_area,
+    separates,
     validate_general_position,
 )
 
@@ -108,14 +108,7 @@ class Quadrilateral:
     q: int
 
     def __post_init__(self):
-        pts = self.point_set.points
-        su = orientation(pts[self.u], pts[self.v], pts[self.p])
-        sv = orientation(pts[self.u], pts[self.v], pts[self.q])
-        if (
-            su is Orientation.COLLINEAR
-            or sv is Orientation.COLLINEAR
-            or su is sv
-        ):
+        if not separates(*self.coords()):
             raise ValueError(
                 f"opposing vertices {self.p}, {self.q} must lie strictly on "
                 f"opposite sides of edge ({self.u}, {self.v})"
@@ -268,46 +261,40 @@ def edge_diff(t1: Triangulation, t2: Triangulation) -> set[EdgeKey]:
     return set(t1.apexes()) - set(t2.apexes())
 
 
-def _triangles_overlap(pa: Sequence[Point], pb: Sequence[Point]) -> bool:
-    # Clip pa against pb's halfplanes; positive leftover area means overlap.
-    # The area threshold scales with the triangles' own extent so the test
-    # is translation-invariant.
-    from .geom import clip_polygon_halfplane
-
-    if orientation(*pb) is Orientation.CW:
-        pb = (pb[0], pb[2], pb[1])
-    poly = list(pa)
-    pts = list(pa) + list(pb)
-    scale = max(
-        max(p[0] for p in pts) - min(p[0] for p in pts),
-        max(p[1] for p in pts) - min(p[1] for p in pts),
-    ) or 1.0
-    for i in range(3):
-        a, b = pb[i], pb[(i + 1) % 3]
-        # inside is the left of a->b: n . x <= c with n the right normal
-        n = (b[1] - a[1], a[0] - b[0])
-        c = n[0] * a[0] + n[1] * a[1]
-        poly = clip_polygon_halfplane(poly, n, c)
-        if not poly:
-            return False
-    return polygon_area(poly) > 1e-12 * scale * scale
-
-
 def validate(t: Triangulation) -> bool:
-    """True iff the triangle set is a triangulation of the point set's hull.
+    """True iff the triangle set is a triangulation of the point set: every
+    index in range, no triangle degenerate, every point used, and per edge
+    of the apex map
 
-    Checks index sanity, non-degenerate triangles, full vertex usage, the
-    Euler counts for 2n - h - 2 triangles and 3n - h - 3 edges, and pairwise
-    disjointness of triangle interiors.
+    * a hull edge (consecutive entries of ``ps.hull()``) lies in exactly
+      one triangle;
+    * every other edge lies in exactly two, whose apexes it strictly
+      separates (:func:`~neardelaunay.geom.separates`).
+
+    One pass over the apex map, deciding with the exact ``orientation``
+    only: O(T + E) time.  A point inside a hull edge, which general
+    position excludes, leaves that hull edge uncovered: False.
+
+    Lemma (the covering view of De Loera, Rambau and Santos,
+    *Triangulations*, 2010): when no point lies inside a hull edge, these
+    conditions hold iff the triangles triangulate the hull with the points
+    as vertices.  Only if is plain.  If: let f(x) count the triangles
+    containing a point x on no edge's line.  f is constant off the edges,
+    and crossing a line at x changes it by the sum, over the edges through
+    x, of their triangles on the side entered minus those on the side
+    left.  A non-hull edge adds 0, its two triangles lying on opposite
+    sides; a hull edge adds 1 on entering the hull, as every point lies on
+    its inner side.  So f is 0 outside the hull and 1 inside it: the
+    interiors tile the hull.  Nor can a point lie inside a triangle, or
+    inside an edge it does not end: its own triangles cover a sector
+    around it, which would overlap that triangle or one of that edge's.
+    So the triangles meet in common faces.
     """
     ps = t.point_set
     n = len(ps)
     pts = ps.points
-    tris = t.triangles
-    if len(set(tris)) != len(tris) or not tris:
-        return False
     used = set()
-    for tri in tris:
+    for tri in t.triangles:
         i, j, k = tri
         if not (0 <= i < j < k < n):
             return False
@@ -316,27 +303,16 @@ def validate(t: Triangulation) -> bool:
         used.update(tri)
     if len(used) != n:
         return False
-    hull = ps.hull()
-    h = len(hull)
-    if len(tris) != 2 * n - h - 2:
-        return False
     apex = t.apexes()
-    if len(apex) != 3 * n - h - 3 or any(len(opp) > 2 for opp in apex.values()):
+    hull = ps.hull()
+    hull_edges = {(min(e), max(e)) for e in zip(hull, hull[1:] + hull[:1])}
+    if any(len(apex.get(e, ())) != 1 for e in hull_edges):
         return False
-    # disjoint triangles inside the hull tile it iff the areas add up
-    hull_area = polygon_area([pts[i] for i in hull])
-    covered = sum(polygon_area([pts[i] for i in tri]) for tri in tris)
-    if abs(covered - hull_area) > 1e-9 * hull_area:
-        return False
-    for a in range(len(tris)):
-        ta = [pts[i] for i in tris[a]]
-        for b in range(a + 1, len(tris)):
-            tb = [pts[i] for i in tris[b]]
-            if len(set(tris[a]) & set(tris[b])) == 3:
-                return False
-            if _triangles_overlap(ta, tb):
-                return False
-    return True
+    return all(
+        len(opp) == 2 and separates(pts[u], pts[v], pts[opp[0]], pts[opp[1]])
+        for (u, v), opp in apex.items()
+        if (u, v) not in hull_edges
+    )
 
 
 # --- flips and enumeration -------------------------------------------------
@@ -352,9 +328,7 @@ def flip_edge(pts: Sequence[Point], apex: ApexMap, edge: EdgeKey) -> EdgeKey | N
         return None
     u, v = edge
     p, q = opp
-    su = orientation(pts[p], pts[q], pts[u])
-    sv = orientation(pts[p], pts[q], pts[v])
-    if su is Orientation.COLLINEAR or sv is Orientation.COLLINEAR or su is sv:
+    if not separates(pts[p], pts[q], pts[u], pts[v]):
         return None
     del apex[edge]
     # side (a, x) swaps apex b, the old diagonal's far end, for y
@@ -511,7 +485,9 @@ def _legal_flips(ps: PointSet) -> list[tuple[int, int, int, int]]:
         right = [w for w in range(n) if s[w] is Orientation.CW]
         for p, q in itertools.product(left, right):
             su, sv = side[min(p, q), max(p, q)][u], side[min(p, q), max(p, q)][v]
-            if Orientation.COLLINEAR not in (su, sv) and su is not sv:
+            # geom.separates on the table's values: calling it would redo
+            # the orientations, over twice the table's calls at n = 12
+            if su is not sv and Orientation.COLLINEAR not in (su, sv):
                 flips.append((u, v, p, q))
     return flips
 

@@ -4,11 +4,12 @@ These deliberately avoid the code paths of the package: brute-force grids,
 explicit arc constructions, and a separate polygon clipper.  The flip walk
 over frozensets, the bitmask table walk, the per-candidate search scan, the
 sampled root finder of shrunk_circumcircle, the whole-list general-position
-check, the index-order local Voronoi diagram and the frozenset Delaunay and
-CDT construction are the exceptions: they are the package's implementations
-from before the integer triangulation table, the level-by-level numpy walk,
-the closed-form roots, the streamed subset scan, the nearest-first clipping
-and the in-place apex map, kept as the references those must match.
+check, the index-order local Voronoi diagram, the frozenset Delaunay and
+CDT construction and the pairwise triangulation check are the exceptions:
+they are the package's implementations from before the integer
+triangulation table, the level-by-level numpy walk, the closed-form roots,
+the streamed subset scan, the nearest-first clipping, the in-place apex map
+and the edge-local validity test, kept as the references those must match.
 """
 
 from __future__ import annotations
@@ -35,9 +36,11 @@ from neardelaunay.geom import (
     SegmentSide,
     circular_segment_area,
     circumcircle,
+    clip_polygon_halfplane,
     in_circumcircle,
     inscribed_circle,
     orientation,
+    polygon_area,
     validate_general_position,
 )
 from neardelaunay.delaunay import _proper_cross
@@ -197,6 +200,78 @@ def enumerate_by_frozenset_walk(ps: PointSet) -> list[Triangulation]:
                 seen.add(nxt)
                 stack.append(nxt)
     return [Triangulation(ps, tris) for tris in sorted(tuple(sorted(s)) for s in seen)]
+
+
+# --- triangulation validity by pairwise overlap tests -------------------------
+
+
+def _triangles_overlap(pa, pb) -> bool:
+    # Clip pa against pb's halfplanes; positive leftover area means overlap.
+    # The area threshold scales with the triangles' own extent so the test
+    # is translation-invariant.
+    if orientation(*pb) is Orientation.CW:
+        pb = (pb[0], pb[2], pb[1])
+    poly = list(pa)
+    pts = list(pa) + list(pb)
+    scale = max(
+        max(p[0] for p in pts) - min(p[0] for p in pts),
+        max(p[1] for p in pts) - min(p[1] for p in pts),
+    ) or 1.0
+    for i in range(3):
+        a, b = pb[i], pb[(i + 1) % 3]
+        # inside is the left of a->b: n . x <= c with n the right normal
+        n = (b[1] - a[1], a[0] - b[0])
+        c = n[0] * a[0] + n[1] * a[1]
+        poly = clip_polygon_halfplane(poly, n, c)
+        if not poly:
+            return False
+    return polygon_area(poly) > 1e-12 * scale * scale
+
+
+def pairwise_validate(t: Triangulation) -> bool:
+    """True iff the triangle set is a triangulation of the point set's hull.
+
+    Checks index sanity, non-degenerate triangles, full vertex usage, the
+    Euler counts for 2n - h - 2 triangles and 3n - h - 3 edges, and pairwise
+    disjointness of triangle interiors.
+    """
+    ps = t.point_set
+    n = len(ps)
+    pts = ps.points
+    tris = t.triangles
+    if len(set(tris)) != len(tris) or not tris:
+        return False
+    used = set()
+    for tri in tris:
+        i, j, k = tri
+        if not (0 <= i < j < k < n):
+            return False
+        if orientation(pts[i], pts[j], pts[k]) is Orientation.COLLINEAR:
+            return False
+        used.update(tri)
+    if len(used) != n:
+        return False
+    hull = ps.hull()
+    h = len(hull)
+    if len(tris) != 2 * n - h - 2:
+        return False
+    apex = t.apexes()
+    if len(apex) != 3 * n - h - 3 or any(len(opp) > 2 for opp in apex.values()):
+        return False
+    # disjoint triangles inside the hull tile it iff the areas add up
+    hull_area = polygon_area([pts[i] for i in hull])
+    covered = sum(polygon_area([pts[i] for i in tri]) for tri in tris)
+    if abs(covered - hull_area) > 1e-9 * hull_area:
+        return False
+    for a in range(len(tris)):
+        ta = [pts[i] for i in tris[a]]
+        for b in range(a + 1, len(tris)):
+            tb = [pts[i] for i in tris[b]]
+            if len(set(tris[a]) & set(tris[b])) == 3:
+                return False
+            if _triangles_overlap(ta, tb):
+                return False
+    return True
 
 
 # --- the triangulation table by a bitmask walk --------------------------------

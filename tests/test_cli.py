@@ -83,6 +83,15 @@ class TestScoreCommand:
                 digits = token.strip('"').lstrip("-").replace(".", "").lstrip("0")
                 assert len(digits) <= 12
 
+    def test_overlapping_triangulation_rejected(self, capsys, points_file, tmp_path, p4):
+        path = tmp_path / "overlap.txt"
+        path.write_text(write_triangulation(Triangulation(p4, [(0, 1, 2), (0, 2, 3)])))
+        rc = main(["score", str(points_file), str(path)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: triangulation file is not a valid triangulation\n"
+        )
+
     def test_missing_file_fails(self, capsys, tmp_path):
         rc = main(["score", str(tmp_path / "nope.txt"), str(tmp_path / "nope2.txt")])
         assert rc == 1
@@ -242,6 +251,23 @@ class TestStructureCommands:
         )
         assert rc == 0
         assert 'stroke="green"' in svg.read_text()  # the swapped diagonal
+
+    @pytest.mark.parametrize("overlapping", ["triangulation", "compare"])
+    def test_render_rejects_overlapping_triangulation(
+        self, capsys, points_file, tmp_path, p4, overlapping
+    ):
+        files = {"triangulation": delaunay(p4), "compare": delaunay(p4)}
+        files[overlapping] = Triangulation(p4, [(0, 1, 2), (0, 2, 3)])
+        for name, t in files.items():
+            (tmp_path / name).write_text(write_triangulation(t))
+        svg = tmp_path / "x.svg"
+        rc = main(["render", str(points_file), str(tmp_path / "triangulation"),
+                   "--svg", str(svg), "--compare", str(tmp_path / "compare")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: triangulation file is not a valid triangulation\n"
+        )
+        assert not svg.exists()
 
     def test_render_rejects_out_of_range_edge(self, capsys, points_file, tmp_path, p4):
         tri = tmp_path / "t.txt"
@@ -460,6 +486,20 @@ class TestExperiment:
             "metrics": ["lens"],
             "modes": ["sum"],
         }))
+        rc = main(["experiment", str(spec_path), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"point_sets": [', "experiment spec is not valid JSON: Expecting value"),
+            ("[1,2]", "experiment spec must be a JSON object"),
+        ],
+    )
+    def test_malformed_spec_is_an_error(self, tmp_path, capsys, text, message):
+        spec_path = tmp_path / "bad.json"
+        spec_path.write_text(text)
         rc = main(["experiment", str(spec_path), "--out", str(tmp_path / "out")])
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")

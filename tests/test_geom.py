@@ -26,6 +26,7 @@ from neardelaunay.geom import (
     inscribed_circle,
     is_general_position,
     orientation,
+    separates,
     similarity_transform,
     validate_general_position,
 )
@@ -62,6 +63,34 @@ class TestOrientation:
         below = Point(0.5e7, 0.5e7 - 1e-8)
         assert orientation(a, b, above) is Orientation.CCW
         assert orientation(a, b, below) is Orientation.CW
+
+
+class TestSeparates:
+    A, B = Point(0.0, 0.0), Point(1e7, 1e7)
+    ABOVE = Point(0.5e7, 0.5e7 + 1e-8)
+    BELOW = Point(0.5e7, 0.5e7 - 1e-8)
+
+    def test_opposite_sides(self):
+        assert separates(self.A, self.B, self.ABOVE, self.BELOW)
+        assert separates(self.B, self.A, self.BELOW, self.ABOVE)
+
+    def test_same_side(self):
+        assert not separates(self.A, self.B, self.ABOVE, Point(0.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "on_line", [Point(0.5e7, 0.5e7), Point(2e7, 2e7), Point(-1.0, -1.0)]
+    )
+    def test_a_collinear_point_is_on_neither_side(self, on_line):
+        assert not separates(self.A, self.B, on_line, self.BELOW)
+        assert not separates(self.A, self.B, self.ABOVE, on_line)
+        assert not separates(self.A, self.B, on_line, on_line)
+
+    def test_matches_orientation_signs(self):
+        rng = random.Random(8)
+        for _ in range(200):
+            a, b, c, d = (Point(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(4))
+            sides = {orientation(a, b, c), orientation(a, b, d)}
+            assert separates(a, b, c, d) == (sides == {Orientation.CCW, Orientation.CW})
 
 
 class TestInCircumcircle:

@@ -18,7 +18,8 @@ from neardelaunay.fileio import (
     write_points,
     write_triangulation,
 )
-from neardelaunay.geom import PointSet
+from neardelaunay import geom as geom_module, triangulation as triangulation_module
+from neardelaunay.geom import PointSet, orientation
 from neardelaunay.pointgen import (
     long_delaunay_point_set,
     random_point_set,
@@ -48,7 +49,12 @@ from neardelaunay.triangulation import (
 )
 
 from conftest import jittered_circle_points, random_jittered_circle
-from oracles import bitmask_table, enumerate_by_frozenset_walk, frozenset_flip
+from oracles import (
+    bitmask_table,
+    enumerate_by_frozenset_walk,
+    frozenset_flip,
+    pairwise_validate,
+)
 
 CATALAN = {4: 2, 5: 5, 6: 14, 7: 42, 8: 132}
 
@@ -77,12 +83,122 @@ class TestValidate:
     def test_overlap_detection_translation_invariant(self, p4):
         from neardelaunay.geom import similarity_transform
 
-        # (0,1,2) and (0,2,3) pass the Euler counts but overlap near edge
-        # (0,2); the area threshold must not grow with the coordinates
+        # (0,1,2) and (0,2,3) use every point but overlap near edge (0,2);
+        # the verdicts must not change when the coordinates grow
         for translation in ((0.0, 0.0), (1e7, -1e7)):
             far = similarity_transform(p4, translation=translation)
             assert validate(Triangulation(far, [(0, 2, 3), (1, 2, 3)]))
             assert not validate(Triangulation(far, [(0, 1, 2), (0, 2, 3)]))
+
+    def test_orientation_calls_linear_on_a_convex_fan(self, monkeypatch):
+        n = 1000
+        ps = PointSet(
+            (math.cos(2 * math.pi * k / n), math.sin(2 * math.pi * k / n)) for k in range(n)
+        )
+        fan = [(0, i, i + 1) for i in range(1, n - 1)]
+        t = Triangulation(ps, fan)
+        # the hull is built once per point set, not by validate's pass
+        assert len(ps.hull()) == n
+        calls = 0
+
+        def counted(a, b, c):
+            nonlocal calls
+            calls += 1
+            return orientation(a, b, c)
+
+        monkeypatch.setattr(triangulation_module, "orientation", counted)
+        monkeypatch.setattr(geom_module, "orientation", counted)
+        assert validate(t)
+        assert calls <= len(t.triangles) + len(t.edges())
+        # (0, 500, 501) folded over edge (0, 500) onto the side of 499
+        folded = fan[:499] + [(0, 498, 500)] + fan[500:]
+        assert not validate(Triangulation(ps, folded))
+
+
+def _folded(tris, pts, rng):
+    """tris with triangle uvq folded over its interior edge uv onto the side
+    of the other apex p, or None when no point lies there besides p."""
+    (u, v), (p, q) = rng.choice(
+        [(e, opp) for e, opp in sorted(apex_map(tris).items()) if len(opp) == 2]
+    )
+    side = orientation(pts[u], pts[v], pts[p])
+    same = [r for r in range(len(pts)) if r not in (u, v, p)
+            and orientation(pts[u], pts[v], pts[r]) is side]
+    if not same:
+        return None
+    return [t for t in tris if t != tuple(sorted((u, v, q)))] + [(u, v, rng.choice(same))]
+
+
+def _mutations(rows, pts, rng):
+    """Per row: one triangle replaced, dropped, duplicated or folded, a mix
+    with another row, and as many random triples."""
+    n = len(pts)
+    for tris in rows:
+        k = rng.randrange(len(tris))
+        yield tris[:k] + (tuple(rng.sample(range(n), 3)),) + tris[k + 1:]
+        yield tris[:k] + tris[k + 1:]
+        yield tris + tris[k:k + 1]
+        if len(tris) > 1:
+            yield _folded(tris, pts, rng)
+        other = rng.choice(rows)
+        half = len(tris) // 2
+        yield rng.sample(tris, half) + rng.sample(other, len(tris) - half)
+        yield [tuple(rng.sample(range(n), 3)) for _ in tris]
+
+
+# With points A, B, C, P, Q = 0..4 and hull A B C: triangles A B P, B C P,
+# C P Q, C Q A and A Q P.  Every edge count is right wherever P and Q lie,
+# so only the side test can tell a fold.
+FOLDABLE = [(0, 1, 3), (1, 2, 3), (2, 3, 4), (0, 2, 4), (0, 3, 4)]
+
+
+class TestValidateMatchesPairwiseOracle:
+    """The edge-local validate against the pairwise overlap check it replaced."""
+
+    @staticmethod
+    def sets():
+        rng = random.Random(1100)
+        sets = [random_point_set(n, seed=1100 + 20 * s + n) for n in range(4, 10) for s in range(2)]
+        sets.append(wheel_point_set())
+        sets += [PointSet(random_jittered_circle(rng, n, j)) for n, j in ((7, 1e-3), (9, 1e-6))]
+        return sets
+
+    def test_rows_and_mutations(self):
+        rng = random.Random(1101)
+        verdicts = []
+        for ps in self.sets():
+            table = triangulation_table(ps)
+            rows = [table.triangulation(r).triangles for r in range(len(table))]
+            for tris in rows + [m for m in _mutations(rows, ps.points, rng) if m]:
+                ours = validate(Triangulation(ps, tris))
+                assert ours == pairwise_validate(Triangulation(ps, tris)), (ps, tris)
+                verdicts.append(ours)
+        assert 3000 < verdicts.count(True) < verdicts.count(False)
+
+    @pytest.mark.parametrize(
+        "points, tris, valid",
+        [
+            ([(0, 0), (2, 0), (1, 0.5), (1, -0.5)], [(0, 1, 2), (0, 1, 4)], False),
+            ([(0, 0), (2, 0), (1, 0.5), (1, -0.5)], [(0, 1, 2), (-1, 0, 1)], False),
+            ([(0, 0), (2, 0), (1, 0.5), (1, -0.5)], [], False),
+            # unvalidated: point 2 lies inside hull edge (0, 1)
+            ([(0, 0), (2, 0), (1, 0), (1, 1)], [(0, 2, 3), (1, 2, 3)], False),
+            ([(0, 0), (2, 0), (1, 0), (1, 1)], [(0, 1, 3)], False),
+            # unvalidated: point 4 lies on the diagonals of the square
+            ([(0, 0), (2, 0), (2, 2), (0, 2), (1, 1)],
+             [(0, 1, 4), (1, 2, 4), (2, 3, 4), (0, 3, 4)], True),
+            ([(0, 0), (2, 0), (2, 2), (0, 2), (1, 1)],
+             [(0, 1, 2), (0, 3, 4), (2, 3, 4)], False),
+            # Q inside triangle A P C ...
+            ([(0, 0), (4, 0), (2, 4), (2, 1.5), (1.5, 1.8)], FOLDABLE, True),
+            # ... or in A B P, where edge (2, 4) has both apexes on one side
+            ([(0, 0), (4, 0), (2, 4), (2, 1.5), (2.2, 0.5)], FOLDABLE, False),
+        ],
+    )
+    def test_edge_cases(self, points, tris, valid):
+        ps = PointSet(points)
+        assert validate(Triangulation(ps, tris)) is valid
+        assert pairwise_validate(Triangulation(ps, tris)) is valid
 
 
 class TestEnumeration:
