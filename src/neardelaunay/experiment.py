@@ -161,6 +161,17 @@ def _build_constraint(centry: dict, set_entry: dict, ps: PointSet):
     raise NearDelaunayError(f"unknown constraint type {kind!r}")
 
 
+def _spec_list(spec: dict, key: str, default, objects: bool = False) -> list:
+    """A spec field that must be a list, of JSON objects when ``objects``."""
+    value = spec.get(key, default)
+    if not isinstance(value, (list, tuple)):
+        raise NearDelaunayError(f"{key} must be a list, got {value!r}")
+    for entry in value:
+        if objects and not isinstance(entry, dict):
+            raise NearDelaunayError(f"{key} entry must be an object, got {entry!r}")
+    return list(value)
+
+
 def run_experiment(
     spec: dict,
     out_dir: Path | str,
@@ -170,13 +181,16 @@ def run_experiment(
     out_dir = Path(out_dir)
     base_dir = Path(base_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    seed = int(spec.get("seed", 0))
-    metrics = list(spec.get("metrics", ALL_METRICS))
+    try:
+        seed = int(spec.get("seed", 0))
+    except (TypeError, ValueError):
+        raise NearDelaunayError(f"seed {spec['seed']!r} is not an integer") from None
+    metrics = _spec_list(spec, "metrics", ALL_METRICS)
     for m in metrics:
         lookup_metric(m)
-    modes = [AggregationMode(m) for m in spec.get("modes", ["sum", "bottleneck"])]
-    set_entries = spec.get("point_sets", [])
-    constraint_entries = spec.get("constraints", [])
+    modes = [AggregationMode(m) for m in _spec_list(spec, "modes", ["sum", "bottleneck"])]
+    set_entries = _spec_list(spec, "point_sets", [], objects=True)
+    constraint_entries = _spec_list(spec, "constraints", [], objects=True)
 
     report = {
         "seed": seed,

@@ -20,9 +20,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
-from .delaunay import VoronoiDiagram, voronoi
+from .delaunay import VoronoiDiagram, delaunay, voronoi
 from .errors import NearDelaunayError, SiteOutsideCircle
 from .geom import (
+    DEGENERACY_GUARD,
     Circle,
     Orientation,
     Point,
@@ -50,7 +51,7 @@ class ScoreOrientation(Enum):
     HIGHER_BETTER = "higher_better"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ElementScore:
     element: tuple
     value: float
@@ -263,7 +264,16 @@ def _segment_area_on_side(circle: Circle, a: Point, b: Point, side: Orientation)
     return circular_segment_area(circle, Segment(a, b), kind)
 
 
-def _triangular_lens_value(ps: PointSet, tri) -> float:
+def _inside_circumcircle(pts: Sequence[Point], tri) -> list[int]:
+    """Indices of the points strictly inside the triangle's circumcircle, by
+    the exact predicate, ascending."""
+    corners = tuple(pts[i] for i in tri)
+    return [i for i, p in enumerate(pts) if i not in tri and in_circumcircle(*corners, p)]
+
+
+def _triangular_lens_value(ps: PointSet, tri, inside: list[int] | None = None) -> float:
+    """The value given :func:`_inside_circumcircle` of the triangle, which is
+    scanned here when not given."""
     pts = ps.points
     iu, iv, iw = tri
     corners = (pts[iu], pts[iv], pts[iw])
@@ -271,7 +281,8 @@ def _triangular_lens_value(ps: PointSet, tri) -> float:
     r2 = circ.radius * circ.radius
     tri_area = polygon_area(corners)
     denom = math.pi * r2 - tri_area
-    inside = [i for i, p in enumerate(pts) if i not in tri and in_circumcircle(*corners, p)]
+    if inside is None:
+        inside = _inside_circumcircle(pts, tri)
     total = 0.0
     for a, b, opposite in ((iu, iv, iw), (iv, iw, iu), (iw, iu, iv)):
         pa, pb, pc = pts[a], pts[b], pts[opposite]
@@ -419,7 +430,20 @@ def _ellipse_halfplane_arcs(ell: Ellipse, n, c):
 def local_voronoi(c: Circle, inside_sites: Sequence[Point]) -> LocalVoronoiDiagram:
     """Locus of centers of maximal circles empty of the sites and contained
     in the given circle: elliptical arcs (circle boundary vs one site) and
-    straight bisector pieces (two sites)."""
+    straight bisector pieces (two sites).  Every site is clipped by every
+    other, so the sites need not be in general position;
+    ``shrunk_circumcircle`` clips by Delaunay neighbours only."""
+    return _local_voronoi(c, inside_sites, _every_other(len(inside_sites)))
+
+
+def _every_other(k: int) -> list[list[int]]:
+    return [[j for j in range(k) if j != i] for i in range(k)]
+
+
+def _local_voronoi(c: Circle, inside_sites: Sequence[Point], neighbours) -> LocalVoronoiDiagram:
+    """:func:`local_voronoi` with site i clipped only by the sites in
+    ``neighbours[i]`` (a symmetric relation), and a straight piece built only
+    for a pair i < j with j in ``neighbours[i]``."""
     o, big_r = c
     sites = tuple(Point(float(p[0]), float(p[1])) for p in inside_sites)
     for s in sites:
@@ -427,13 +451,15 @@ def local_voronoi(c: Circle, inside_sites: Sequence[Point]) -> LocalVoronoiDiagr
         # rounds to R or just above; its ellipse then degenerates (b = 0).
         if math.dist(o, s) > big_r * (1.0 + 1e-9):
             raise SiteOutsideCircle(f"site {s} is not inside {c}")
-    # Each site's bisector halfplanes, and the other sites nearest-first: a
+    # Each site's neighbours nearest-first, with their bisector halfplanes: a
     # near site is the likeliest to cut an arc or a bisector to nothing, and
     # the clips below stop once nothing is left.  Clipping intersects
     # intervals with exact max/min, so the order does not change the result.
-    halfplanes = [[_bisector_halfplane(s, other) for other in sites] for s in sites]
-    nearest = [
-        sorted((k for k in range(len(sites)) if k != i), key=lambda k: math.dist(s, sites[k]))
+    clips = [
+        [
+            (k, *_bisector_halfplane(s, sites[k]))
+            for k in sorted(neighbours[i], key=lambda k: math.dist(s, sites[k]))
+        ]
         for i, s in enumerate(sites)
     ]
     segments: list[EllipticalSegment | StraightSegment] = []
@@ -441,24 +467,23 @@ def local_voronoi(c: Circle, inside_sites: Sequence[Point]) -> LocalVoronoiDiagr
     for i, s in enumerate(sites):
         ell = ellipses[i]
         arcs = [(0.0, TWO_PI)]
-        for j in nearest[i]:
-            arcs = _intersect_intervals(arcs, _ellipse_halfplane_arcs(ell, *halfplanes[i][j]))
+        for _, n, cc in clips[i]:
+            arcs = _intersect_intervals(arcs, _ellipse_halfplane_arcs(ell, n, cc))
             if not arcs:
                 break
         for lo, hi in sorted(arcs):
             segments.append(EllipticalSegment(s, ell, lo, hi))
     for i in range(len(sites)):
-        for j in range(i + 1, len(sites)):
+        for j in sorted(k for k in neighbours[i] if k > i):
             si, sj = sites[i], sites[j]
             mid = Point((si[0] + sj[0]) / 2.0, (si[1] + sj[1]) / 2.0)
             dx, dy = sj[0] - si[0], sj[1] - si[1]
             norm = math.hypot(dx, dy)
             d = (-dy / norm, dx / norm)
             lo, hi = -math.inf, math.inf
-            for k in nearest[i]:
+            for k, n, cc in clips[i]:
                 if k == j:
                     continue
-                n, cc = halfplanes[i][k]
                 a0 = n[0] * mid[0] + n[1] * mid[1] - cc
                 a1 = n[0] * d[0] + n[1] * d[1]
                 if a1 == 0.0:
@@ -584,15 +609,87 @@ def _arc_candidates(seg: EllipticalSegment, sides):
     return [(ell.point_at(th), ell.radius_at(th)) for th in params]
 
 
-def _shrunk_circumcircle_value(ps: PointSet, tri) -> float:
+# A site less than this relative depth inside the circumcircle makes its
+# diagram clip by every other site (see _clip_lists).
+_SHALLOW_SITE = 1e-6
+
+
+def _clip_lists(ps: PointSet, circ: Circle, inside: list[int]) -> list[list[int]]:
+    """For each inside site, the inside sites that can bound its region of
+    the local diagram, as positions in ``inside``.
+
+    On a set validated at the default guard these are its neighbours in the
+    Delaunay triangulation of the whole set, by empty circles (see
+    Aurenhammer, "Voronoi diagrams -- a survey of a fundamental geometric
+    data structure", 1991).  Let C be the circumcircle and x a centre whose
+    circle lies inside C, through site s_i:
+
+    * Every point strictly inside C is an inside site.  So a circle inside C
+      that holds no site strictly inside holds no point of the set, and any
+      two sites on it form a Delaunay edge (no four points are cocircular).
+    * Say site s_k removes x from s_i's region: |x - s_k| < |x - s_i|.  The
+      circles through s_i centred on the segment from s_i to x are nested
+      in the circle of x, so they stay inside C, and they touch only at s_i.
+      The first one to meet a site meets some s_m, before the last one
+      (which holds s_k).  It holds no site, so s_i s_m is a Delaunay edge,
+      and s_m is strictly inside the circle of x: s_m removes x as well.  Every arc and straight
+      piece is therefore cut the same by s_i's neighbours as by every site.
+    * On the bisector of s_i and s_j, centres inside s_i's ellipse give
+      circles through both inside C.  If s_i s_j is not a Delaunay edge each
+      holds a site, so the pair has no piece.  Clipping a piece by s_i's
+      neighbours is the growing argument again, since s_i and s_j are the
+      same distance from x.
+
+    That is exact arithmetic.  Where a non-neighbour's cut meets an arc or a
+    bisector, its circle holds a site, so a neighbour cuts strictly further;
+    in floats the two agree while that margin exceeds rounding.  It did not
+    in two cases, which are clipped by every other site instead:
+
+    * sets that fail validation at the default guard (they also have no
+      Delaunay triangulation here);
+    * circles with a site less than ``_SHALLOW_SITE * R`` inside C.  Such a
+      site's ellipse is thin (b/a about sqrt(2 depth)).  On nearly
+      cocircular sets that pass the guard, neighbour lists dropped or
+      changed short straight pieces of circles whose shallowest site was up
+      to 4.1e-8 R deep, so the bound keeps a factor of 24.
+
+    Elsewhere the diagrams are checked ``==`` to clipping by every site."""
+    o, big_r = circ
     pts = ps.points
+    if ps._gp_guard < DEGENERACY_GUARD or any(
+        math.dist(o, pts[g]) > (1.0 - _SHALLOW_SITE) * big_r for g in inside
+    ):
+        return _every_other(len(inside))
+    # delaunay(ps) keeps its triangulation on the set; read it back without
+    # a call per triangle.
+    dt = ps._delaunay if ps._delaunay is not None else delaunay(ps)
+    adjacent = dt.neighbours()
+    position = {g: i for i, g in enumerate(inside)}
+    return [[position[h] for h in adjacent[g] if h in position] for g in inside]
+
+
+def _shrunk_circumcircle_value(ps: PointSet, tri, inside: list[int] | None = None) -> float:
+    """The value given :func:`_inside_circumcircle` of the triangle, which is
+    scanned here when not given.  Its local diagram clips each site by its
+    Delaunay neighbours among the inside sites (:func:`_clip_lists`)."""
+    pts = ps.points
+    if inside is None:
+        inside = _inside_circumcircle(pts, tri)
+    if not inside:
+        return 1.0
     corners = tuple(pts[i] for i in tri)
     circ = circumcircle(*corners)
+    return _largest_contained_circle(
+        corners, _local_voronoi(circ, [pts[i] for i in inside], _clip_lists(ps, circ, inside))
+    )
+
+
+def _largest_contained_circle(corners, diagram: LocalVoronoiDiagram) -> float:
+    """The shrunk_circumcircle value from the local diagram of the
+    circumcircle of ``corners``."""
+    circ = diagram.circle
     big_r = circ.radius
     r2 = big_r * big_r
-    sites = [p for i, p in enumerate(pts) if i not in tri and in_circumcircle(*corners, p)]
-    if not sites:
-        return 1.0
     inc = inscribed_circle(*corners)
     sides = [
         (corners[0], corners[1]),
@@ -600,7 +697,7 @@ def _shrunk_circumcircle_value(ps: PointSet, tri) -> float:
         (corners[2], corners[0]),
     ]
     candidates: list[tuple[Point, float]] = []
-    for seg in local_voronoi(circ, sites).segments:
+    for seg in diagram.segments:
         if isinstance(seg, StraightSegment):
             candidates.extend(_straight_candidates(seg, sides))
         else:
@@ -658,9 +755,9 @@ METRICS = (
     Metric("shrunk_circle", _EDGE, _HIGHER, 1.0,
            lambda ev, e: _shrunk_circle_value(ev.point_set, ev.voronoi(), *e)),
     Metric("triangular_lens", _TRI, _HIGHER, 1.0,
-           lambda ev, tri: _triangular_lens_value(ev.point_set, tri)),
+           lambda ev, tri: _triangular_lens_value(ev.point_set, tri, ev.inside(tri))),
     Metric("shrunk_circumcircle", _TRI, _HIGHER, 1.0,
-           lambda ev, tri: _shrunk_circumcircle_value(ev.point_set, tri)),
+           lambda ev, tri: _shrunk_circumcircle_value(ev.point_set, tri, ev.inside(tri))),
 )
 
 # Views of the registry, in its order.
@@ -697,11 +794,20 @@ class Evaluator:
         self.point_set = ps
         self._vd: VoronoiDiagram | None = None
         self._cache: dict[str, dict] = {m: {} for m in ALL_METRICS}
+        self._inside: dict[tuple, list[int]] = {}
 
     def voronoi(self) -> VoronoiDiagram:
         if self._vd is None:
             self._vd = voronoi(self.point_set)
         return self._vd
+
+    def inside(self, tri: tuple) -> list[int]:
+        """:func:`_inside_circumcircle` of a triangle, scanned once for both
+        triangle metrics."""
+        found = self._inside.get(tri)
+        if found is None:
+            found = self._inside[tri] = _inside_circumcircle(self.point_set.points, tri)
+        return found
 
     def element_value(self, metric: str, element: tuple) -> float:
         """Cached value of one element in the form ``triangulation.elements``

@@ -62,12 +62,13 @@ def apex_triangles(apex: ApexMap) -> set[Triple]:
 class Triangulation:
     """Immutable triangle set over a PointSet; its apex map is built on first use."""
 
-    __slots__ = ("point_set", "triangles", "_apexes", "_length", "_degree")
+    __slots__ = ("point_set", "triangles", "_apexes", "_neighbours", "_length", "_degree")
 
     def __init__(self, point_set: PointSet, triangles):
         self.point_set = point_set
         self.triangles: tuple[Triple, ...] = _canon_triples(triangles)
         self._apexes: ApexMap | None = None
+        self._neighbours: tuple[tuple[int, ...], ...] | None = None
         self._length: float | None = None
         self._degree: int | None = None
 
@@ -76,6 +77,16 @@ class Triangulation:
         if self._apexes is None:
             self._apexes = apex_map(self.triangles)
         return self._apexes
+
+    def neighbours(self) -> tuple[tuple[int, ...], ...]:
+        """Each point's neighbours along the edges, built on first use."""
+        if self._neighbours is None:
+            adjacent: list[list[int]] = [[] for _ in self.point_set.points]
+            for u, v in self.apexes():
+                adjacent[u].append(v)
+                adjacent[v].append(u)
+            self._neighbours = tuple(map(tuple, adjacent))
+        return self._neighbours
 
     def edges(self) -> tuple[EdgeKey, ...]:
         return tuple(sorted(self.apexes()))

@@ -56,6 +56,7 @@ from neardelaunay.metrics import (
     _dist_point_segment,
     _ellipse_halfplane_arcs,
     _intersect_intervals,
+    _largest_contained_circle,
     _site_ellipse,
     local_voronoi,
 )
@@ -1067,3 +1068,17 @@ def local_voronoi_in_index_order(c: Circle, inside_sites) -> LocalVoronoiDiagram
                 )
             )
     return LocalVoronoiDiagram(c, sites, tuple(segments))
+
+
+def all_pairs_shrunk_circumcircle(ps: PointSet, tri) -> float:
+    """The package's shrunk_circumcircle value before Delaunay-neighbour
+    clipping: the local diagram clips every site by every other site, in
+    index order."""
+    pts = ps.points
+    corners = tuple(pts[i] for i in tri)
+    sites = [p for i, p in enumerate(pts) if i not in tri and in_circumcircle(*corners, p)]
+    if not sites:
+        return 1.0
+    return _largest_contained_circle(
+        corners, local_voronoi_in_index_order(circumcircle(*corners), sites)
+    )

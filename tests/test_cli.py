@@ -504,6 +504,32 @@ class TestExperiment:
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ({"point_sets": 5}, "point_sets must be a list, got 5"),
+            ({"modes": 3}, "modes must be a list, got 3"),
+            ({"metrics": "lens"}, "metrics must be a list, got 'lens'"),
+            ({"point_sets": [5]}, "point_sets entry must be an object, got 5"),
+            ({"constraints": [5]}, "constraints entry must be an object, got 5"),
+            ({"seed": "x"}, "seed 'x' is not an integer"),
+            ({"seed": [1]}, "seed [1] is not an integer"),
+        ],
+    )
+    def test_malformed_spec_field_is_an_error(self, tmp_path, capsys, field, message):
+        spec = {
+            "point_sets": [{"name": "tiny", "points": [[0, 0], [2, 0], [1, 0.5], [1, -0.5]]}],
+            "constraints": [{"type": "max_degree", "bound": 5}],
+            "metrics": ["lens"],
+            "modes": ["sum"],
+            **field,
+        }
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        rc = main(["experiment", str(spec_path), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_default_spec_shape(self):
         spec = make_default_spec(7)
         assert len(spec["point_sets"]) == 10

@@ -16,6 +16,7 @@ from neardelaunay.geom import (
     chord_overlap_length,
     circumcircle,
     in_circumcircle,
+    is_general_position,
     orientation,
     similarity_transform,
 )
@@ -54,6 +55,7 @@ from neardelaunay.triangulation import (
 from conftest import random_jittered_circle
 from divergence import ALL_PAIRS, score_element
 from oracles import (
+    all_pairs_shrunk_circumcircle,
     bisection_shrunk_circumcircle,
     clip_dual_overlap_oracle,
     grid_shrunk_circle,
@@ -302,28 +304,40 @@ def _crossing_chords(pts):
 
 
 class TestLocalVoronoiNearestFirst:
-    """Nearest-first clipping with early stops gives exactly the diagram, and
-    the shrunk_circumcircle values, of clipping every site in index order."""
+    """Nearest-first clipping gives exactly the diagram, and the
+    shrunk_circumcircle values, of clipping every site in index order: by
+    every other site in public local_voronoi, and by Delaunay neighbours in
+    the metric on validated sets."""
 
     @staticmethod
     def _check(monkeypatch, ps, triangles):
-        """Compare every occupied circumcircle; return their number and the
-        largest number of sites inside one."""
+        """Compare every occupied circumcircle; return their number, the
+        largest number of sites inside one, and whether the set passed
+        validation, which makes the metric clip by Delaunay neighbours."""
+        validated = is_general_position(ps)
         pts = ps.points
-        occupied, k_max = [], 0
+        occupied, expected, k_max = [], [], 0
         for tri in triangles:
             corners = [pts[i] for i in tri]
             sites = [p for i, p in enumerate(pts) if i not in tri and in_circumcircle(*corners, p)]
             if sites:
                 circ = circumcircle(*corners)
-                assert local_voronoi(circ, sites) == local_voronoi_in_index_order(circ, sites)
+                expected.append(local_voronoi_in_index_order(circ, sites))
+                assert local_voronoi(circ, sites) == expected[-1]
                 occupied.append(tri)
                 k_max = max(k_max, len(sites))
-        values = [_shrunk_circumcircle_value(ps, tri) for tri in occupied]
+        clip, built = metrics._local_voronoi, []
+
+        def recording(c, sites, neighbours):
+            built.append(clip(c, sites, neighbours))
+            return built[-1]
+
         with monkeypatch.context() as m:
-            m.setattr(metrics, "local_voronoi", local_voronoi_in_index_order)
-            assert [_shrunk_circumcircle_value(ps, tri) for tri in occupied] == values
-        return len(occupied), k_max
+            m.setattr(metrics, "_local_voronoi", recording)
+            values = [_shrunk_circumcircle_value(ps, tri) for tri in occupied]
+        assert built == expected
+        assert values == [all_pairs_shrunk_circumcircle(ps, tri) for tri in occupied]
+        return len(occupied), k_max, validated
 
     def test_cdt_with_crossing_chords(self, monkeypatch):
         k_max = 0
@@ -331,23 +345,63 @@ class TestLocalVoronoiNearestFirst:
             rng = random.Random(f"lv-cdt/{n}")
             pts = [(rng.random(), rng.random()) for _ in range(n)]
             ps = PointSet(pts)
-            count, k = self._check(monkeypatch, ps, cdt(ps, _crossing_chords(pts)).triangles)
-            assert count > 0
+            count, k, validated = self._check(
+                monkeypatch, ps, cdt(ps, _crossing_chords(pts)).triangles
+            )
+            assert count > 0 and validated
             k_max = max(k_max, k)
         assert k_max >= 40
 
+    def test_cdt_of_more_random_sets(self, monkeypatch):
+        for n in (30, 50, 70):
+            rng = random.Random(f"lv-cdt-more/{n}")
+            for _ in range(5):
+                pts = [(rng.random(), rng.random()) for _ in range(n)]
+                ps = PointSet(pts)
+                count, _, validated = self._check(
+                    monkeypatch, ps, cdt(ps, _crossing_chords(pts)).triangles
+                )
+                assert count > 0 and validated
+
     def test_every_triangle_of_random_sets(self, monkeypatch):
         rng = random.Random(10)
+        validated = 0
         for _ in range(40):
             ps = PointSet([(rng.random(), rng.random()) for _ in range(10)])
-            self._check(monkeypatch, ps, itertools.combinations(range(10), 3))
+            validated += self._check(monkeypatch, ps, itertools.combinations(range(10), 3))[2]
+        assert validated >= 30
 
     def test_near_cocircular_sets(self, monkeypatch):
         rng = random.Random(11)
         for jitter in (1e-12, 1e-9, 1e-6, 1e-3):
             ps = PointSet(random_jittered_circle(rng, 9, jitter))
-            count, k = self._check(monkeypatch, ps, itertools.combinations(range(9), 3))
+            count, k, _ = self._check(monkeypatch, ps, itertools.combinations(range(9), 3))
             assert k == 6
+
+    @pytest.mark.parametrize("jitter", [1e-12, 1e-9])
+    def test_sets_the_guard_rejects_keep_every_site_values(self, jitter):
+        rng = random.Random(f"lv-rejected/{jitter}")
+        rejected = 0
+        for _ in range(10):
+            ps = PointSet(random_jittered_circle(rng, 9, jitter))
+            if is_general_position(ps):
+                continue
+            rejected += 1
+            for tri in itertools.combinations(range(9), 3):
+                assert _shrunk_circumcircle_value(ps, tri) == all_pairs_shrunk_circumcircle(ps, tri)
+        assert rejected >= 3
+
+    @pytest.mark.parametrize("jitter", [1e-9, 3e-9, 1e-8])
+    def test_validated_sets_with_shallow_sites(self, monkeypatch, jitter):
+        """Validated sets whose sites lie within about 1e-8 R of a
+        circumcircle, where Delaunay-neighbour lists would drop or change
+        short straight pieces."""
+        rng = random.Random(f"lv-shallow/{jitter}")
+        validated = 0
+        for _ in range(10):
+            ps = PointSet(random_jittered_circle(rng, 9, jitter))
+            validated += self._check(monkeypatch, ps, itertools.combinations(range(9), 3))[2]
+        assert validated >= 2
 
     def test_sites_on_the_circle_and_at_the_centre(self):
         rng = random.Random(12)
