@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .delaunay import VoronoiDiagram, delaunay, voronoi
 from .errors import NearDelaunayError, SiteOutsideCircle
 from .geom import (
@@ -817,6 +819,16 @@ class Evaluator:
         if value is None:
             value = cache[element] = _BY_NAME[metric].value(self, element)
         return value
+
+    def values_by_id(self, metric: str, ids: np.ndarray, element) -> np.ndarray:
+        """One float array indexed by element id: entry e is the value of
+        ``element(e)`` for every id e in ``ids`` (non-negative integers, any
+        shape), 0 for the ids not in it.  ``np.bincount`` marks the ids used,
+        so ``values[ids]`` gathers per-row values without a sort."""
+        used = np.flatnonzero(np.bincount(ids.ravel()))
+        values = np.zeros(int(used[-1]) + 1 if len(used) else 0)
+        values[used] = [self.element_value(metric, element(e)) for e in used.tolist()]
+        return values
 
     def scores(self, t: Triangulation, metric: str) -> list[ElementScore]:
         m = lookup_metric(metric)

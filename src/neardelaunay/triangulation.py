@@ -482,12 +482,17 @@ def _legal_flips(ps: PointSet) -> list[tuple[int, int, int, int]]:
     uvp and uvq, p left and q right of u -> v, become upq and vpq.
 
     Legality is the test :func:`flip_edge` makes: the new diagonal pq must have
-    u and v strictly on opposite sides.
+    u and v strictly on opposite sides.  An end of a pair is collinear with
+    it without asking ``orientation``, whose determinant there is exactly 0
+    and would be recomputed in rationals.
     """
     pts = ps.points
     n = len(pts)
     side = {
-        (a, b): [orientation(pts[a], pts[b], w) for w in pts]
+        (a, b): [
+            Orientation.COLLINEAR if w in (a, b) else orientation(pts[a], pts[b], pts[w])
+            for w in range(n)
+        ]
         for a, b in itertools.combinations(range(n), 2)
     }
     flips = []
@@ -539,6 +544,8 @@ def triangulation_table(
     tri_edges = edge_lut[corners[:, [0, 0, 1]], corners[:, [1, 2, 2]]]
     tri_opp = corners[:, [2, 1, 0]].astype(edge_lut.dtype)
     edge_len = np.array([math.dist(ps[i], ps[j]) for i, j in pairs])
+    incidence = np.zeros((n_pairs, n))  # edge x vertex, 1 at the edge's ends
+    incidence[np.arange(n_pairs), ends[:, 0]] = incidence[np.arange(n_pairs), ends[:, 1]] = 1
     hull = np.array(ps.hull())
     h = len(hull)
     n_edges, n_interior = 3 * n - h - 3, 3 * n - 2 * h - 3
@@ -554,40 +561,42 @@ def triangulation_table(
     u, v, p, q = np.array(_legal_flips(ps), dtype=np.intp).reshape(-1, 4).T
     gone = np.stack([tri_lut[u, v, p], tri_lut[u, v, q]], axis=1)
     born = np.stack([tri_lut[u, p, q], tri_lut[v, p, q]], axis=1)
-    flip_at = np.full((len(triangles),) * 2, -1, dtype=_id_dtype(len(u)))  # (lower, higher)
-    flip_at[gone.min(axis=1), gone.max(axis=1)] = np.arange(len(u))
+    n_tri = len(triangles)
+    flip_at = np.full(n_tri * n_tri, -1, dtype=_id_dtype(len(u)))  # at lower * n_tri + higher
+    flip_at[gone.min(axis=1).astype(np.intp) * n_tri + gone.max(axis=1)] = np.arange(len(u))
     flip_key = _one_bit(bit[edge_lut[u, v]], words) | _one_bit(bit[edge_lut[p, q]], words)
 
     def expand(block: np.ndarray):
         """The table columns of a block of rows, and each row's legal flips
         as (row in block, flip)."""
         b = len(block)
-        seq = tri_edges[block].reshape(b, -1)  # every edge once per triangle
-        opp = tri_opp[block].reshape(b, -1)
-        slot = np.arange(seq.shape[1], dtype=np.int32)
+        seq = np.take(tri_edges, block, axis=0).reshape(b, -1)  # every edge once per triangle
+        opp = np.take(tri_opp, block, axis=0).ravel()
+        width = seq.shape[1]
+        slot = np.arange(width, dtype=np.int32)
         at = (seq + np.arange(0, b * n_pairs, n_pairs, dtype=np.int32)[:, None]).ravel()
         # per (row, edge): 4 * (sum of its one or two slots) + its count
         tally = np.bincount(at, weights=np.tile(4 * slot + 1, b), minlength=b * n_pairs)
-        tally = tally[at].astype(np.int32).reshape(b, -1)
-        mate = (tally >> 2) - slot  # an interior edge's other slot
+        degree = ((tally > 0).reshape(b, n_pairs) @ incidence).max(axis=1).astype(np.int16)
+        tally = np.take(tally, at).astype(np.int32).reshape(b, width)
+        step = (tally >> 2) - 2 * slot  # from an interior edge's slot to its other one
         # Rows ascend, so the first slot of an interior edge is in its lower
         # triangle: these with the hull edges are apex_map's insertion order.
-        lower = mate > slot
+        lower = step > 0
         inserted = seq[lower | (tally & 3 == 1)].reshape(b, n_edges)
-        length = np.zeros(b)
-        for c in range(n_edges):  # left to right, as total_edge_length adds
-            length += edge_len[inserted[:, c]]
+        # left to right, as total_edge_length adds
+        length = np.take(edge_len, inserted).cumsum(axis=1)[:, -1]
         edges = np.sort(inserted, axis=1)
-        r, s = np.nonzero(lower)
-        t = mate[r, s]
-        pq = edge_lut[opp[r, s], opp[r, t]]
-        quads = (seq[r, s].astype(quad_dtype) * n_pairs + pq).reshape(b, n_interior)
+        first = np.flatnonzero(lower)  # flat (row, slot) indices
+        second = first + np.take(step, first)
+        pq = np.take(edge_lut, np.take(opp, first) * n + np.take(opp, second))
+        quads = (np.take(seq, first).astype(quad_dtype) * n_pairs + pq).reshape(b, n_interior)
         quads.sort(axis=1)
-        at = (ends[edges] + np.arange(0, b * n, n, dtype=np.int32)[:, None, None]).ravel()
-        degree = np.bincount(at, minlength=b * n).reshape(b, n).max(axis=1).astype(np.int16)
-        flips = flip_at[block[r, s // 3], block[r, t // 3]]
+        # slot s of a row is in its triangle s // 3, so flat index // 3 is flat in block
+        tri = block.ravel().astype(np.intp)
+        flips = np.take(flip_at, np.take(tri, first // 3) * n_tri + np.take(tri, second // 3))
         legal = flips >= 0
-        return (edges, quads, length, degree), r[legal], flips[legal]
+        return (edges, quads, length, degree), first[legal] // width, flips[legal]
 
     rows = np.array([[tri_lut[tri] for tri in scan_triangulation(ps).triangles]])
     seed_bits = bit[np.unique(tri_edges[rows])]

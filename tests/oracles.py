@@ -21,6 +21,7 @@ from itertools import combinations, islice
 import numpy as np
 
 from neardelaunay.aggregate import (
+    LEX_TOLERANCE,
     AggregationMode,
     Comparison,
     ScoreVector,
@@ -59,12 +60,14 @@ from neardelaunay.metrics import (
     _largest_contained_circle,
     _site_ellipse,
     local_voronoi,
+    lookup_metric,
 )
 from neardelaunay.triangulation import (
     DEFAULT_ENUMERATION_CAP,
     Triangulation,
     TriangulationTable,
     check_enumeration_cap,
+    feasible_rows,
     flip,
     satisfies,
     scan_triangulation,
@@ -581,6 +584,69 @@ def best_by_scan(candidates, constraint, metric, mode, dt_length, evaluator):
         elif best is None or compare_bottleneck_lex(sv, best_vec) is Comparison.A_CLOSER:
             best, best_vec = t, sv
     return best
+
+
+# --- the search before dense values and the candidate filter -------------------
+
+# Rows per block of the oracle's sum and bottleneck scans.
+_SCAN_ROWS = 1024
+
+
+def scan_best_sum(scores: np.ndarray, lower_better: bool) -> int:
+    """Row with the best math.fsum, by fsum on every row; a later row wins
+    only when strictly better, so ties keep the earliest."""
+    best, best_sum = 0, None
+    for lo in range(0, len(scores), _SCAN_ROWS):
+        for row, values in enumerate(scores[lo : lo + _SCAN_ROWS].tolist(), lo):
+            value = math.fsum(values)
+            if best_sum is None or (value < best_sum if lower_better else value > best_sum):
+                best, best_sum = row, value
+    return best
+
+
+def block_best_bottleneck(scores: np.ndarray, lower_better: bool) -> int:
+    """The scan of compare_bottleneck_lex over the rows, comparing fixed
+    blocks of 1,024 rows with the best; ties keep the earliest."""
+    worst_first = np.sort(scores, axis=1)
+    if lower_better:
+        worst_first = worst_first[:, ::-1]
+    if worst_first.shape[1] == 0:
+        return 0
+    best, lo = 0, 1
+    while lo < len(worst_first):
+        block = worst_first[lo : lo + _SCAN_ROWS]
+        ref = worst_first[best]
+        differs = ~(np.abs(block - ref) <= LEX_TOLERANCE)
+        at = differs.argmax(axis=1)
+        x = np.take_along_axis(block, at[:, None], axis=1)[:, 0]
+        closer = np.flatnonzero(differs.any(axis=1) & ((x < ref[at]) == lower_better))
+        if len(closer):
+            best = lo + int(closer[0])
+            lo = best + 1
+        else:
+            lo += len(block)
+    return best
+
+
+def unique_best_triangulation(table, constraint, metric, mode, dt_length, evaluator):
+    """best_triangulation with element values looked up through np.unique
+    and the two scans above."""
+    lower_better = METRIC_ORIENTATION[metric] is ScoreOrientation.LOWER_BETTER
+    feasible = np.flatnonzero(feasible_rows(table, constraint, dt_length))
+    if not len(feasible):
+        return None
+    ids, element = table.element_ids(lookup_metric(metric).decomposition)
+    ids = ids[feasible]
+    used, at = np.unique(ids.ravel(), return_inverse=True)
+    values = np.array(
+        [evaluator.element_value(metric, element(e)) for e in used.tolist()], dtype=float
+    )
+    scores = values[at].reshape(ids.shape)
+    if mode is AggregationMode.SUM:
+        best = scan_best_sum(scores, lower_better)
+    else:
+        best = block_best_bottleneck(scores, lower_better)
+    return table.triangulation(int(feasible[best]))
 
 
 # --- in_circumcircle by direct distances -------------------------------------

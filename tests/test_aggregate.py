@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from neardelaunay import aggregate
 from neardelaunay.aggregate import (
+    LEX_TOLERANCE,
     AggregationMode,
     Comparison,
     ScoreVector,
@@ -15,7 +18,7 @@ from neardelaunay.aggregate import (
 from neardelaunay.delaunay import cdt, delaunay
 from neardelaunay.errors import EnumerationTooLarge, IncomparableScores, NearDelaunayError
 from neardelaunay.geom import PointSet, similarity_transform
-from neardelaunay.metrics import ALL_METRICS, Evaluator, ScoreOrientation
+from neardelaunay.metrics import ALL_METRICS, Evaluator, ScoreOrientation, lookup_metric
 from neardelaunay.pointgen import pick_required_edge, random_point_set, wheel_point_set
 from neardelaunay.triangulation import (
     MaxDegree,
@@ -23,12 +26,19 @@ from neardelaunay.triangulation import (
     MinTotalLength,
     RequiredEdges,
     enumerate_triangulations,
+    feasible_rows,
     satisfies,
     total_edge_length,
     triangulation_table,
 )
 
-from oracles import best_by_scan, enumerate_by_frozenset_walk
+from oracles import (
+    best_by_scan,
+    block_best_bottleneck,
+    enumerate_by_frozenset_walk,
+    scan_best_sum,
+    unique_best_triangulation,
+)
 
 
 def lower(values):
@@ -333,3 +343,209 @@ class TestOptimizeMemo:
                     total_edge_length(delaunay(ps)), Evaluator(ps),
                 )
                 assert (got and got.triangles) == (fresh and fresh.triangles)
+
+
+def _tie_squares(*offsets):
+    """Translated copies of a near-square: a triangulation's score changes
+    only in the copies it triangulates differently, so rows tie widely
+    (exactly under dyadic offsets)."""
+    square = [(0.0, 0.0), (1.0, 0.0625), (1.0625, 1.0), (0.0625, 0.9375)]
+    return PointSet([(x + dx, y + dy) for dx, dy in offsets for x, y in square])
+
+
+DENSE_SETS = {
+    **{f"random{n}": lambda n=n: random_point_set(n, seed=1300 + n) for n in range(6, 12)},
+    "wheel": wheel_point_set,
+    "squares2": lambda: _tie_squares((0.0, 0.0), (4.0, 0.5)),
+    "squares2-rounded": lambda: _tie_squares((0.0, 0.0), (3.3, 0.7)),
+    "squares3": lambda: _tie_squares((0.0, 0.0), (4.0, 0.5), (8.0, 1.5)),
+}
+
+
+def _exact_sums(table, constraint, metric, dt_length, ev):
+    """math.fsum of every feasible row's element values."""
+    ids, element = table.element_ids(lookup_metric(metric).decomposition)
+    ids = ids[feasible_rows(table, constraint, dt_length)]
+    value = {e: ev.element_value(metric, element(e)) for e in np.unique(ids).tolist()}
+    return [math.fsum(map(value.__getitem__, row)) for row in ids.tolist()]
+
+
+class TestDenseSearchOracle:
+    """best_triangulation against tests/oracles.py unique_best_triangulation,
+    the search before dense element values, the candidate filter and the
+    growing bottleneck blocks, on every metric, constraint kind and mode."""
+
+    @pytest.mark.parametrize("name", sorted(DENSE_SETS))
+    def test_same_row(self, name):
+        ps = DENSE_SETS[name]()
+        table = triangulation_table(ps)
+        dt_len = total_edge_length(delaunay(ps))
+        edge = pick_required_edge(ps)
+        constraints = (
+            RequiredEdges([edge] if edge else []),
+            MinTotalLength(1.1),
+            MinTotalLength(1.0),
+            MaxTotalLength(0.9),
+            MaxTotalLength(1.0),
+            MaxDegree(4),
+            MaxDegree(5),
+        )
+        ev = Evaluator(ps)
+        tied = 0
+        for c in constraints:
+            for metric in ALL_METRICS:
+                for mode in AggregationMode:
+                    got = best_triangulation(table, c, metric, mode, dt_len, ev)
+                    want = unique_best_triangulation(table, c, metric, mode, dt_len, ev)
+                    assert (got and got.triangles) == (want and want.triangles), (c, metric, mode)
+                    if name.startswith("squares") and want and mode is AggregationMode.SUM:
+                        tied += _exact_sums(table, c, metric, dt_len, ev).count(
+                            math.fsum(ev.values(want, metric))
+                        ) > 1
+        if name.startswith("squares"):
+            assert tied  # some best rows must tie exactly with later ones
+
+
+def _row_by_row_bottleneck(scores, lower_better):
+    """compare_bottleneck_lex over the rows one by one."""
+    orientation = (
+        ScoreOrientation.LOWER_BETTER if lower_better else ScoreOrientation.HIGHER_BETTER
+    )
+    vectors = [ScoreVector("m", orientation, tuple(row)) for row in scores.tolist()]
+    best = 0
+    for row, sv in enumerate(vectors):
+        if compare_bottleneck_lex(sv, vectors[best]) is Comparison.A_CLOSER:
+            best = row
+    return best
+
+
+class TestBestSum:
+    """The candidate-filtered sum against tests/oracles.py scan_best_sum,
+    which takes math.fsum of every row."""
+
+    @staticmethod
+    def check(scores):
+        scores = np.asarray(scores, dtype=float)
+        for lower_better in (True, False):
+            assert aggregate._best_sum(scores, lower_better) == scan_best_sum(
+                scores, lower_better
+            ), lower_better
+
+    def test_cancellation_in_every_order(self):
+        rng = np.random.default_rng(5)
+        # exact sums 2, 2 + 2**-52, 2 - 2**-52 and 3; the float sum of a row
+        # depends on its order
+        multisets = [
+            [1e16, 1.0, -1e16, 1.0, 0.0, 0.0],
+            [1e16, 1.0, -1e16, 1.0 + 2**-52, 0.0, 0.0],
+            [1e16, 1.0, -1e16, 1.0 - 2**-52, 0.0, 0.0],
+            [1e16, 2.0, -1e16, 1.0, 0.0, 0.0],
+        ]
+        for _ in range(20):
+            rows = [rng.permutation(multisets[rng.integers(4)]) for _ in range(60)]
+            scores = np.array(rows)
+            sums = scores.sum(axis=1)
+            exact = [math.fsum(r) for r in rows]
+            assert any(s != e for s, e in zip(sums.tolist(), exact))
+            self.check(scores)
+
+    def test_exact_ties_that_float_sums_split(self):
+        # equal exact sums, unequal float sums: the earliest row wins,
+        # not the row with the best float sum
+        scores = np.array([[0.1, 0.2, 0.3], [0.3, 0.2, 0.1], [0.2, 0.3, 0.1]] * 3)
+        sums = scores.sum(axis=1)
+        assert len(set(sums.tolist())) > 1
+        assert len({math.fsum(r) for r in scores.tolist()}) == 1
+        assert aggregate._best_sum(scores, True) == 0
+        assert aggregate._best_sum(scores[1:], False) == 0
+        self.check(scores)
+        self.check(scores[::-1])
+
+    def test_ulp_apart_rows(self):
+        rng = np.random.default_rng(6)
+        for _ in range(30):
+            base = rng.uniform(0, 1, size=rng.integers(1, 30))
+            rows = []
+            for _ in range(200):
+                row = rng.permutation(base)
+                j = rng.integers(len(row))
+                row[j] = np.nextafter(row[j], rng.choice([-np.inf, np.inf]))
+                rows.append(row)
+            self.check(rows)
+
+    def test_all_rows_equal(self):
+        self.check(np.full((50, 7), 0.25))
+        assert aggregate._best_sum(np.full((50, 7), 0.25), True) == 0
+
+    def test_zero_columns(self):
+        self.check(np.zeros((4, 0)))
+        assert aggregate._best_sum(np.zeros((4, 0)), False) == 0
+
+
+class TestBestBottleneck:
+    """The growing blocks of _best_bottleneck against tests/oracles.py
+    block_best_bottleneck (fixed 1,024-row blocks) and a row-by-row
+    compare_bottleneck_lex scan."""
+
+    @staticmethod
+    def check(scores):
+        for lower_better in (True, False):
+            got = aggregate._best_bottleneck(scores, lower_better)
+            assert got == block_best_bottleneck(scores, lower_better), lower_better
+            assert got == _row_by_row_bottleneck(scores, lower_better), lower_better
+        return got
+
+    def test_chains_below_the_tolerance(self):
+        # Each row's worst entry moves 0.6 tolerances from the row before,
+        # so neighbours tie on it and rows two apart do not: which rows
+        # become best depends on the order of the scan.
+        rng = np.random.default_rng(7)
+        step = 0.6 * LEX_TOLERANCE
+        order_decides = 0
+        for rows in (50, 1100, 3000):
+            for drift in (1, -1, 0):
+                first = 0.9 + drift * step * np.arange(rows)
+                if drift == 0:
+                    first = 0.9 + step * rng.integers(-1, 2, size=rows).cumsum()
+                scores = np.column_stack(
+                    [first, rng.uniform(0, 0.5, size=rows), rng.uniform(0, 0.1, size=rows)]
+                )
+                self.check(scores)
+                # exact worst-first order, without the tolerance, picks another row
+                plain = min(range(rows), key=lambda r: sorted(scores[r].tolist())[::-1])
+                order_decides += aggregate._best_bottleneck(scores, True) != plain
+        assert order_decides
+
+    @pytest.mark.parametrize("closer_at", [8, 9, 24, 25, 1016, 1017, 1024, 1025, 1026, 2040, 2041, 2049])
+    def test_closer_row_at_block_boundaries(self, closer_at):
+        # one closer row among 3,100 worse rows, then a second one
+        # 8 and 9 rows further, just past the first block after a reset
+        for later in (8, 9, 1024):
+            scores = np.full((3100, 3), 0.5)
+            scores[1:, 2] = 0.6
+            scores[closer_at, 2] = 0.4
+            scores[closer_at + later, 2] = 0.3
+            self.check(scores)
+            assert aggregate._best_bottleneck(scores, True) == closer_at + later
+
+    def test_zero_columns(self):
+        assert self.check(np.zeros((5, 0))) == 0
+
+
+def test_dense_query_peak_at_most_the_oracle():
+    ps = random_point_set(12, seed=1201)
+    table = triangulation_table(ps)
+    dt_len = total_edge_length(delaunay(ps))
+    ev = Evaluator(ps)
+    c = MinTotalLength(1.1)
+    for mode in AggregationMode:
+        peaks = {}
+        for search in (unique_best_triangulation, best_triangulation):
+            search(table, c, "dual_area_overlap", mode, dt_len, ev)  # warm the values
+            tracemalloc.start()
+            try:
+                search(table, c, "dual_area_overlap", mode, dt_len, ev)
+                peaks[search.__name__] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["best_triangulation"] <= peaks["unique_best_triangulation"], (mode, peaks)

@@ -429,6 +429,23 @@ class TestTableMatchesBitmaskOracle:
                 tracemalloc.stop()
         assert peaks["triangulation_table"] <= peaks["bitmask_table"], peaks
 
+    def test_build_needs_no_exact_orientation(self, monkeypatch):
+        # _legal_flips takes a pair's own ends as collinear without asking
+        # orientation, whose float test cannot decide an exact zero
+        ps = random_point_set(12, seed=1203)
+        calls = 0
+        exact = geom_module._orient_det_exact
+
+        def counted(a, b, c):
+            nonlocal calls
+            calls += 1
+            return exact(a, b, c)
+
+        monkeypatch.setattr(geom_module, "_orient_det_exact", counted)
+        table = triangulation_table(ps)
+        assert len(table) > 1000
+        assert calls == 0
+
 
 class TestQuadrilaterals:
     def test_p4_single_quad(self, p4):
