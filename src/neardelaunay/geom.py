@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -277,7 +276,7 @@ class PointSet:
         if len(set(pts)) != len(pts):
             raise DegeneratePoints("duplicate points")
         self.points: tuple[Point, ...] = tuple(pts)
-        self._gp_guard = 0.0
+        self._gp_guard = -math.inf  # below every valid guard: not validated
         self._hull: tuple[int, ...] | None = None
         self._delaunay = None  # built and kept by delaunay.delaunay
 
@@ -350,94 +349,226 @@ def similarity_transform(
     return PointSet(out)
 
 
-def _colex(m: int, k: int) -> np.ndarray:
-    """The k-subsets of range(m) in colex order (by highest index, then the
-    next highest, ...), as k columns.  Its first C(d, k) rows are the
-    k-subsets of range(d).  Colex order is reversed lex order of the
-    subsets mirrored by x -> m - 1 - x."""
-    lex = np.fromiter(combinations(range(m), k), np.dtype((np.int64, k)))
-    return np.ascontiguousarray((m - 1 - lex[::-1, ::-1]).T)
+# General position: one scan of the lexicographic triple table.
+#
+# The table is built in blocks of whole pairs (a, b), about _GP_BLOCK
+# triples (a, b, x) with x > b each.  Every triple gets the collinear test;
+# the first block with an offending triple holds the first one, named at
+# once.  The same triples give each pair's keys for the cocircular filter.
+#
+# Identity.  For a < b and a point x write u = a - x, v = b - x,
+#   X_x = u x v,  D_x = u . v,  p_x = |u| |v| = sqrt(X_x^2 + D_x^2),
+# so D_x + i X_x = p_x e^(i theta_x), theta_x the signed angle axb.  Then
+#   incircle(a, b, c, d) = -(X_c D_d - D_c X_d) = -p_c p_d sin(theta_c - theta_d).
+# Proof: read points as complex numbers, where Im(conj(s) t) = s x t, so
+# w_x = D_x + i X_x = conj(a - x)(b - x) and the middle term is
+# Im(conj(w_c) w_d).  Both sides are translation invariant; with d = 0,
+#   conj(w_c) w_d = (a - c) conj(b - c) conj(a) b = (|a|^2 - c conj(a)) (|b|^2 - b conj(c)),
+# whose imaginary part is |a|^2 (b x c) + |b|^2 (c x a) + |c|^2 (a x b), the
+# in-circle determinant with origin d.  With kappa_x = theta_x mod pi,
+# |det| = p_c p_d sin(delta), delta the distance of kappa_c and kappa_d on a
+# circle of length pi, at most pi / 2, where sin(delta) >= 2 delta / pi.
+#
+# Bound.  A quadruple is flagged when |det~| <= guard l2~^2 in floats, with
+# l2~ <= S, the largest float squared distance of the set.  Evaluated as it
+# is, det~ errs by at most about 30 eps D^4 (Shewchuk's in-circle bound,
+# 10 eps times a permanent of at most 3 D^4), and D^2 <= S (1 + 5 eps), so
+# a flagged quadruple has |det| <= G = S^2 (guard + 64 eps), times a factor
+# 1 + 64 eps that also covers the roundings of guard l2 l2, of p_x^2 from the
+# float squared distances and of the radius below.
+#
+# Window.  Flagged gives delta <= pi G / (2 p_c p_d) <= r_c + r_d with
+# r_x = pi G / (4 p_x^2) (AM-GM: 2 / (p_c p_d) <= 1 / p_c^2 + 1 / p_d^2), plus
+# _KEY_SLACK per key for the error of the float kappa_x (u and v round to
+# within eps per coordinate, so (D_x, X_x) moves by under 6 eps p_x, and
+# atan2 adds a few ulp) and of the distance test.  So the pair lies within
+# 2 r of the key with the larger radius: each key searches that window among
+# its own pair's sorted keys, wrapping at 0 = pi, and keeps the pairs it
+# outranks whose keys lie within r_c + r_d.  Only these candidates get the
+# float test above, with the origin at the highest index as before, so
+# every flagged quadruple is found and the bits of each test are unchanged.
+# Keys sort as kappa + 4 p, p the pair's number in its block, so a pair's
+# keys lie in [4p, 4p + pi]; below 2^16 (_GP_BLOCK <= 2^13) those sums and
+# the window ends round by at most 2^-38 each, which _OFFSET_SLACK covers.
+# The analysis assumes no underflow or overflow: sets with S outside
+# [2^-400, 2^400] search whole pairs, which tests every quadruple.
+
+# Triples per block of the triple table, and window entries per chunk of
+# the candidate search; together they bound the scan's memory.
+_GP_BLOCK = 8192
+_GP_CHUNK = 1 << 16
+_KEY_SLACK = 64 * _EPS
+_OFFSET_SLACK = 2.0**-33
 
 
-def _collinear(a: np.ndarray, b: np.ndarray, c: np.ndarray, guard: float) -> np.ndarray:
-    """Mask of the rows of a, b, c (rows x 2 each) whose triangle is near-collinear."""
-    det = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
-        c[:, 0] - a[:, 0]
-    )
-    l2 = np.maximum(
-        ((b - a) ** 2).sum(1),
-        np.maximum(((c - a) ** 2).sum(1), ((c - b) ** 2).sum(1)),
-    )
+def _runs(count: np.ndarray, limit: int):
+    """Runs of consecutive items whose counts sum to at most `limit`, or
+    one larger item: per run its first and end item, and per unit of its
+    counts the unit's item (from 0 in the run) and its rank in that item."""
+    end = np.cumsum(count)
+    i = 0
+    while i < len(count):
+        done = end[i - 1] if i else 0
+        j = max(i + 1, int(np.searchsorted(end, done + limit, "right")))
+        size = count[i:j]
+        item = np.repeat(np.arange(j - i), size)
+        yield i, j, item, np.arange(len(item)) - (np.cumsum(size) - size)[item]
+        i = j
+
+
+def _triple_blocks(n: int):
+    """The triples a < b < c of range(n) in lexicographic order, in blocks
+    of whole pairs (a, b) of about _GP_BLOCK triples: per block the index
+    arrays a, b and c and each triple's pair number within the block."""
+    a, b = np.triu_indices(n, 1)
+    count = n - 1 - b
+    has = count > 0
+    a, b, count = a[has], b[has], count[has]
+    for lo, hi, pair, step in _runs(count, _GP_BLOCK):
+        b_pair = b[lo:hi][pair]
+        yield a[lo:hi][pair], b_pair, b_pair + 1 + step, pair
+
+
+def _collinear(coords: np.ndarray, sq: np.ndarray, a, b, c, guard: float) -> np.ndarray:
+    """Mask of the triples a < b < c (index arrays) that are near-collinear."""
+    x, y = coords[:, 0], coords[:, 1]
+    det = (x[b] - x[a]) * (y[c] - y[a]) - (y[b] - y[a]) * (x[c] - x[a])
+    l2 = np.maximum(sq[a, b], np.maximum(sq[a, c], sq[b, c]))
     return np.abs(det) <= guard * l2
 
 
-def _smallest(rows: np.ndarray, mask: np.ndarray, n: int, d: int):
-    """The lexicographically smallest masked row of `rows` (columns of
-    indices below d) with d appended, or None when the mask is empty."""
-    if not mask.any():
-        return None
-    bad = rows[:, mask]
-    key = bad[0]
-    for col in bad[1:]:
-        key = key * n + col
-    return (*bad[:, key.argmin()].tolist(), d)
+def _cocircular(coords: np.ndarray, sq: np.ndarray, quads: np.ndarray, guard: float) -> np.ndarray:
+    """Mask of the quadruples a < b < c < d (rows of a 4 x k array) that are
+    near-cocircular: the in-circle determinant with origin d against the
+    longest of their six edges."""
+    a, b, c, d = quads
+    v = coords[quads[:3]] - coords[d]
+    lift = (v**2).sum(2)
+    (ax, bx, cx), (ay, by, cy) = v[:, :, 0], v[:, :, 1]
+    det = (
+        lift[0] * (bx * cy - cx * by)
+        + lift[1] * (cx * ay - ax * cy)
+        + lift[2] * (ax * by - bx * ay)
+    )
+    l2 = np.maximum(
+        np.maximum(np.maximum(sq[a, b], sq[a, c]), np.maximum(sq[b, c], sq[a, d])),
+        np.maximum(sq[b, d], sq[c, d]),
+    )
+    return np.abs(det) <= guard * l2 * l2
 
 
-def _collinear_triples(coords: np.ndarray, guard: float):
-    """For each highest index d, the smallest near-collinear triple (a, b, d),
-    or None; the pairs (a, b) are the first C(d, 2) rows of one table."""
-    n = len(coords)
-    pairs = _colex(n - 1, 2)
-    for d in range(2, n):
-        a, b = rows = pairs[:, : math.comb(d, 2)]
-        c = np.broadcast_to(coords[d], (len(a), 2))
-        yield _smallest(rows, _collinear(coords[a], coords[b], c, guard), n, d)
+def _window_scale(sq: np.ndarray, guard: float) -> float:
+    """pi G / 4 of the comment above: r_x is this over p_x^2, plus slack."""
+    s = float(sq.max())
+    if not 2.0**-400 <= s <= 2.0**400:
+        return math.inf
+    return math.pi / 4.0 * s * s * (guard + 64 * _EPS) * (1.0 + 64 * _EPS)
 
 
-def _cocircular_quadruples(coords: np.ndarray, guard: float):
-    """For each highest index d, the smallest near-cocircular quadruple
-    (a, b, c, d), or None.  d is the origin the block's quadruples share: the
-    in-circle determinant is the orientation of the points lifted relative to
-    d (Shewchuk 1997), so the lifts and the 2x2 cross terms are computed once
-    per block and gathered, and the squared distances once per point set."""
-    n = len(coords)
-    sq = ((coords[:, None, :] - coords[None, :, :]) ** 2).sum(2)
-    triples = _colex(n - 1, 3)
-    for d in range(3, n):
-        a, b, c = rows = triples[:, : math.comb(d, 3)]
-        v = coords[:d] - coords[d]
-        lift = (v**2).sum(1)
-        cross = v[:, 0][:, None] * v[:, 1][None, :] - v[:, 0][None, :] * v[:, 1][:, None]
-        det = lift[a] * cross[b, c] + lift[b] * cross[c, a] + lift[c] * cross[a, b]
-        to_d = sq[:d, d]
-        l2 = np.maximum(
-            np.maximum(np.maximum(sq[a, b], sq[a, c]), np.maximum(sq[b, c], to_d[a])),
-            np.maximum(to_d[b], to_d[c]),
-        )
-        yield _smallest(rows, np.abs(det) <= guard * l2 * l2, n, d)
+def _cocircular_candidates(coords: np.ndarray, sq: np.ndarray, block, scale: float):
+    """Chunks (4 x k arrays, columns a < b < c < d) that hold every
+    quadruple the cocircular test can flag among those whose two smallest
+    indices are one of the block's pairs (see the comment above)."""
+    a, b, c, pair = block
+    x, y = coords[:, 0], coords[:, 1]
+    ux, uy, vx, vy = x[a] - x[c], y[a] - y[c], x[b] - x[c], y[b] - y[c]
+    cross = ux * vy - uy * vx
+    dot = ux * vx + uy * vy
+    key = np.arctan2(np.abs(cross), np.where(cross < 0.0, -dot, dot))
+    if math.isinf(scale):
+        radius = np.full(len(key), math.inf)
+    else:
+        with np.errstate(divide="ignore"):  # an underflowed product: whole pair
+            radius = scale / (sq[a, c] * sq[b, c]) + _KEY_SLACK
+    # Sorting keeps each pair's triples in their place, so a, b and pair
+    # need no reordering.
+    at = key + 4.0 * pair
+    order = np.argsort(at)
+    at, key, radius, c = at[order], key[order], radius[order], c[order]
+    size = np.bincount(pair)
+    stop = np.cumsum(size)
+    start = stop - size
+    reach = 2.0 * radius + _OFFSET_SLACK
+    # A window holds another key iff it holds a neighbour round the pair's
+    # circle, on which the first key follows the last across 0 = pi.
+    gap = np.empty_like(key)
+    gap[1:] = key[1:] - key[:-1]
+    gap[start] = key[start] + math.pi - key[stop - 1]
+    gap_next = np.empty_like(key)
+    gap_next[:-1] = gap[1:]
+    gap_next[stop - 1] = gap[start]
+    live = np.flatnonzero(np.minimum(gap, gap_next) <= reach)
+    first, size = start[pair[live]], size[pair[live]]
+    lo_key, hi_key = key[live] - reach[live], key[live] + reach[live]
+    wraps = (lo_key < 0.0) | (hi_key > math.pi)
+    lo_key = np.where(lo_key < 0.0, lo_key + math.pi, lo_key)
+    hi_key = np.where(hi_key > math.pi, hi_key - math.pi, hi_key)
+    offset = 4.0 * pair[live]
+    lo = np.searchsorted(at, lo_key + offset, "left")
+    hi = np.searchsorted(at, hi_key + offset, "right")
+    whole = reach[live] >= math.pi / 2.0
+    lo = np.where(whole, first, lo)
+    count = np.where(whole, size, np.minimum(hi - lo + np.where(wraps, size, 0), size))
+    for i, _, item, step in _runs(count, _GP_CHUNK):
+        t = i + item
+        src = live[t]
+        dst = first[t] + (lo[t] - first[t] + step) % size[t]
+        apart = np.abs(key[src] - key[dst])
+        apart = np.minimum(apart, math.pi - apart)
+        r_src, r_dst = radius[src], radius[dst]
+        keep = ((r_src > r_dst) | ((r_src == r_dst) & (src < dst))) & (apart <= r_src + r_dst)
+        src, dst = src[keep], dst[keep]
+        yield np.stack((a[src], b[src], np.minimum(c[src], c[dst]), np.maximum(c[src], c[dst])))
+
+
+def _first_cocircular(coords: np.ndarray, sq: np.ndarray, block, scale: float, guard: float):
+    """The lexicographically first near-cocircular quadruple whose two
+    smallest indices are one of the block's pairs, or None."""
+    first = None
+    for quads in _cocircular_candidates(coords, sq, block, scale):
+        bad = quads[:, _cocircular(coords, sq, quads, guard)]
+        if bad.shape[1]:
+            quad = tuple(bad[:, np.lexsort(bad[::-1])[0]].tolist())
+            first = quad if first is None else min(first, quad)
+    return first
+
+
+def _violation(tup, what: str, guard: float) -> GeneralPositionViolated:
+    return GeneralPositionViolated(
+        f"points {', '.join(map(str, tup))} are {what} (within guard {guard:g})"
+    )
 
 
 def validate_general_position(ps: PointSet, guard: float = DEGENERACY_GUARD) -> None:
     """Reject point sets with near-collinear triples or near-cocircular quadruples.
 
-    `guard` is a relative threshold: a triple is degenerate when its
-    orientation determinant is at most guard * L^2 (L the longest involved
-    edge), a quadruple when its circle determinant is at most guard * L^4.
-    All triples are scanned before any quadruple, each in blocks by highest
-    index; GeneralPositionViolated names the lexicographically first
-    offending tuple, the smallest of the blocks' first ones.
+    `guard` is a relative threshold, finite and >= 0: a triple is degenerate
+    when its orientation determinant is at most guard * L^2 (L the longest
+    involved edge), a quadruple when its circle determinant is at most
+    guard * L^4; guard 0 rejects exact degeneracies only.
+    GeneralPositionViolated names the lexicographically first offending
+    triple, or else the first offending quadruple.  Triples are tested one
+    by one; quadruples only where a sorted-angle filter (comment above)
+    cannot rule them out, so the scan takes about O(n^3 log n) time.
     """
+    if not (math.isfinite(guard) and guard >= 0.0):
+        raise NearDelaunayError(f"guard must be finite and non-negative, got {guard!r}")
     if ps._gp_guard >= guard:
         return
     coords = np.asarray(ps.points, dtype=np.float64)
-    scans = ((_collinear_triples, "collinear"), (_cocircular_quadruples, "cocircular"))
-    for scan, what in scans:
-        bad = [t for t in scan(coords, guard) if t is not None]
-        if bad:
-            raise GeneralPositionViolated(
-                f"points {', '.join(map(str, min(bad)))} are {what} "
-                f"(within guard {guard:g})"
-            )
+    sq = ((coords[:, None, :] - coords[None, :, :]) ** 2).sum(2)
+    scale = _window_scale(sq, guard)
+    quad = None
+    for block in _triple_blocks(len(coords)):
+        a, b, c, _ = block
+        bad = np.flatnonzero(_collinear(coords, sq, a, b, c, guard))
+        if len(bad):
+            i = bad[0]
+            raise _violation((a[i], b[i], c[i]), "collinear", guard)
+        if quad is None:
+            quad = _first_cocircular(coords, sq, block, scale, guard)
+    if quad is not None:
+        raise _violation(quad, "cocircular", guard)
     ps._gp_guard = guard
 
 

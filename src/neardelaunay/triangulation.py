@@ -274,8 +274,7 @@ def edge_diff(t1: Triangulation, t2: Triangulation) -> set[EdgeKey]:
 
 def validate(t: Triangulation) -> bool:
     """True iff the triangle set is a triangulation of the point set: every
-    index in range, no triangle degenerate, every point used, and per edge
-    of the apex map
+    index in range, every point used, and per edge of the apex map
 
     * a hull edge (consecutive entries of ``ps.hull()``) lies in exactly
       one triangle;
@@ -300,6 +299,11 @@ def validate(t: Triangulation) -> bool:
     inside an edge it does not end: its own triangles cover a sector
     around it, which would overlap that triangle or one of that edge's.
     So the triangles meet in common faces.
+
+    A degenerate triangle xyz, y between x and z, fails the edge test, so
+    none needs a test of its own.  Either xz is not a hull edge: its apex y
+    is collinear with it.  Or xz is a hull edge: then xy is not, as z lies
+    on its line beyond y, and its apex z is collinear with it.
     """
     ps = t.point_set
     n = len(ps)
@@ -308,8 +312,6 @@ def validate(t: Triangulation) -> bool:
     for tri in t.triangles:
         i, j, k = tri
         if not (0 <= i < j < k < n):
-            return False
-        if orientation(pts[i], pts[j], pts[k]) is Orientation.COLLINEAR:
             return False
         used.update(tri)
     if len(used) != n:

@@ -9,8 +9,10 @@ from neardelaunay.errors import (
     DegenerateTriangle,
     GeneralPositionViolated,
     InvalidScale,
+    NearDelaunayError,
     NotAChord,
 )
+from neardelaunay import geom as geom_module
 from neardelaunay.geom import (
     Circle,
     Orientation,
@@ -346,6 +348,21 @@ class TestPointSetValidation:
         validate_general_position(p4)
         assert is_general_position(p4)
 
+    def test_guard_zero_rejects_exact_degeneracies(self):
+        ps = PointSet([(0, 0), (1, 0), (2, 0), (0, 1)])
+        with pytest.raises(GeneralPositionViolated, match="points 0, 1, 2 are collinear"):
+            validate_general_position(ps, 0.0)
+        assert not is_general_position(PointSet([(5, 0), (0, 5), (-3, 4), (4, -3)]), 0.0)
+        assert is_general_position(PointSet([(0, 0), (1, 1e-300), (2, 0), (0, 1)]), 0.0)
+
+    @pytest.mark.parametrize("guard", [math.nan, -1e-12, math.inf])
+    def test_invalid_guard_raises(self, guard):
+        ps = PointSet([(0, 0), (1, 0), (2, 0), (0, 1)])
+        with pytest.raises(NearDelaunayError, match="guard must be finite and non-negative"):
+            validate_general_position(ps, guard)
+        # the failed call did not mark the set as checked
+        assert not is_general_position(ps, 0.0)
+
     def test_guard_scale_invariance(self):
         # near-collinear relative to its size, at two very different scales
         for s in (1.0, 1e6):
@@ -402,6 +419,129 @@ def _with_midpoints(rng):
             mid = ((ax + bx) / 2.0 + nudge, (ay + by) / 2.0 - nudge)
             pts.insert(rng.randrange(n + 1), mid)
             yield pts
+
+
+FILTER_GUARDS = (0.0, 1e-14, 1e-12, 1e-9, 1e-6, 0.1)
+
+# The twelve integer points of x^2 + y^2 = 25: exactly cocircular in floats.
+CIRCLE_25 = [(5, 0), (4, 3), (3, 4), (0, 5), (-3, 4), (-4, 3), (-5, 0), (-4, -3),
+             (-3, -4), (0, -5), (3, -4), (4, -3)]
+
+
+def _exact_circles(rng):
+    """Exactly cocircular points, some with extras and a 1e6 offset.  Points
+    on one arc of a chord see it under one angle, so their keys are equal."""
+    for size in (4, 5, 6, 8, 12):
+        for offset in (0.0, 1e6):
+            pts = rng.sample(CIRCLE_25, size)
+            pts += [(rng.uniform(-6, 6), rng.uniform(-6, 6)) for _ in range(rng.randrange(4))]
+            rng.shuffle(pts)
+            yield [(x + offset, y + offset) for x, y in pts]
+
+
+def _straddling_keys(rng):
+    """Points 0 and 1 at (-1, 0) and (1, 0); c just above their chord and d
+    just below.  The angles acb and adb are about pi - 2h and -(pi - 2h'),
+    so the keys lie near pi and near 0: the window must wrap.  The
+    quadruple is near-cocircular at guard (h + h') / 8, and no triple at
+    guards below about h / 2."""
+    for guard in FILTER_GUARDS[1:-1]:
+        for _ in range(3):
+            h, h2 = (guard * rng.uniform(2.2, 3.8) for _ in range(2))
+            c, d = (rng.uniform(-0.5, 0.5), h), (rng.uniform(-0.5, 0.5), -h2)
+            pts = [(-1.0, 0.0), (1.0, 0.0), c, d]
+            pts += [(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(rng.randrange(3))]
+            yield pts
+
+
+def _close_points(rng):
+    """Random sets with a point very close to another: its distance product
+    for any pair through that point is tiny, so its window is wide."""
+    for n in (5, 9, 16, 25):
+        for dist in (1e-4, 1e-7, 1e-10):
+            pts = [(rng.random(), rng.random()) for _ in range(n)]
+            x, y = rng.choice(pts)
+            t = rng.uniform(0, 2 * math.pi)
+            pts.insert(rng.randrange(n + 1), (x + dist * math.cos(t), y + dist * math.sin(t)))
+            yield pts
+
+
+def _close_pairs_on_a_circle(rng):
+    """Pairs of close points on the unit circle.  A quadruple of two pairs
+    has small distance products, so the rounding of its float determinant,
+    which the guard 0 test sees, moves its keys far apart."""
+    for n in (4, 6, 8, 10, 12):
+        for _ in range(6):
+            pts = []
+            for _ in range(n // 2):
+                t, dt = rng.uniform(0, 2 * math.pi), 10 ** rng.uniform(-4, -1)
+                pts += [(math.cos(t), math.sin(t)), (math.cos(t + dt), math.sin(t + dt))]
+            rng.shuffle(pts)
+            yield pts
+
+
+def _far_and_near_circles(rng):
+    """Random and near-circle sets offset by 1e6, and near-circles jittered
+    radially by 1e-16 to 1e-6."""
+    for n in (6, 12, 20):
+        yield [(1e6 + rng.random(), 1e6 + rng.random()) for _ in range(n)]
+        for jitter in (1e-16, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6):
+            offset = rng.choice((0.0, 1e6))
+            pts = [(x + offset, y + offset) for x, y in random_jittered_circle(rng, n, jitter)]
+            rng.shuffle(pts)
+            yield pts
+
+
+def _extreme_scales(rng):
+    """Random sets and circles at scales near and beyond the ends of the
+    range the window analysis assumes, past which whole pairs are searched."""
+    for scale in (1e-150, 1e-100, 1e-60, 1e60, 1e100, 1e150):
+        for n in (5, 8):
+            yield [(scale * rng.random(), scale * rng.random()) for _ in range(n)]
+            yield [(scale * x, scale * y) for x, y in random_jittered_circle(rng, n, 1e-9)]
+
+
+class TestCocircularFilter:
+    """The sorted-angle filter against the whole-list check, on sets made to
+    reach its edge cases: equal keys, keys either side of 0 = pi, wide
+    windows, large offsets, nearly cocircular points and extreme scales."""
+
+    # At 1e100 and beyond both determinant tests overflow, as they always did.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "family",
+        [_exact_circles, _straddling_keys, _close_points, _close_pairs_on_a_circle,
+         _far_and_near_circles, _extreme_scales],
+    )
+    def test_same_message_as_whole_list_oracle(self, family):
+        outcomes = set()
+        for pts in family(random.Random(family.__name__)):
+            for guard in FILTER_GUARDS:
+                want = general_position_message(PointSet(pts), guard)
+                assert TestGeneralPositionScan._message(pts, guard) == want, (pts, guard)
+                outcomes.add(want is None or want.split()[-4])
+        assert "cocircular" in outcomes and len(outcomes) > 1
+
+    def test_straddling_keys_name_the_quadruple(self):
+        pts = [(-1.0, 0.0), (1.0, 0.0), (0.1, 3e-6), (-0.2, -3e-6)]
+        assert TestGeneralPositionScan._message(pts, 1e-6) == (
+            "points 0, 1, 2, 3 are cocircular (within guard 1e-06)"
+        )
+
+    def test_few_quadruples_reach_the_exact_test(self, monkeypatch):
+        tested = 0
+        exact_test = geom_module._cocircular
+
+        def counted(coords, sq, quads, guard):
+            nonlocal tested
+            tested += quads.shape[1]
+            return exact_test(coords, sq, quads, guard)
+
+        monkeypatch.setattr(geom_module, "_cocircular", counted)
+        rng = random.Random(80)
+        validate_general_position(PointSet([(rng.random(), rng.random()) for _ in range(80)]))
+        assert tested <= 1000  # of C(80, 4) = 1,581,580
 
 
 class TestGeneralPositionScan:
@@ -465,6 +605,17 @@ class TestGeneralPositionScan:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20  # the whole-list check peaked at 94 MiB
+
+    def test_memory_at_120_points(self):
+        rng = random.Random(120)
+        ps = PointSet([(rng.random(), rng.random()) for _ in range(120)])
+        tracemalloc.start()
+        try:
+            validate_general_position(ps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     @pytest.mark.parametrize(
         "guard, want",

@@ -193,6 +193,13 @@ class TestValidateMatchesPairwiseOracle:
             ([(0, 0), (4, 0), (2, 4), (2, 1.5), (1.5, 1.8)], FOLDABLE, True),
             # ... or in A B P, where edge (2, 4) has both apexes on one side
             ([(0, 0), (4, 0), (2, 4), (2, 1.5), (2.2, 0.5)], FOLDABLE, False),
+            # unvalidated: the degenerate triangle (0, 1, 2) fails the edge
+            # test, whether its long side (0, 2) is interior, with apex 1 on
+            # its line, ...
+            ([(0, 0), (1, 0), (2, 0), (1, 1), (1, -1)],
+             [(0, 1, 2), (0, 2, 3), (0, 1, 4), (1, 2, 4)], False),
+            # ... or a hull edge, when (0, 1) is interior with apex 2 on its line
+            ([(0, 0), (1, 0), (2, 0), (1, 1)], [(0, 1, 2), (0, 1, 3), (1, 2, 3)], False),
         ],
     )
     def test_edge_cases(self, points, tris, valid):
