@@ -83,14 +83,12 @@ def aggregate(sv: ScoreVector, mode: AggregationMode) -> float:
     return worst[0] if worst else 0.0
 
 
-def comparison(
-    ps: PointSet, constraint: Constraint, dt: Triangulation
-) -> tuple[str, Triangulation]:
+def comparison(ps: PointSet, constraint: Constraint) -> tuple[str, Triangulation]:
     """The triangulation a constrained result is compared with: the CDT of
-    the required edges, otherwise the Delaunay triangulation dt."""
+    the required edges, otherwise the Delaunay triangulation."""
     if isinstance(constraint, RequiredEdges):
         return "cdt", cdt(ps, sorted(constraint.edges))
-    return "delaunay", dt
+    return "delaunay", delaunay(ps)
 
 
 def compare_bottleneck_lex(a: ScoreVector, b: ScoreVector) -> Comparison:
@@ -190,7 +188,6 @@ def best_triangulation(
     constraint: Constraint,
     metric: str,
     mode: AggregationMode,
-    dt_length: float,
     evaluator: Evaluator,
 ) -> Triangulation | None:
     """Best feasible row of the table; ties keep the canonically earliest.
@@ -201,6 +198,7 @@ def best_triangulation(
     """
     m = lookup_metric(metric)
     lower_better = m.orientation is ScoreOrientation.LOWER_BETTER
+    dt_length = total_edge_length(delaunay(table.point_set))
     feasible = np.flatnonzero(feasible_rows(table, constraint, dt_length))
     if not len(feasible):
         return None
@@ -246,9 +244,6 @@ def optimize(
     repeated queries on one set enumerate it once.
     """
     lookup_metric(metric)  # an unknown name fails before the enumeration
-    dt_length = total_edge_length(delaunay(ps))
     if evaluator is None:
         evaluator = Evaluator(ps)
-    return best_triangulation(
-        _table_for(ps, cap), constraint, metric, mode, dt_length, evaluator
-    )
+    return best_triangulation(_table_for(ps, cap), constraint, metric, mode, evaluator)

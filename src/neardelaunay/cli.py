@@ -25,13 +25,11 @@ from .fileio import parse_points, parse_triangulation, write_triangulation
 from .metrics import ALL_METRICS, Evaluator
 from .svg import render_svg
 from .triangulation import (
+    CONSTRAINT_FIELDS,
     DEFAULT_ENUMERATION_CAP,
-    MaxDegree,
-    MaxTotalLength,
-    MinTotalLength,
-    RequiredEdges,
     edge_diff,
     enumerate_triangulations,
+    parse_constraint,
     triangulation_table,
     validate,
 )
@@ -97,40 +95,44 @@ def _cmd_score(args) -> int:
     return EXIT_OK
 
 
+# optimize's constraint flags (argparse dests) and the spec entry type each gives
+_CONSTRAINT_FLAGS = {
+    "required_edge": "required_edges",
+    "min_length_factor": "min_total_length",
+    "max_length_factor": "max_total_length",
+    "max_degree": "max_degree",
+}
+
+
 def _collect_constraint(args):
-    chosen = []
-    if args.required_edge:
-        chosen.append(RequiredEdges(args.required_edge))
-    if args.min_length_factor is not None:
-        chosen.append(MinTotalLength(args.min_length_factor))
-    if args.max_length_factor is not None:
-        chosen.append(MaxTotalLength(args.max_length_factor))
-    if args.max_degree is not None:
-        chosen.append(MaxDegree(args.max_degree))
-    if len(chosen) != 1:
+    given = [
+        (kind, getattr(args, dest))
+        for dest, kind in _CONSTRAINT_FLAGS.items()
+        if getattr(args, dest) is not None
+    ]
+    if len(given) != 1:
         raise NearDelaunayError(
             "exactly one constraint is required "
             "(--required-edge / --min-length-factor / --max-length-factor / --max-degree)"
         )
-    return chosen[0]
+    [(kind, value)] = given
+    return parse_constraint({"type": kind, CONSTRAINT_FIELDS[kind][1]: value})
 
 
 def _cmd_optimize(args) -> int:
     ps = _read_points(args.points)
     constraint = _collect_constraint(args)
-    dt = build_delaunay(ps)
-    _, comparison = comparison_for(ps, constraint, dt)
+    _, comparison = comparison_for(ps, constraint)
     best = optimize_search(
         ps, constraint, args.metric, AggregationMode(args.mode), cap=args.cap
     )
     if best is None:
         print("no feasible triangulation", file=sys.stderr)
         if args.svg:
-            Path(args.svg).write_text(render_svg(dt))
+            Path(args.svg).write_text(render_svg(build_delaunay(ps)))
         return EXIT_NO_FEASIBLE
-    constrained = constraint.edges if isinstance(constraint, RequiredEdges) else ()
     _emit_triangulation(
-        best, args.out, args.svg, constrained=constrained, diff=edge_diff(best, comparison)
+        best, args.out, args.svg, constrained=constraint.edges, diff=edge_diff(best, comparison)
     )
     return EXIT_OK
 

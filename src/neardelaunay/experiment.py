@@ -22,8 +22,19 @@ The spec file is JSON:
       "output_dir": "out"
     }
 
-A required-edges constraint without explicit edges uses each point set's
-"required_edges", falling back to an automatically picked interesting edge.
+A constraint entry is read by :func:`triangulation.parse_constraint`: a
+"type" and one field, "edges" (a list of point index pairs) for
+required_edges, "factor" for min_total_length and max_total_length (times
+the Delaunay total edge length; default 1.2 and 0.8) and "bound" for
+max_degree (default 5).  A required-edges constraint without explicit edges
+uses each point set's "required_edges", falling back to an automatically
+picked interesting edge.  An entry that cannot be used on a point set, such
+as a negative factor or an edge index out of range, makes every cell of
+that set an "error" cell with the message, and the run goes on.  A cell's
+"constraint" label is null when its entry has no string type.
+
+Every cell, error cells included, is passed to ``progress`` as it is added
+to the report, so ``neardelaunay experiment -v`` lists every cell.
 Per-cell SVGs are named {constraint}{set_index}{mode}_{metric}.svg; edges
 that differ from the comparison (CDT for required-edge runs, the Delaunay
 triangulation otherwise) are drawn green, constrained edges red.
@@ -54,15 +65,7 @@ from .pointgen import (
     wheel_point_set,
 )
 from .svg import render_svg
-from .triangulation import (
-    MaxDegree,
-    MaxTotalLength,
-    MinTotalLength,
-    RequiredEdges,
-    edge_diff,
-    total_edge_length,
-    triangulation_table,
-)
+from .triangulation import Constraint, edge_diff, parse_constraint, triangulation_table
 
 CONSTRAINT_LABELS = {
     "required_edges": "required",
@@ -130,35 +133,19 @@ def _load_point_set(entry: dict, base_dir: Path) -> PointSet:
     raise NearDelaunayError(f"point set entry needs points/file/random/fixture: {entry}")
 
 
-def _number(centry: dict, key: str, default, convert):
-    try:
-        return convert(centry.get(key, default))
-    except (TypeError, ValueError):
-        raise NearDelaunayError(f"{key} {centry[key]!r} is not a number") from None
-
-
-def _build_constraint(centry: dict, set_entry: dict, ps: PointSet):
-    if "type" not in centry:
-        raise NearDelaunayError(f"constraint entry needs a type: {centry}")
-    kind = centry["type"]
-    if kind == "required_edges":
-        if "edges" in centry:
-            edges = [tuple(e) for e in centry["edges"]]
-        elif "required_edges" in set_entry:
-            edges = [tuple(e) for e in set_entry["required_edges"]]
+def _constraint(centry: dict, set_entry: dict, ps: PointSet) -> Constraint:
+    """The entry's constraint on one point set.  Required edges default to
+    the set's "required_edges", else to an automatically picked edge."""
+    if centry.get("type") == "required_edges" and "edges" not in centry:
+        if "required_edges" in set_entry:
+            edges = set_entry["required_edges"]
         else:
             picked = pick_required_edge(ps)
             if picked is None:
                 raise NearDelaunayError("no usable required edge for this point set")
             edges = [picked]
-        return RequiredEdges(edges), edges
-    if kind == "min_total_length":
-        return MinTotalLength(_number(centry, "factor", 1.2, float)), []
-    if kind == "max_total_length":
-        return MaxTotalLength(_number(centry, "factor", 0.8, float)), []
-    if kind == "max_degree":
-        return MaxDegree(_number(centry, "bound", 5, int)), []
-    raise NearDelaunayError(f"unknown constraint type {kind!r}")
+        centry = {**centry, "edges": edges}
+    return parse_constraint(centry)
 
 
 def _spec_list(spec: dict, key: str, default, objects: bool = False) -> list:
@@ -199,24 +186,12 @@ def run_experiment(
         "agreement": [],
     }
 
-    contexts = []
+    sets = []
     for idx, entry in enumerate(set_entries):
         name = entry.get("name", f"set{idx}")
         ps = _load_point_set(entry, base_dir)
-        dt = delaunay(ps)
         table = triangulation_table(ps)
-        contexts.append(
-            {
-                "index": idx,
-                "name": name,
-                "entry": entry,
-                "ps": ps,
-                "dt": dt,
-                "dt_length": total_edge_length(dt),
-                "table": table,
-                "evaluator": Evaluator(ps),
-            }
-        )
+        sets.append((name, entry, ps, table, Evaluator(ps)))
         report["point_sets"].append(
             {
                 "name": name,
@@ -231,110 +206,86 @@ def run_experiment(
         )
 
     for centry in constraint_entries:
-        label = CONSTRAINT_LABELS.get(centry.get("type"), centry.get("type"))
-        for ctx in contexts:
+        kind = centry.get("type")
+        label = CONSTRAINT_LABELS.get(kind, kind) if isinstance(kind, str) else None
+        for idx, (name, entry, ps, table, evaluator) in enumerate(sets):
             try:
-                constraint, required = _build_constraint(centry, ctx["entry"], ctx["ps"])
-                comparison_name, comparison = comparison_for(ctx["ps"], constraint, ctx["dt"])
-            except NearDelaunayError as exc:
-                for metric in metrics:
-                    for mode in modes:
-                        report["cells"].append(
-                            {
-                                "point_set": ctx["name"],
-                                "constraint": label,
-                                "metric": metric,
-                                "mode": mode.value,
-                                "status": "error",
-                                "error": str(exc),
-                            }
-                        )
-                continue
-            comp_svg = out_dir / f"{label}{ctx['index']}_comparison.svg"
-            comp_svg.write_text(
-                render_svg(comparison, constrained=set(required))
-            )
-            per_mode_results: dict[str, dict[str, tuple | None]] = {}
+                constraint = _constraint(centry, entry, ps)
+                comparison_name, comparison = comparison_for(ps, constraint)
+                failed = None
+            except NearDelaunayError as exc:  # every cell of this set records it
+                failed = str(exc)
+            else:
+                (out_dir / f"{label}{idx}_comparison.svg").write_text(
+                    render_svg(comparison, constrained=constraint.edges)
+                )
             for mode in modes:
                 results: dict[str, tuple | None] = {}
                 for metric in metrics:
                     cell = {
-                        "point_set": ctx["name"],
+                        "point_set": name,
                         "constraint": label,
                         "metric": metric,
                         "mode": mode.value,
                     }
                     started = time.perf_counter()
-                    try:
-                        best = best_triangulation(
-                            ctx["table"],
-                            constraint,
-                            metric,
-                            mode,
-                            ctx["dt_length"],
-                            ctx["evaluator"],
-                        )
-                        svg_name = f"{label}{ctx['index']}{mode.value}_{metric}.svg"
-                        if best is None:
-                            cell["status"] = "no_feasible"
-                            # show the Delaunay triangulation in place of a result
-                            (out_dir / svg_name).write_text(render_svg(ctx["dt"]))
-                            results[metric] = None
-                        else:
-                            sv = ScoreVector.from_scores(
-                                metric, ctx["evaluator"].scores(best, metric)
-                            )
-                            diff = edge_diff(best, comparison)
-                            (out_dir / svg_name).write_text(
-                                render_svg(
-                                    best,
-                                    constrained=set(required),
-                                    diff=diff,
+                    error = failed
+                    if error is None:
+                        try:
+                            best = best_triangulation(table, constraint, metric, mode, evaluator)
+                            svg_name = f"{label}{idx}{mode.value}_{metric}.svg"
+                            if best is None:
+                                cell["status"] = "no_feasible"
+                                # show the Delaunay triangulation in place of a result
+                                (out_dir / svg_name).write_text(render_svg(delaunay(ps)))
+                                results[metric] = None
+                            else:
+                                sv = ScoreVector.from_scores(
+                                    metric, evaluator.scores(best, metric)
                                 )
-                            )
-                            cell.update(
-                                {
-                                    "status": "ok",
-                                    "aggregate": round12(aggregate(sv, mode)),
-                                    "triangles": [list(t) for t in best.triangles],
-                                    "comparison": comparison_name,
-                                    "edge_diff": sorted(list(e) for e in diff),
-                                    "matches_comparison": best.triangles
-                                    == comparison.triangles,
-                                }
-                            )
-                            results[metric] = best.triangles
-                        cell["svg"] = svg_name
-                    except Exception as exc:  # keep the run going per cell
+                                diff = edge_diff(best, comparison)
+                                (out_dir / svg_name).write_text(
+                                    render_svg(best, constrained=constraint.edges, diff=diff)
+                                )
+                                cell.update(
+                                    {
+                                        "status": "ok",
+                                        "aggregate": round12(aggregate(sv, mode)),
+                                        "triangles": [list(t) for t in best.triangles],
+                                        "comparison": comparison_name,
+                                        "edge_diff": sorted(list(e) for e in diff),
+                                        "matches_comparison": best.triangles
+                                        == comparison.triangles,
+                                    }
+                                )
+                                results[metric] = best.triangles
+                            cell["svg"] = svg_name
+                        except Exception as exc:  # keep the run going per cell
+                            error = f"{type(exc).__name__}: {exc}"
+                    if error is not None:
                         cell["status"] = "error"
-                        cell["error"] = f"{type(exc).__name__}: {exc}"
+                        cell["error"] = error
                         results[metric] = ("error",)
                     cell["wall_time_s"] = round(time.perf_counter() - started, 6)
                     report["cells"].append(cell)
                     if progress is not None:
                         progress(cell)
-                per_mode_results[mode.value] = results
-            for mode_name, results in per_mode_results.items():
-                matrix = {
-                    m1: {m2: results[m1] == results[m2] for m2 in metrics}
-                    for m1 in metrics
-                }
-                flags = {
-                    m: results[m] == comparison.triangles
-                    if results[m] not in (None, ("error",))
-                    else False
-                    for m in metrics
-                }
-                report["agreement"].append(
-                    {
-                        "point_set": ctx["name"],
-                        "constraint": label,
-                        "mode": mode_name,
-                        "matrix": matrix,
-                        "comparison": comparison_name,
-                        "comparison_flags": flags,
-                    }
-                )
+                if failed is None:
+                    report["agreement"].append(
+                        {
+                            "point_set": name,
+                            "constraint": label,
+                            "mode": mode.value,
+                            "matrix": {
+                                m1: {m2: results[m1] == results[m2] for m2 in metrics}
+                                for m1 in metrics
+                            },
+                            "comparison": comparison_name,
+                            "comparison_flags": {
+                                m: results[m] == comparison.triangles for m in metrics
+                            },
+                        }
+                    )
 
     with open(out_dir / "report.json", "w") as fh:  # streamed: no copy of the text
         json.dump(report, fh, indent=2)

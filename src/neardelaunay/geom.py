@@ -390,8 +390,13 @@ def similarity_transform(
 # Keys sort as kappa + 4 p, p the pair's number in its block, so a pair's
 # keys lie in [4p, 4p + pi]; below 2^16 (_GP_BLOCK <= 2^13) those sums and
 # the window ends round by at most 2^-38 each, which _OFFSET_SLACK covers.
-# The analysis assumes no underflow or overflow: sets with S outside
-# [2^-400, 2^400] search whole pairs, which tests every quadruple.
+# The analysis assumes no underflow or overflow.  validate_general_position
+# first scales the coordinates by the power of two that brings the largest
+# |coordinate| into [1/2, 1), which changes no test's outcome (it is exact
+# while no coordinate becomes subnormal).  Then S <= 8, and S < 2^-400 puts
+# every point on one line parallel to an axis (the coordinates within
+# 2^-200 of one in [1/2, 1) are equal), so triple (0, 1, 2) is flagged
+# before any quadruple is looked at.
 
 # Triples per block of the triple table, and window entries per chunk of
 # the candidate search; together they bound the scan's memory.
@@ -460,8 +465,6 @@ def _cocircular(coords: np.ndarray, sq: np.ndarray, quads: np.ndarray, guard: fl
 def _window_scale(sq: np.ndarray, guard: float) -> float:
     """pi G / 4 of the comment above: r_x is this over p_x^2, plus slack."""
     s = float(sq.max())
-    if not 2.0**-400 <= s <= 2.0**400:
-        return math.inf
     return math.pi / 4.0 * s * s * (guard + 64 * _EPS) * (1.0 + 64 * _EPS)
 
 
@@ -475,11 +478,8 @@ def _cocircular_candidates(coords: np.ndarray, sq: np.ndarray, block, scale: flo
     cross = ux * vy - uy * vx
     dot = ux * vx + uy * vy
     key = np.arctan2(np.abs(cross), np.where(cross < 0.0, -dot, dot))
-    if math.isinf(scale):
-        radius = np.full(len(key), math.inf)
-    else:
-        with np.errstate(divide="ignore"):  # an underflowed product: whole pair
-            radius = scale / (sq[a, c] * sq[b, c]) + _KEY_SLACK
+    with np.errstate(divide="ignore"):  # an underflowed product: whole pair
+        radius = scale / (sq[a, c] * sq[b, c]) + _KEY_SLACK
     # Sorting keeps each pair's triples in their place, so a, b and pair
     # need no reordering.
     at = key + 4.0 * pair
@@ -556,6 +556,8 @@ def validate_general_position(ps: PointSet, guard: float = DEGENERACY_GUARD) -> 
     if ps._gp_guard >= guard:
         return
     coords = np.asarray(ps.points, dtype=np.float64)
+    # by a power of two, exactly: see the window analysis above _GP_BLOCK
+    coords = np.ldexp(coords, -math.frexp(float(np.abs(coords).max()))[1])
     sq = ((coords[:, None, :] - coords[None, :, :]) ** 2).sum(2)
     scale = _window_scale(sq, guard)
     quad = None

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import ClassVar, Iterator, Sequence
 
 import numpy as np
 
@@ -153,6 +154,7 @@ class MinTotalLength:
     """Total edge length at least factor times the Delaunay total length."""
 
     factor: float
+    edges: ClassVar[frozenset[EdgeKey]] = frozenset()  # requires no edge
 
     def __post_init__(self):
         if not self.factor > 0:
@@ -162,6 +164,7 @@ class MinTotalLength:
 @dataclass(frozen=True)
 class MaxTotalLength:
     factor: float
+    edges: ClassVar[frozenset[EdgeKey]] = frozenset()
 
     def __post_init__(self):
         if not self.factor > 0:
@@ -171,6 +174,7 @@ class MaxTotalLength:
 @dataclass(frozen=True)
 class MaxDegree:
     bound: int
+    edges: ClassVar[frozenset[EdgeKey]] = frozenset()
 
     def __post_init__(self):
         if self.bound < 3:
@@ -178,6 +182,42 @@ class MaxDegree:
 
 
 Constraint = RequiredEdges | MinTotalLength | MaxTotalLength | MaxDegree
+
+
+def _index_pairs(edges) -> list[EdgeKey]:
+    return [(operator.index(i), operator.index(j)) for i, j in edges]
+
+
+# Spec entry type -> constraint class, the entry's value field, its default,
+# the conversion of the value and what the conversion expects.
+CONSTRAINT_FIELDS = {
+    "required_edges": (RequiredEdges, "edges", None, _index_pairs, "a list of index pairs"),
+    "min_total_length": (MinTotalLength, "factor", 1.2, float, "a number"),
+    "max_total_length": (MaxTotalLength, "factor", 0.8, float, "a number"),
+    "max_degree": (MaxDegree, "bound", 5, int, "a number"),
+}
+
+
+def parse_constraint(entry: dict) -> Constraint:
+    """The constraint of a spec entry ``{"type": ..., field: value}``.
+
+    The field is "edges" for required_edges (point index pairs, no default),
+    "factor" for min_total_length and max_total_length (default 1.2 and
+    0.8) and "bound" for max_degree (default 5).  A malformed entry raises
+    NearDelaunayError.
+    """
+    if "type" not in entry:
+        raise NearDelaunayError(f"constraint entry needs a type: {entry}")
+    kind = entry["type"]
+    if not isinstance(kind, str) or kind not in CONSTRAINT_FIELDS:
+        raise NearDelaunayError(f"unknown constraint type {kind!r}")
+    cls, key, default, convert, expected = CONSTRAINT_FIELDS[kind]
+    value = entry.get(key, default)
+    try:
+        value = convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise NearDelaunayError(f"{key} {value!r} is not {expected}") from None
+    return cls(value)
 
 
 # --- queries ---------------------------------------------------------------

@@ -44,7 +44,7 @@ from neardelaunay.geom import (
     polygon_area,
     validate_general_position,
 )
-from neardelaunay.delaunay import _proper_cross
+from neardelaunay.delaunay import _proper_cross, delaunay
 from neardelaunay.errors import InvalidConstraintEdges, SiteOutsideCircle
 from neardelaunay.metrics import (
     METRIC_ORIENTATION,
@@ -71,6 +71,7 @@ from neardelaunay.triangulation import (
     flip,
     satisfies,
     scan_triangulation,
+    total_edge_length,
 )
 
 
@@ -628,10 +629,11 @@ def block_best_bottleneck(scores: np.ndarray, lower_better: bool) -> int:
     return best
 
 
-def unique_best_triangulation(table, constraint, metric, mode, dt_length, evaluator):
+def unique_best_triangulation(table, constraint, metric, mode, evaluator):
     """best_triangulation with element values looked up through np.unique
     and the two scans above."""
     lower_better = METRIC_ORIENTATION[metric] is ScoreOrientation.LOWER_BETTER
+    dt_length = total_edge_length(delaunay(table.point_set))
     feasible = np.flatnonzero(feasible_rows(table, constraint, dt_length))
     if not len(feasible):
         return None

@@ -78,14 +78,14 @@ class TestAggregate:
 
 class TestComparison:
     def test_required_edges_compare_with_cdt(self, p4):
-        name, t = aggregate.comparison(p4, RequiredEdges([(0, 1)]), delaunay(p4))
+        name, t = aggregate.comparison(p4, RequiredEdges([(0, 1)]))
         assert name == "cdt"
         assert t.triangles == cdt(p4, [(0, 1)]).triangles
 
     def test_other_constraints_compare_with_delaunay(self, p4):
         dt = delaunay(p4)
         for c in (MinTotalLength(1.2), MaxTotalLength(0.8), MaxDegree(5)):
-            assert aggregate.comparison(p4, c, dt) == ("delaunay", dt)
+            assert aggregate.comparison(p4, c) == ("delaunay", dt)
 
 
 class TestBottleneckLex:
@@ -338,10 +338,7 @@ class TestOptimizeMemo:
             for ps in sets + sets[::-1]:
                 got = optimize(ps, c, metric, mode)
                 assert aggregate._last_table.point_set == ps
-                fresh = best_triangulation(
-                    triangulation_table(ps), c, metric, mode,
-                    total_edge_length(delaunay(ps)), Evaluator(ps),
-                )
+                fresh = best_triangulation(triangulation_table(ps), c, metric, mode, Evaluator(ps))
                 assert (got and got.triangles) == (fresh and fresh.triangles)
 
 
@@ -395,8 +392,8 @@ class TestDenseSearchOracle:
         for c in constraints:
             for metric in ALL_METRICS:
                 for mode in AggregationMode:
-                    got = best_triangulation(table, c, metric, mode, dt_len, ev)
-                    want = unique_best_triangulation(table, c, metric, mode, dt_len, ev)
+                    got = best_triangulation(table, c, metric, mode, ev)
+                    want = unique_best_triangulation(table, c, metric, mode, ev)
                     assert (got and got.triangles) == (want and want.triangles), (c, metric, mode)
                     if name.startswith("squares") and want and mode is AggregationMode.SUM:
                         tied += _exact_sums(table, c, metric, dt_len, ev).count(
@@ -535,16 +532,15 @@ class TestBestBottleneck:
 def test_dense_query_peak_at_most_the_oracle():
     ps = random_point_set(12, seed=1201)
     table = triangulation_table(ps)
-    dt_len = total_edge_length(delaunay(ps))
     ev = Evaluator(ps)
     c = MinTotalLength(1.1)
     for mode in AggregationMode:
         peaks = {}
         for search in (unique_best_triangulation, best_triangulation):
-            search(table, c, "dual_area_overlap", mode, dt_len, ev)  # warm the values
+            search(table, c, "dual_area_overlap", mode, ev)  # warm the values
             tracemalloc.start()
             try:
-                search(table, c, "dual_area_overlap", mode, dt_len, ev)
+                search(table, c, "dual_area_overlap", mode, ev)
                 peaks[search.__name__] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

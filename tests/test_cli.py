@@ -7,14 +7,14 @@ from pathlib import Path
 
 import pytest
 
-from neardelaunay.cli import main
+from neardelaunay.cli import _collect_constraint, build_parser, main
 from neardelaunay.delaunay import cdt, delaunay
 from neardelaunay.experiment import make_default_spec, run_experiment
 from neardelaunay.fileio import parse_triangulation, write_triangulation
 from neardelaunay.geom import PointSet
 from neardelaunay.pointgen import random_point_set
 from neardelaunay.svg import render_svg
-from neardelaunay.triangulation import Triangulation
+from neardelaunay.triangulation import Triangulation, parse_constraint
 
 P4_TEXT = "4\n0 0\n2 0\n1 0.5\n1 -0.5\n"
 P5_TEXT = "5\n0 0\n2 0\n1 0.5\n1 -0.5\n3 3\n"
@@ -187,6 +187,45 @@ class TestOptimizeCommand:
             )
             == 1
         )
+
+
+class TestConstraintParsing:
+    """The optimize flags and the experiment's spec entries build
+    constraints through one parser."""
+
+    @pytest.mark.parametrize(
+        "flags, entry",
+        [
+            (["--required-edge", "0,1", "--required-edge", "3,2"],
+             {"type": "required_edges", "edges": [[0, 1], [2, 3]]}),
+            (["--min-length-factor", "1.1"], {"type": "min_total_length", "factor": 1.1}),
+            (["--max-length-factor", "0.9"], {"type": "max_total_length", "factor": 0.9}),
+            (["--max-degree", "4"], {"type": "max_degree", "bound": 4}),
+        ],
+    )
+    def test_flag_and_entry_build_equal_constraints(self, flags, entry):
+        args = build_parser().parse_args(["optimize", "p.txt", "--metric", "lens", *flags])
+        assert _collect_constraint(args) == parse_constraint(entry)
+
+    @pytest.mark.parametrize(
+        "flag, value, entry",
+        [
+            ("--min-length-factor", "-1", {"type": "min_total_length", "factor": -1}),
+            ("--max-length-factor", "nan", {"type": "max_total_length", "factor": math.nan}),
+            ("--max-degree", "2", {"type": "max_degree", "bound": 2}),
+        ],
+    )
+    def test_bad_value_same_message(self, capsys, tmp_path, points_file, flag, value, entry):
+        assert main(["optimize", str(points_file), "--metric", "lens", flag, value]) == 1
+        message = capsys.readouterr().err.removeprefix("error: ").rstrip("\n")
+        spec = {
+            "point_sets": [{"name": "tiny", "points": [[0, 0], [2, 0], [1, 0.5], [1, -0.5]]}],
+            "constraints": [entry],
+            "metrics": ["lens"],
+            "modes": ["sum"],
+        }
+        [cell] = run_experiment(spec, tmp_path / "out")["cells"]
+        assert (cell["status"], cell["error"]) == ("error", message)
 
 
 class TestStructureCommands:
@@ -413,15 +452,53 @@ class TestExperiment:
         assert cells["maxlength"]["error"] == "length factor must be positive"
         assert cells["maxdegree"]["status"] == "ok"  # the run continued
 
-    def _one_bad_constraint(self, tmp_path, bad):
+    def _one_bad_constraint(self, tmp_path, bad, **set_fields):
         spec = {
-            "point_sets": [{"name": "tiny", "points": [[0, 0], [2, 0], [1, 0.5], [1, -0.5]]}],
+            "point_sets": [
+                {"name": "tiny", "points": [[0, 0], [2, 0], [1, 0.5], [1, -0.5]], **set_fields}
+            ],
             "constraints": [bad, {"type": "max_degree", "bound": 5}],
             "metrics": ["lens"],
             "modes": ["sum"],
         }
         report = run_experiment(spec, tmp_path / "out")
         return {c["constraint"]: c for c in report["cells"]}
+
+    @pytest.mark.parametrize(
+        "bad, set_fields, label, message",
+        [
+            ({"type": "required_edges", "edges": 5}, {}, "required",
+             "edges 5 is not a list of index pairs"),
+            ({"type": "required_edges", "edges": [[0, 1, 2]]}, {}, "required",
+             "edges [[0, 1, 2]] is not a list of index pairs"),
+            ({"type": "required_edges", "edges": [["a", 1]]}, {}, "required",
+             "edges [['a', 1]] is not a list of index pairs"),
+            ({"type": ["x"]}, {}, None, "unknown constraint type ['x']"),
+            ({"type": "required_edges"}, {"required_edges": 5}, "required",
+             "edges 5 is not a list of index pairs"),
+        ],
+    )
+    def test_malformed_constraint_recorded_per_cell(self, tmp_path, bad, set_fields, label, message):
+        cells = self._one_bad_constraint(tmp_path, bad, **set_fields)
+        assert cells[label]["status"] == "error"
+        assert cells[label]["error"] == message
+        assert cells["maxdegree"]["status"] == "ok"  # the run continued
+
+    def test_progress_sees_every_cell(self, tmp_path):
+        spec = {
+            "point_sets": [{"name": "tiny", "points": [[0, 0], [2, 0], [1, 0.5], [1, -0.5]]}],
+            "constraints": [
+                {"type": "min_total_length", "factor": -1.0},
+                {"type": "max_degree", "bound": 5},
+            ],
+            "metrics": ["lens"],
+            "modes": ["sum", "bottleneck"],
+        }
+        seen = []
+        report = run_experiment(spec, tmp_path / "out", progress=seen.append)
+        assert len(report["cells"]) == 4
+        assert seen == report["cells"]
+        assert [c["status"] for c in seen] == ["error", "error", "ok", "ok"]
 
     def test_unusable_required_edge_recorded_per_cell(self, tmp_path):
         cells = self._one_bad_constraint(

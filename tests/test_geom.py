@@ -33,7 +33,7 @@ from neardelaunay.geom import (
     validate_general_position,
 )
 
-from neardelaunay.pointgen import wheel_point_set
+from neardelaunay.pointgen import random_point_set, wheel_point_set
 
 from conftest import random_jittered_circle
 from oracles import general_position_message, incircle_distance_oracle
@@ -493,8 +493,8 @@ def _far_and_near_circles(rng):
 
 
 def _extreme_scales(rng):
-    """Random sets and circles at scales near and beyond the ends of the
-    range the window analysis assumes, past which whole pairs are searched."""
+    """Random sets and circles at scales where the whole-list oracle's
+    determinants overflow or underflow unless the set is rescaled first."""
     for scale in (1e-150, 1e-100, 1e-60, 1e60, 1e100, 1e150):
         for n in (5, 8):
             yield [(scale * rng.random(), scale * rng.random()) for _ in range(n)]
@@ -506,9 +506,6 @@ class TestCocircularFilter:
     reach its edge cases: equal keys, keys either side of 0 = pi, wide
     windows, large offsets, nearly cocircular points and extreme scales."""
 
-    # At 1e100 and beyond both determinant tests overflow, as they always did.
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize(
         "family",
         [_exact_circles, _straddling_keys, _close_points, _close_pairs_on_a_circle,
@@ -517,8 +514,11 @@ class TestCocircularFilter:
     def test_same_message_as_whole_list_oracle(self, family):
         outcomes = set()
         for pts in family(random.Random(family.__name__)):
+            # the oracle overflows at extreme scales: give it the set as
+            # validate_general_position rescales it, by a power of two
+            oracle_pts = _unit_scaled(pts) if family is _extreme_scales else pts
             for guard in FILTER_GUARDS:
-                want = general_position_message(PointSet(pts), guard)
+                want = general_position_message(PointSet(oracle_pts), guard)
                 assert TestGeneralPositionScan._message(pts, guard) == want, (pts, guard)
                 outcomes.add(want is None or want.split()[-4])
         assert "cocircular" in outcomes and len(outcomes) > 1
@@ -542,6 +542,34 @@ class TestCocircularFilter:
         rng = random.Random(80)
         validate_general_position(PointSet([(rng.random(), rng.random()) for _ in range(80)]))
         assert tested <= 1000  # of C(80, 4) = 1,581,580
+
+
+def _unit_scaled(pts, exponent=None):
+    """pts times 2^exponent; by default the power of two that brings the
+    largest |coordinate| into [1/2, 1)."""
+    if exponent is None:
+        exponent = -math.frexp(max(abs(v) for p in pts for v in p))[1]
+    return [(math.ldexp(x, exponent), math.ldexp(y, exponent)) for x, y in pts]
+
+
+class TestPowerOfTwoScale:
+    """Scaling by a power of two is an exact similarity, so the verdict at
+    2^-500 and 2^500, where unscaled determinants underflow or overflow, is
+    the one at scale 1."""
+
+    @pytest.mark.parametrize("exponent", [-500, 500])
+    def test_verdict_of_scale_one(self, exponent):
+        rng = random.Random(exponent)
+        sets = [list(random_point_set(n, seed)) for n in (5, 8, 12) for seed in range(4)]
+        sets += list(_jittered_circles(rng)) + list(_lattices(rng))
+        outcomes = set()
+        for pts in sets:
+            for guard in (0.0, 1e-12, 1e-9, 1e-6):
+                want = TestGeneralPositionScan._message(pts, guard)
+                scaled = _unit_scaled(pts, exponent)
+                assert TestGeneralPositionScan._message(scaled, guard) == want, (pts, guard)
+                outcomes.add(want is None)
+        assert outcomes == {True, False}
 
 
 class TestGeneralPositionScan:
