@@ -47,7 +47,6 @@ from .geom import (
 from .metrics import (
     ALL_METRICS,
     EDGE_METRICS,
-    METRIC_ORIENTATION,
     PERFECT_VALUE,
     QUADRILATERAL_METRICS,
     TRIANGLE_METRICS,
@@ -55,15 +54,8 @@ from .metrics import (
     Evaluator,
     LocalVoronoiDiagram,
     ScoreOrientation,
-    dual_area_overlap,
-    dual_edge_ratio,
     evaluate,
-    lens,
     local_voronoi,
-    opposing_angles,
-    shrunk_circle,
-    shrunk_circumcircle,
-    triangular_lens,
 )
 from .pointgen import (
     long_delaunay_point_set,

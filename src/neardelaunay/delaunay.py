@@ -33,6 +33,7 @@ from .triangulation import (
     apex_triangles,
     flip_edge,
     scan_triangulation,
+    strict_index,
 )
 
 
@@ -99,7 +100,11 @@ def normalize_edges(ps: PointSet, edges) -> list[EdgeKey]:
     """Sorted distinct edge keys; InvalidConstraintEdges for a bad index pair."""
     norm: set[EdgeKey] = set()
     for i, j in edges:
-        if i == j or not (0 <= i < len(ps)) or not (0 <= j < len(ps)):
+        try:
+            ok = i != j and 0 <= strict_index(i) < len(ps) and 0 <= strict_index(j) < len(ps)
+        except TypeError:
+            ok = False
+        if not ok:
             raise InvalidConstraintEdges(f"bad edge ({i}, {j})")
         norm.add((min(i, j), max(i, j)))
     return sorted(norm)

@@ -43,7 +43,7 @@ from .geom import (
     orientation,
     polygon_area,
 )
-from .triangulation import Decomposition, Quadrilateral, Triangulation, elements
+from .triangulation import Decomposition, Triangulation, elements
 
 TWO_PI = 2.0 * math.pi
 
@@ -64,37 +64,23 @@ class ElementScore:
 # Values of the points u, v of an interior edge and p, q opposite it.
 
 
-def _quad_score(q: Quadrilateral, value) -> ElementScore:
-    return ElementScore(
-        (*q.key()[0], *q.key()[1]), value(*q.coords()), ScoreOrientation.LOWER_BETTER
-    )
-
-
 def _opposing_angles_value(pu: Point, pv: Point, pp: Point, pq: Point) -> float:
+    """Excess of the two opposing angles over pi (0 when locally Delaunay)."""
     excess = angle_at(pp, pu, pv) + angle_at(pq, pu, pv) - math.pi
     return max(0.0, excess)
 
 
-def opposing_angles(q: Quadrilateral) -> ElementScore:
-    """Excess of the two opposing angles over pi (0 when locally Delaunay)."""
-    return _quad_score(q, _opposing_angles_value)
-
-
 def _dual_edge_ratio_value(pu: Point, pv: Point, pp: Point, pq: Point) -> float:
-    if not in_circumcircle(pu, pv, pp, pq):
-        return 0.0
-    cp = circumcircle(pu, pv, pp).center
-    cq = circumcircle(pu, pv, pq).center
-    return math.dist(cp, cq) / math.dist(pu, pv)
-
-
-def dual_edge_ratio(q: Quadrilateral) -> ElementScore:
     """Distance between the two circumcenters over the edge length.
 
     Zero when the quadrilateral is locally Delaunay; otherwise the two
     centers sit in inverted order and their separation measures how far.
     """
-    return _quad_score(q, _dual_edge_ratio_value)
+    if not in_circumcircle(pu, pv, pp, pq):
+        return 0.0
+    cp = circumcircle(pu, pv, pp).center
+    cq = circumcircle(pu, pv, pq).center
+    return math.dist(cp, cq) / math.dist(pu, pv)
 
 
 def _bisector_halfplane(keep: Point, cut: Point):
@@ -178,24 +164,20 @@ def _dual_overlap_area(pu: Point, pv: Point, pp: Point, pq: Point) -> float:
 
 
 def _dual_area_overlap_value(pu: Point, pv: Point, pp: Point, pq: Point) -> float:
-    if not in_circumcircle(pu, pv, pp, pq):
-        return 0.0
-    return _dual_overlap_area(pu, pv, pp, pq) / math.dist(pu, pv) ** 2
-
-
-def dual_area_overlap(q: Quadrilateral) -> ElementScore:
     """Overlap area of the two opposing local cells over the squared edge length.
 
     The cell of p is bounded by the bisectors of (p, u) and (p, v); for a
     locally Delaunay quadrilateral it is disjoint from q's cell.
     """
-    return _quad_score(q, _dual_area_overlap_value)
+    if not in_circumcircle(pu, pv, pp, pq):
+        return 0.0
+    return _dual_overlap_area(pu, pv, pp, pq) / math.dist(pu, pv) ** 2
 
 
 # --- edge scores -------------------------------------------------------------
 
 
-def _lens_value(ps: PointSet, u: int, v: int) -> float:
+def _lens_value(ev: Evaluator, edge: tuple) -> float:
     """Tangent angle of the widest empty lens over the edge, capped at pi.
 
     Each side contributes pi minus the largest angle the edge subtends from
@@ -203,7 +185,8 @@ def _lens_value(ps: PointSet, u: int, v: int) -> float:
     inscribed-angle theorem this is the tangent direction of the largest
     empty arc on that side.
     """
-    pts = ps.points
+    u, v = edge
+    pts = ev.point_set.points
     pu, pv = pts[u], pts[v]
     best = {Orientation.CCW: 0.0, Orientation.CW: 0.0}
     for i, pw in enumerate(pts):
@@ -219,14 +202,7 @@ def _lens_value(ps: PointSet, u: int, v: int) -> float:
     return min(math.pi, theta)
 
 
-def lens(edge, ps: PointSet, t: Triangulation) -> ElementScore:
-    u, v = min(edge), max(edge)
-    if not t.has_edge(u, v):
-        raise ValueError(f"({u}, {v}) is not an edge of the triangulation")
-    return ElementScore((u, v), _lens_value(ps, u, v), ScoreOrientation.HIGHER_BETTER)
-
-
-def _shrunk_circle_value(ps: PointSet, vd: VoronoiDiagram, u: int, v: int) -> float:
+def _shrunk_circle_value(ev: Evaluator, edge: tuple) -> float:
     """Largest fraction of the edge covered by an empty circle.
 
     The best empty circle is centred on the Voronoi diagram, the coverage is
@@ -236,21 +212,15 @@ def _shrunk_circle_value(ps: PointSet, vd: VoronoiDiagram, u: int, v: int) -> fl
     empty circle), and unbounded edges are dominated by their bounded
     endpoint, so only the maximal circles at Voronoi vertices need testing.
     """
-    seg = Segment(ps.points[u], ps.points[v])
+    pts = ev.point_set.points
+    seg = Segment(pts[edge[0]], pts[edge[1]])
     length = math.dist(seg.a, seg.b)
     best = 0.0
-    for vert in vd.vertices:
+    for vert in ev.voronoi().vertices:
         overlap = chord_overlap_length(vert.circle(), seg)
         if overlap > best:
             best = overlap
     return min(1.0, max(0.0, best / length))
-
-
-def shrunk_circle(edge, ps: PointSet, vd: VoronoiDiagram) -> ElementScore:
-    u, v = min(edge), max(edge)
-    return ElementScore(
-        (u, v), _shrunk_circle_value(ps, vd, u, v), ScoreOrientation.HIGHER_BETTER
-    )
 
 
 # --- triangle scores ---------------------------------------------------------
@@ -273,18 +243,18 @@ def _inside_circumcircle(pts: Sequence[Point], tri) -> list[int]:
     return [i for i, p in enumerate(pts) if i not in tri and in_circumcircle(*corners, p)]
 
 
-def _triangular_lens_value(ps: PointSet, tri, inside: list[int] | None = None) -> float:
-    """The value given :func:`_inside_circumcircle` of the triangle, which is
-    scanned here when not given."""
-    pts = ps.points
+def _triangular_lens_value(ev: Evaluator, tri: tuple) -> float:
+    """Fraction of the circumcircle outside the triangle covered by the three
+    largest empty arcs, one per side, from the sites :meth:`Evaluator.inside`
+    the circumcircle."""
+    pts = ev.point_set.points
     iu, iv, iw = tri
     corners = (pts[iu], pts[iv], pts[iw])
     circ = circumcircle(*corners)
     r2 = circ.radius * circ.radius
     tri_area = polygon_area(corners)
     denom = math.pi * r2 - tri_area
-    if inside is None:
-        inside = _inside_circumcircle(pts, tri)
+    inside = ev.inside(tri)
     total = 0.0
     for a, b, opposite in ((iu, iv, iw), (iv, iw, iu), (iw, iu, iv)):
         pa, pb, pc = pts[a], pts[b], pts[opposite]
@@ -305,15 +275,6 @@ def _triangular_lens_value(ps: PointSet, tri, inside: list[int] | None = None) -
             arc = circumcircle(pa, pb, best_pt)
             total += _segment_area_on_side(arc, pa, pb, outer)
     return total / denom
-
-
-def triangular_lens(tri, ps: PointSet) -> ElementScore:
-    """Fraction of the circumcircle outside the triangle covered by the three
-    largest empty arcs, one per side."""
-    key = tuple(sorted(tri))
-    return ElementScore(
-        key, _triangular_lens_value(ps, key), ScoreOrientation.HIGHER_BETTER
-    )
 
 
 # --- local diagram of a circle and its interior sites ------------------------
@@ -670,13 +631,16 @@ def _clip_lists(ps: PointSet, circ: Circle, inside: list[int]) -> list[list[int]
     return [[position[h] for h in adjacent[g] if h in position] for g in inside]
 
 
-def _shrunk_circumcircle_value(ps: PointSet, tri, inside: list[int] | None = None) -> float:
-    """The value given :func:`_inside_circumcircle` of the triangle, which is
-    scanned here when not given.  Its local diagram clips each site by its
-    Delaunay neighbours among the inside sites (:func:`_clip_lists`)."""
+def _shrunk_circumcircle_value(ev: Evaluator, tri: tuple) -> float:
+    """Area of the largest empty circle inside the circumcircle that meets
+    all three sides, between the inscribed circle (0) and the circumcircle (1).
+
+    The sites are those :meth:`Evaluator.inside` the circumcircle.  Their
+    local diagram clips each site by its Delaunay neighbours among them
+    (:func:`_clip_lists`)."""
+    ps = ev.point_set
     pts = ps.points
-    if inside is None:
-        inside = _inside_circumcircle(pts, tri)
+    inside = ev.inside(tri)
     if not inside:
         return 1.0
     corners = tuple(pts[i] for i in tri)
@@ -716,16 +680,6 @@ def _largest_contained_circle(corners, diagram: LocalVoronoiDiagram) -> float:
     return max(0.0, min(1.0, (best * best - ri2) / (r2 - ri2)))
 
 
-def shrunk_circumcircle(tri, ps: PointSet) -> ElementScore:
-    """Area of the largest empty circle inside the circumcircle that meets
-    all three sides, between the inscribed circle (0) and the circumcircle (1).
-    """
-    key = tuple(sorted(tri))
-    return ElementScore(
-        key, _shrunk_circumcircle_value(ps, key), ScoreOrientation.HIGHER_BETTER
-    )
-
-
 # --- the registry -------------------------------------------------------------
 
 
@@ -753,13 +707,10 @@ METRICS = (
     Metric("opposing_angles", _QUAD, _LOWER, 0.0, _of_points(_opposing_angles_value)),
     Metric("dual_edge_ratio", _QUAD, _LOWER, 0.0, _of_points(_dual_edge_ratio_value)),
     Metric("dual_area_overlap", _QUAD, _LOWER, 0.0, _of_points(_dual_area_overlap_value)),
-    Metric("lens", _EDGE, _HIGHER, math.pi, lambda ev, e: _lens_value(ev.point_set, *e)),
-    Metric("shrunk_circle", _EDGE, _HIGHER, 1.0,
-           lambda ev, e: _shrunk_circle_value(ev.point_set, ev.voronoi(), *e)),
-    Metric("triangular_lens", _TRI, _HIGHER, 1.0,
-           lambda ev, tri: _triangular_lens_value(ev.point_set, tri, ev.inside(tri))),
-    Metric("shrunk_circumcircle", _TRI, _HIGHER, 1.0,
-           lambda ev, tri: _shrunk_circumcircle_value(ev.point_set, tri, ev.inside(tri))),
+    Metric("lens", _EDGE, _HIGHER, math.pi, _lens_value),
+    Metric("shrunk_circle", _EDGE, _HIGHER, 1.0, _shrunk_circle_value),
+    Metric("triangular_lens", _TRI, _HIGHER, 1.0, _triangular_lens_value),
+    Metric("shrunk_circumcircle", _TRI, _HIGHER, 1.0, _shrunk_circumcircle_value),
 )
 
 # Views of the registry, in its order.
@@ -767,7 +718,6 @@ ALL_METRICS = tuple(m.name for m in METRICS)
 QUADRILATERAL_METRICS = tuple(m.name for m in METRICS if m.decomposition is _QUAD)
 EDGE_METRICS = tuple(m.name for m in METRICS if m.decomposition is _EDGE)
 TRIANGLE_METRICS = tuple(m.name for m in METRICS if m.decomposition is _TRI)
-METRIC_ORIENTATION = {m.name: m.orientation for m in METRICS}
 PERFECT_VALUE = {m.name: m.perfect for m in METRICS}
 _BY_NAME = {m.name: m for m in METRICS}
 

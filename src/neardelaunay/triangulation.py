@@ -184,17 +184,33 @@ class MaxDegree:
 Constraint = RequiredEdges | MinTotalLength | MaxTotalLength | MaxDegree
 
 
+def strict_index(i) -> int:
+    """``operator.index(i)``, with bools rejected too (TypeError): the rule
+    for point indices and integer spec fields, so 1.5, "1" and True are
+    not read as an index."""
+    if isinstance(i, bool):
+        raise TypeError(f"{i!r} is not an index")
+    return operator.index(i)
+
+
 def _index_pairs(edges) -> list[EdgeKey]:
-    return [(operator.index(i), operator.index(j)) for i, j in edges]
+    return [(strict_index(i), strict_index(j)) for i, j in edges]
+
+
+def _number(x) -> float:
+    """An int or a float as a float; TypeError for a bool, a string or anything else."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise TypeError(f"{x!r} is not a number")
+    return float(x)
 
 
 # Spec entry type -> constraint class, the entry's value field, its default,
 # the conversion of the value and what the conversion expects.
 CONSTRAINT_FIELDS = {
     "required_edges": (RequiredEdges, "edges", None, _index_pairs, "a list of index pairs"),
-    "min_total_length": (MinTotalLength, "factor", 1.2, float, "a number"),
-    "max_total_length": (MaxTotalLength, "factor", 0.8, float, "a number"),
-    "max_degree": (MaxDegree, "bound", 5, int, "a number"),
+    "min_total_length": (MinTotalLength, "factor", 1.2, _number, "a number"),
+    "max_total_length": (MaxTotalLength, "factor", 0.8, _number, "a number"),
+    "max_degree": (MaxDegree, "bound", 5, strict_index, "an integer"),
 }
 
 
@@ -203,8 +219,9 @@ def parse_constraint(entry: dict) -> Constraint:
 
     The field is "edges" for required_edges (point index pairs, no default),
     "factor" for min_total_length and max_total_length (default 1.2 and
-    0.8) and "bound" for max_degree (default 5).  A malformed entry raises
-    NearDelaunayError.
+    0.8) and "bound" for max_degree (default 5).  Indices and the bound
+    must be ints and the factor an int or a float, bools excepted.  A
+    malformed entry raises NearDelaunayError.
     """
     if "type" not in entry:
         raise NearDelaunayError(f"constraint entry needs a type: {entry}")

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 
 from neardelaunay.geom import PointSet
+from neardelaunay.metrics import Evaluator
 from neardelaunay.triangulation import Triangulation
 
 
@@ -97,35 +98,5 @@ ALL_PAIRS = (
 
 
 def score_element(t: Triangulation, element, metric: str) -> float:
-    from neardelaunay.delaunay import voronoi
-    from neardelaunay.metrics import (
-        dual_area_overlap,
-        dual_edge_ratio,
-        lens,
-        opposing_angles,
-        shrunk_circle,
-        shrunk_circumcircle,
-        triangular_lens,
-    )
-    from neardelaunay.triangulation import interior_quadrilaterals
-
-    kind, key = element
-    ps = t.point_set
-    if kind == "quad":
-        u, v = key[0], key[1]
-        quad = next(
-            q for q in interior_quadrilaterals(t) if (q.u, q.v) == (min(u, v), max(u, v))
-        )
-        fn = {
-            "opposing_angles": opposing_angles,
-            "dual_edge_ratio": dual_edge_ratio,
-            "dual_area_overlap": dual_area_overlap,
-        }[metric]
-        return fn(quad).value
-    if kind == "edge":
-        if metric == "lens":
-            return lens(key, ps, t).value
-        return shrunk_circle(key, ps, voronoi(ps)).value
-    if metric == "triangular_lens":
-        return triangular_lens(key, ps).value
-    return shrunk_circumcircle(key, ps).value
+    """The metric's value of ``element``, a (kind, key) pair, in ``t``'s point set."""
+    return Evaluator(t.point_set).element_value(metric, element[1])

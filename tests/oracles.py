@@ -47,7 +47,6 @@ from neardelaunay.geom import (
 from neardelaunay.delaunay import _proper_cross, delaunay
 from neardelaunay.errors import InvalidConstraintEdges, SiteOutsideCircle
 from neardelaunay.metrics import (
-    METRIC_ORIENTATION,
     TWO_PI,
     EllipticalSegment,
     LocalVoronoiDiagram,
@@ -572,12 +571,13 @@ def best_by_scan(candidates, constraint, metric, mode, dt_length, evaluator):
     """Best candidate that satisfies the constraint, scoring each with
     Evaluator.values; a later candidate replaces the best only when strictly
     better, so ties keep the earliest."""
-    lower_better = METRIC_ORIENTATION[metric] is ScoreOrientation.LOWER_BETTER
+    orientation = lookup_metric(metric).orientation
+    lower_better = orientation is ScoreOrientation.LOWER_BETTER
     best = best_sum = best_vec = None
     for t in candidates:
         if not satisfies(t, constraint, dt_length):
             continue
-        sv = ScoreVector(metric, METRIC_ORIENTATION[metric], evaluator.values(t, metric))
+        sv = ScoreVector(metric, orientation, evaluator.values(t, metric))
         if mode is AggregationMode.SUM:
             value = aggregate_sum(sv)
             if best is None or (value < best_sum if lower_better else value > best_sum):
@@ -632,7 +632,7 @@ def block_best_bottleneck(scores: np.ndarray, lower_better: bool) -> int:
 def unique_best_triangulation(table, constraint, metric, mode, evaluator):
     """best_triangulation with element values looked up through np.unique
     and the two scans above."""
-    lower_better = METRIC_ORIENTATION[metric] is ScoreOrientation.LOWER_BETTER
+    lower_better = lookup_metric(metric).orientation is ScoreOrientation.LOWER_BETTER
     dt_length = total_edge_length(delaunay(table.point_set))
     feasible = np.flatnonzero(feasible_rows(table, constraint, dt_length))
     if not len(feasible):

@@ -33,12 +33,7 @@ from neardelaunay.metrics import (
     PERFECT_VALUE,
     QUADRILATERAL_METRICS,
     Evaluator,
-    dual_area_overlap,
     evaluate,
-    lens,
-    shrunk_circle,
-    shrunk_circumcircle,
-    triangular_lens,
 )
 from neardelaunay.pointgen import random_point_set, wheel_point_set
 from neardelaunay.triangulation import (
@@ -327,20 +322,19 @@ def test_criterion_05_overlap_convexity_sampling():
 def test_criterion_06_oracle_equivalence(p4):
     """Analytic metric values agree with independent oracles, including the
     worked fixtures 0.625, ~0.1301 and 0.140625."""
-    t_bad = Triangulation(p4, [(0, 1, 2), (0, 1, 3)])
-    vd4 = voronoi(p4)
+    ev4 = Evaluator(p4)
     worst_lens = worst_dao = worst_sc = worst_scc = 0.0
 
-    # worked fixtures
-    sc_fixture = shrunk_circle((0, 1), p4, vd4).value
+    # worked fixtures; the bad diagonal (0, 1) has apexes 2 and 3
+    sc_fixture = ev4.element_value("shrunk_circle", (0, 1))
     assert sc_fixture == pytest.approx(0.625, abs=1e-12)
     worst_sc = max(worst_sc, abs(sc_fixture - grid_shrunk_circle(p4, 0, 1)))
-    scc_fixture = shrunk_circumcircle((0, 1, 2), p4).value
+    scc_fixture = ev4.element_value("shrunk_circumcircle", (0, 1, 2))
     assert scc_fixture == pytest.approx(0.1301, abs=2e-3)
     worst_scc = max(
         worst_scc, abs(scc_fixture - grid_shrunk_circumcircle(p4, (0, 1, 2)))
     )
-    dao_fixture = dual_area_overlap(interior_quadrilaterals(t_bad)[0]).value
+    dao_fixture = ev4.element_value("dual_area_overlap", (0, 1, 2, 3))
     assert dao_fixture == pytest.approx(0.140625, rel=1e-12)
     worst_dao = max(
         worst_dao,
@@ -349,20 +343,20 @@ def test_criterion_06_oracle_equivalence(p4):
     )
     worst_lens = max(
         worst_lens,
-        abs(lens((0, 1), p4, t_bad).value - lens_arc_oracle(p4, 0, 1)),
+        abs(ev4.element_value("lens", (0, 1)) - lens_arc_oracle(p4, 0, 1)),
     )
 
     # random fixtures
     for seed in range(5):
         ps = random_point_set(8, seed=600 + seed)
         t = flip_neighbors(delaunay(ps))[0]
-        vd = voronoi(ps)
+        ev = Evaluator(ps)
         for e in t.edges():
             worst_lens = max(
-                worst_lens, abs(lens(e, ps, t).value - lens_arc_oracle(ps, *e))
+                worst_lens, abs(ev.element_value("lens", e) - lens_arc_oracle(ps, *e))
             )
         for q in interior_quadrilaterals(t):
-            ours = dual_area_overlap(q).value
+            ours = ev.element_value("dual_area_overlap", (q.u, q.v, q.p, q.q))
             ref = clip_dual_overlap_oracle(*q.coords())
             if ours > 0.0:
                 worst_dao = max(worst_dao, abs(ours - ref) / ours)
@@ -371,17 +365,17 @@ def test_criterion_06_oracle_equivalence(p4):
     for seed in range(2):
         ps = random_point_set(8, seed=600 + seed)
         t = flip_neighbors(delaunay(ps))[0]
-        vd = voronoi(ps)
+        ev = Evaluator(ps)
         for e in list(t.edges())[:5]:
             worst_sc = max(
                 worst_sc,
-                abs(shrunk_circle(e, ps, vd).value - grid_shrunk_circle(ps, *e)),
+                abs(ev.element_value("shrunk_circle", e) - grid_shrunk_circle(ps, *e)),
             )
         for tri in t.triangles[:5]:
             worst_scc = max(
                 worst_scc,
                 abs(
-                    shrunk_circumcircle(tri, ps).value
+                    ev.element_value("shrunk_circumcircle", tri)
                     - grid_shrunk_circumcircle(ps, tri)
                 ),
             )

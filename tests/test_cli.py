@@ -227,6 +227,22 @@ class TestConstraintParsing:
         [cell] = run_experiment(spec, tmp_path / "out")["cells"]
         assert (cell["status"], cell["error"]) == ("error", message)
 
+    def test_fractional_bound_rejected_by_flag_and_entry(self, capsys, tmp_path, points_file):
+        # Neither reads bound 5.7 as 5.  argparse rejects the flag before any
+        # constraint is built, so the flag's message is a usage error.
+        with pytest.raises(SystemExit) as usage:
+            main(["optimize", str(points_file), "--metric", "lens", "--max-degree", "5.7"])
+        assert usage.value.code == 2
+        assert "invalid int value: '5.7'" in capsys.readouterr().err
+        spec = {
+            "point_sets": [{"name": "tiny", "points": [[0, 0], [2, 0], [1, 0.5], [1, -0.5]]}],
+            "constraints": [{"type": "max_degree", "bound": 5.7}],
+            "metrics": ["lens"],
+            "modes": ["sum"],
+        }
+        [cell] = run_experiment(spec, tmp_path / "out")["cells"]
+        assert (cell["status"], cell["error"]) == ("error", "bound 5.7 is not an integer")
+
 
 class TestStructureCommands:
     def test_delaunay_round_trip(self, capsys, points_file, p4):
@@ -461,8 +477,9 @@ class TestExperiment:
             "metrics": ["lens"],
             "modes": ["sum"],
         }
-        report = run_experiment(spec, tmp_path / "out")
-        return {c["constraint"]: c for c in report["cells"]}
+        bad_cell, good_cell = run_experiment(spec, tmp_path / "out")["cells"]
+        assert good_cell["status"] == "ok"  # the run continued
+        return bad_cell
 
     @pytest.mark.parametrize(
         "bad, set_fields, label, message",
@@ -476,13 +493,26 @@ class TestExperiment:
             ({"type": ["x"]}, {}, None, "unknown constraint type ['x']"),
             ({"type": "required_edges"}, {"required_edges": 5}, "required",
              "edges 5 is not a list of index pairs"),
+            ({"type": "required_edges", "edges": [[0, True]]}, {}, "required",
+             "edges [[0, True]] is not a list of index pairs"),
+            ({"type": "required_edges", "edges": [[0, 1.5]]}, {}, "required",
+             "edges [[0, 1.5]] is not a list of index pairs"),
+            ({"type": "max_degree", "bound": 5.7}, {}, "maxdegree",
+             "bound 5.7 is not an integer"),
+            ({"type": "max_degree", "bound": "5"}, {}, "maxdegree",
+             "bound '5' is not an integer"),
+            ({"type": "max_degree", "bound": True}, {}, "maxdegree",
+             "bound True is not an integer"),
+            ({"type": "min_total_length", "factor": True}, {}, "minlength",
+             "factor True is not a number"),
+            ({"type": "max_total_length", "factor": "0.8"}, {}, "maxlength",
+             "factor '0.8' is not a number"),
         ],
     )
     def test_malformed_constraint_recorded_per_cell(self, tmp_path, bad, set_fields, label, message):
-        cells = self._one_bad_constraint(tmp_path, bad, **set_fields)
-        assert cells[label]["status"] == "error"
-        assert cells[label]["error"] == message
-        assert cells["maxdegree"]["status"] == "ok"  # the run continued
+        cell = self._one_bad_constraint(tmp_path, bad, **set_fields)
+        assert (cell["constraint"], cell["status"]) == (label, "error")
+        assert cell["error"] == message
 
     def test_progress_sees_every_cell(self, tmp_path):
         spec = {
@@ -501,19 +531,17 @@ class TestExperiment:
         assert [c["status"] for c in seen] == ["error", "error", "ok", "ok"]
 
     def test_unusable_required_edge_recorded_per_cell(self, tmp_path):
-        cells = self._one_bad_constraint(
+        cell = self._one_bad_constraint(
             tmp_path, {"type": "required_edges", "edges": [[0, 9]]}
         )
-        assert cells["required"]["status"] == "error"
-        assert cells["maxdegree"]["status"] == "ok"  # the run continued
+        assert (cell["constraint"], cell["status"]) == ("required", "error")
 
     def test_non_numeric_factor_recorded_per_cell(self, tmp_path):
-        cells = self._one_bad_constraint(
+        cell = self._one_bad_constraint(
             tmp_path, {"type": "min_total_length", "factor": "x"}
         )
-        assert cells["minlength"]["status"] == "error"
-        assert cells["minlength"]["error"] == "factor 'x' is not a number"
-        assert cells["maxdegree"]["status"] == "ok"
+        assert (cell["constraint"], cell["status"]) == ("minlength", "error")
+        assert cell["error"] == "factor 'x' is not a number"
 
     def test_unknown_mode_rejected(self, tmp_path):
         from neardelaunay.errors import NearDelaunayError
@@ -540,10 +568,9 @@ class TestExperiment:
             run_experiment(spec, tmp_path / "out", base_dir=tmp_path)
 
     def test_untyped_constraint_recorded_per_cell(self, tmp_path):
-        cells = self._one_bad_constraint(tmp_path, {"factor": 1.2})
-        assert cells[None]["status"] == "error"
-        assert cells[None]["error"] == "constraint entry needs a type: {'factor': 1.2}"
-        assert cells["maxdegree"]["status"] == "ok"
+        cell = self._one_bad_constraint(tmp_path, {"factor": 1.2})
+        assert (cell["constraint"], cell["status"]) == (None, "error")
+        assert cell["error"] == "constraint entry needs a type: {'factor': 1.2}"
 
     @pytest.mark.parametrize(
         "entry, message",

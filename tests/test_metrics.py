@@ -23,7 +23,6 @@ from neardelaunay.geom import (
 from neardelaunay.metrics import (
     ALL_METRICS,
     EDGE_METRICS,
-    METRIC_ORIENTATION,
     METRICS,
     PERFECT_VALUE,
     QUADRILATERAL_METRICS,
@@ -33,17 +32,9 @@ from neardelaunay.metrics import (
     ScoreOrientation,
     StraightSegment,
     _dist_point_segment,
-    _shrunk_circumcircle_value,
-    dual_area_overlap,
-    dual_edge_ratio,
     evaluate,
-    lens,
     local_voronoi,
     lookup_metric,
-    opposing_angles,
-    shrunk_circle,
-    shrunk_circumcircle,
-    triangular_lens,
 )
 from neardelaunay.pointgen import long_delaunay_point_set, random_point_set, wheel_point_set
 from neardelaunay.triangulation import (
@@ -74,6 +65,15 @@ def the_quad(t):
     return interior_quadrilaterals(t)[0]
 
 
+def metric_value(metric, ps, element):
+    """One element's value through the metric registry."""
+    return Evaluator(ps).element_value(metric, element)
+
+
+def quad_value(metric, q):
+    return metric_value(metric, q.point_set, (q.u, q.v, q.p, q.q))
+
+
 def flip_neighbors(t):
     tris = frozenset(t.triangles)
     out = []
@@ -93,11 +93,11 @@ def imperfection(metric, value):
 class TestOpposingAngles:
     def test_locally_delaunay_is_zero(self):
         ps = PointSet([(0, 0), (2, 0), (1, 2), (1, -2)])
-        assert opposing_angles(the_quad(bad_diagonal(ps))).value == 0.0
+        assert quad_value("opposing_angles", the_quad(bad_diagonal(ps))) == 0.0
 
     def test_bad_diagonal(self, p4):
         expected = 2 * math.acos(-3 / 5) - math.pi
-        assert opposing_angles(the_quad(bad_diagonal(p4))).value == pytest.approx(
+        assert quad_value("opposing_angles", the_quad(bad_diagonal(p4))) == pytest.approx(
             expected, abs=1e-12
         )
 
@@ -105,32 +105,32 @@ class TestOpposingAngles:
         # apex heights straddling the cocircular configuration
         for eps in (1e-6, 1e-9):
             ps = PointSet([(0, 0), (2, 0), (1, 1 - eps), (1, -1)])
-            val = opposing_angles(the_quad(bad_diagonal(ps))).value
+            val = quad_value("opposing_angles", the_quad(bad_diagonal(ps)))
             assert 0.0 < val < 4 * eps
             ps2 = PointSet([(0, 0), (2, 0), (1, 1 + eps), (1, -1)])
-            assert opposing_angles(the_quad(bad_diagonal(ps2))).value == 0.0
+            assert quad_value("opposing_angles", the_quad(bad_diagonal(ps2))) == 0.0
 
 
 class TestDualEdgeRatio:
     def test_locally_delaunay_is_zero(self):
         ps = PointSet([(0, 0), (2, 0), (1, 2), (1, -2)])
-        assert dual_edge_ratio(the_quad(bad_diagonal(ps))).value == 0.0
+        assert quad_value("dual_edge_ratio", the_quad(bad_diagonal(ps))) == 0.0
 
     def test_bad_diagonal(self, p4):
-        assert dual_edge_ratio(the_quad(bad_diagonal(p4))).value == pytest.approx(0.75)
+        assert quad_value("dual_edge_ratio", the_quad(bad_diagonal(p4))) == pytest.approx(0.75)
 
     def test_small_near_cocircular(self):
         ps = PointSet([(0, 0), (2, 0), (1, 1 - 1e-7), (1, -1)])
-        assert dual_edge_ratio(the_quad(bad_diagonal(ps))).value < 1e-6
+        assert quad_value("dual_edge_ratio", the_quad(bad_diagonal(ps))) < 1e-6
 
 
 class TestDualAreaOverlap:
     def test_locally_delaunay_is_zero(self):
         ps = PointSet([(0, 0), (2, 0), (1, 2), (1, -2)])
-        assert dual_area_overlap(the_quad(bad_diagonal(ps))).value == 0.0
+        assert quad_value("dual_area_overlap", the_quad(bad_diagonal(ps))) == 0.0
 
     def test_bad_diagonal(self, p4):
-        assert dual_area_overlap(the_quad(bad_diagonal(p4))).value == pytest.approx(
+        assert quad_value("dual_area_overlap", the_quad(bad_diagonal(p4))) == pytest.approx(
             0.140625, rel=1e-9
         )
 
@@ -149,7 +149,7 @@ class TestDualAreaOverlap:
                 q = the_quad(bad_diagonal(ps))
             except ValueError:
                 continue
-            ours = dual_area_overlap(q).value
+            ours = quad_value("dual_area_overlap", q)
             ref = clip_dual_overlap_oracle(*q.coords())
             if ours == 0.0:
                 assert ref == 0.0
@@ -160,54 +160,45 @@ class TestDualAreaOverlap:
 
 class TestLens:
     def test_worked_example(self, p4):
-        t = bad_diagonal(p4)
         expected = 2 * math.pi - 2 * math.acos(-3 / 5)
-        assert lens((0, 1), p4, t).value == pytest.approx(expected, abs=1e-12)
+        assert metric_value("lens", p4, (0, 1)) == pytest.approx(expected, abs=1e-12)
 
     def test_delaunay_edges_capped_at_pi(self, p4):
         dt = delaunay(p4)
         for e in dt.edges():
-            assert lens(e, p4, dt).value == math.pi
+            assert metric_value("lens", p4, e) == math.pi
 
     def test_hull_edge_with_empty_side(self):
         ps = PointSet([(0, 0), (2, 0), (1, 2)])
-        t = Triangulation(ps, [(0, 1, 2)])
-        assert lens((0, 1), ps, t).value == math.pi
-
-    def test_not_an_edge_rejected(self, p4):
-        with pytest.raises(ValueError):
-            lens((2, 3), p4, bad_diagonal(p4))
+        assert metric_value("lens", ps, (0, 1)) == math.pi
 
     def test_matches_arc_oracle(self):
         for seed in range(8):
             ps = random_point_set(9, seed=seed)
             for t in [delaunay(ps)] + flip_neighbors(delaunay(ps))[:3]:
                 for e in t.edges():
-                    assert lens(e, ps, t).value == pytest.approx(
+                    assert metric_value("lens", ps, e) == pytest.approx(
                         lens_arc_oracle(ps, *e), abs=1e-9
                     )
 
 
 class TestShrunkCircle:
     def test_worked_example(self, p4):
-        assert shrunk_circle((0, 1), p4, voronoi(p4)).value == pytest.approx(0.625)
+        assert metric_value("shrunk_circle", p4, (0, 1)) == pytest.approx(0.625)
 
     def test_delaunay_edges_are_one(self, p4):
-        vd = voronoi(p4)
         for e in delaunay(p4).edges():
-            assert shrunk_circle(e, p4, vd).value == pytest.approx(1.0, abs=1e-12)
+            assert metric_value("shrunk_circle", p4, e) == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_grid_oracle(self, p4):
-        vd = voronoi(p4)
-        assert shrunk_circle((0, 1), p4, vd).value == pytest.approx(
+        assert metric_value("shrunk_circle", p4, (0, 1)) == pytest.approx(
             grid_shrunk_circle(p4, 0, 1), abs=2e-3
         )
         for seed in (2, 3):
             ps = random_point_set(8, seed=seed)
-            vd = voronoi(ps)
             t = flip_neighbors(delaunay(ps))[0]
             for e in list(t.edges())[:6]:
-                assert shrunk_circle(e, ps, vd).value == pytest.approx(
+                assert metric_value("shrunk_circle", ps, e) == pytest.approx(
                     grid_shrunk_circle(ps, *e), abs=2e-3
                 )
 
@@ -259,19 +250,20 @@ class TestShrunkCircle:
 
 class TestTriangularLens:
     def test_worked_example(self, p4):
-        assert triangular_lens((0, 1, 2), p4).value == pytest.approx(0.20364, abs=1e-5)
+        value = metric_value("triangular_lens", p4, (0, 1, 2))
+        assert value == pytest.approx(0.20364, abs=1e-5)
 
     def test_delaunay_triangles_are_one(self, p4):
         for tri in delaunay(p4).triangles:
-            assert triangular_lens(tri, p4).value == pytest.approx(1.0, abs=1e-12)
+            assert metric_value("triangular_lens", p4, tri) == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_area_sampling_oracle(self, p4):
-        ours = triangular_lens((0, 1, 2), p4).value
+        ours = metric_value("triangular_lens", p4, (0, 1, 2))
         assert ours == pytest.approx(sampled_triangular_lens(p4, (0, 1, 2)), abs=3e-3)
         ps = random_point_set(8, seed=44)
         t = flip_neighbors(delaunay(ps))[0]
         for tri in t.triangles[:4]:
-            assert triangular_lens(tri, ps).value == pytest.approx(
+            assert metric_value("triangular_lens", ps, tri) == pytest.approx(
                 sampled_triangular_lens(ps, tri), abs=3e-3
             )
 
@@ -289,7 +281,7 @@ class TestTriangularLens:
                 norm = math.hypot(nx, ny)
                 mids.append((mx + d * nx / norm, my + d * ny / norm))
             ps = PointSet(tri + mids)
-            values.append(triangular_lens((0, 1, 2), ps).value)
+            values.append(metric_value("triangular_lens", ps, (0, 1, 2)))
         assert values[0] > values[1] > values[2]
         assert values[2] < 0.05
 
@@ -334,7 +326,8 @@ class TestLocalVoronoiNearestFirst:
 
         with monkeypatch.context() as m:
             m.setattr(metrics, "_local_voronoi", recording)
-            values = [_shrunk_circumcircle_value(ps, tri) for tri in occupied]
+            ev = Evaluator(ps)
+            values = [ev.element_value("shrunk_circumcircle", tri) for tri in occupied]
         assert built == expected
         assert values == [all_pairs_shrunk_circumcircle(ps, tri) for tri in occupied]
         return len(occupied), k_max, validated
@@ -387,8 +380,11 @@ class TestLocalVoronoiNearestFirst:
             if is_general_position(ps):
                 continue
             rejected += 1
+            ev = Evaluator(ps)
             for tri in itertools.combinations(range(9), 3):
-                assert _shrunk_circumcircle_value(ps, tri) == all_pairs_shrunk_circumcircle(ps, tri)
+                assert ev.element_value("shrunk_circumcircle", tri) == (
+                    all_pairs_shrunk_circumcircle(ps, tri)
+                )
         assert rejected >= 3
 
     @pytest.mark.parametrize("jitter", [1e-9, 3e-9, 1e-8])
@@ -507,23 +503,23 @@ class TestLocalVoronoi:
 
 class TestShrunkCircumcircle:
     def test_worked_example(self, p4):
-        assert shrunk_circumcircle((0, 1, 2), p4).value == pytest.approx(
+        assert metric_value("shrunk_circumcircle", p4, (0, 1, 2)) == pytest.approx(
             0.1301, abs=2e-3
         )
 
     def test_delaunay_triangles_are_one(self, p4):
         for tri in delaunay(p4).triangles:
-            assert shrunk_circumcircle(tri, p4).value == 1.0
+            assert metric_value("shrunk_circumcircle", p4, tri) == 1.0
 
     def test_matches_grid_oracle(self, p4):
-        assert shrunk_circumcircle((0, 1, 2), p4).value == pytest.approx(
+        assert metric_value("shrunk_circumcircle", p4, (0, 1, 2)) == pytest.approx(
             grid_shrunk_circumcircle(p4, (0, 1, 2)), abs=2e-3
         )
         for seed in (7, 8):
             ps = random_point_set(8, seed=seed)
             t = flip_neighbors(delaunay(ps))[0]
             for tri in t.triangles:
-                assert shrunk_circumcircle(tri, ps).value == pytest.approx(
+                assert metric_value("shrunk_circumcircle", ps, tri) == pytest.approx(
                     grid_shrunk_circumcircle(ps, tri), abs=2e-3
                 )
 
@@ -532,7 +528,7 @@ class TestShrunkCircumcircle:
             t = flip_neighbors(delaunay(ps))[0]
             dt = set(delaunay(ps).triangles)
             for tri in (tri for tri in t.triangles if tri not in dt):
-                assert shrunk_circumcircle(tri, ps).value == pytest.approx(
+                assert metric_value("shrunk_circumcircle", ps, tri) == pytest.approx(
                     grid_shrunk_circumcircle(ps, tri), abs=2e-3
                 )
 
@@ -545,7 +541,7 @@ class TestShrunkCircumcircle:
             for tri in itertools.combinations(range(n), 3):
                 if orientation(*(ps[i] for i in tri)) is Orientation.COLLINEAR:
                     continue
-                ours = shrunk_circumcircle(tri, ps).value
+                ours = metric_value("shrunk_circumcircle", ps, tri)
                 sampled = bisection_shrunk_circumcircle(ps, tri)
                 assert abs(ours - sampled) <= 1e-12
                 assert ours >= sampled - 1e-12
@@ -579,7 +575,7 @@ class TestShrunkCircumcircle:
         window = [th for th in dense if residual(th) > 0.0]
         assert window and window[-1] - window[0] < samples[1]
         assert all(residual(th) <= 0.0 for th in samples)
-        value = shrunk_circumcircle(tri, ps).value
+        value = metric_value("shrunk_circumcircle", ps, tri)
         assert value > bisection_shrunk_circumcircle(ps, tri) + 0.01
         assert value == pytest.approx(grid_shrunk_circumcircle(ps, tri), abs=2e-3)
 
@@ -593,7 +589,7 @@ class TestShrunkCircumcircle:
         far = ell.point_at(0.0)
         far_radius = ell.radius_at(0.0)
         assert _dist_point_segment(far, p4[0], p4[1]) > far_radius
-        value = shrunk_circumcircle((0, 1, 2), p4).value
+        value = metric_value("shrunk_circumcircle", p4, (0, 1, 2))
         far_score = None  # the far placement would score higher if allowed
         inc = 0.2360680
         far_score = (far_radius**2 - inc**2) / (circ.radius**2 - inc**2)
@@ -611,8 +607,9 @@ class TestNearCocircular:
         circ = circumcircle(*ps.points[:3])
         assert not in_circumcircle(*ps.points[:3], ps[3])
         assert (ps[3].x - circ.center.x) ** 2 + (ps[3].y - circ.center.y) ** 2 < circ.radius**2
-        assert shrunk_circumcircle((0, 1, 2), ps).value == 1.0
-        assert triangular_lens((0, 1, 2), ps).value == pytest.approx(1.0, abs=1e-12)
+        assert metric_value("shrunk_circumcircle", ps, (0, 1, 2)) == 1.0
+        value = metric_value("triangular_lens", ps, (0, 1, 2))
+        assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_exact_inside_float_on_circle(self):
         # The fourth point is inside by the predicate, but its float distance
@@ -632,9 +629,10 @@ class TestNearCocircular:
         lv = local_voronoi(circ, [ps[3], ps[4]])
         assert any(isinstance(s, StraightSegment) for s in lv.segments)
         on_circle = PointSet(ps.points[:4])
-        assert shrunk_circumcircle((0, 1, 2), on_circle).value == pytest.approx(1.0, abs=1e-9)
-        assert triangular_lens((0, 1, 2), on_circle).value == pytest.approx(1.0, abs=1e-9)
-        assert 0.0 <= shrunk_circumcircle((0, 1, 2), ps).value < 1.0
+        for metric in TRIANGLE_METRICS:
+            value = metric_value(metric, on_circle, (0, 1, 2))
+            assert value == pytest.approx(1.0, abs=1e-9)
+        assert 0.0 <= metric_value("shrunk_circumcircle", ps, (0, 1, 2)) < 1.0
 
 
 class TestEvaluate:
@@ -719,38 +717,15 @@ class TestRegistry:
             "triangular_lens": 1.0,
             "shrunk_circumcircle": 1.0,
         }
-        assert list(METRIC_ORIENTATION) == list(ALL_METRICS)
         for name in ALL_METRICS:
-            m = lookup_metric(name)
             lower = name in QUADRILATERAL_METRICS
-            assert METRIC_ORIENTATION[name] is m.orientation is (
+            assert lookup_metric(name).orientation is (
                 ScoreOrientation.LOWER_BETTER if lower else ScoreOrientation.HIGHER_BETTER
             )
 
     def test_unknown_name(self):
         with pytest.raises(NearDelaunayError, match="unknown metric 'sharpness'"):
             lookup_metric("sharpness")
-
-    def test_element_value_matches_element_functions(self):
-        # the registry's values are the public per-element functions' values
-        ps = random_point_set(8, seed=95)
-        ev = Evaluator(ps)
-        vd = voronoi(ps)
-        for t in [delaunay(ps)] + flip_neighbors(delaunay(ps)):
-            for q in interior_quadrilaterals(t):
-                e = (q.u, q.v, q.p, q.q)
-                assert ev.element_value("opposing_angles", e) == opposing_angles(q).value
-                assert ev.element_value("dual_edge_ratio", e) == dual_edge_ratio(q).value
-                assert ev.element_value("dual_area_overlap", e) == dual_area_overlap(q).value
-            for e in t.edges():
-                assert ev.element_value("lens", e) == lens(e, ps, t).value
-                assert ev.element_value("shrunk_circle", e) == shrunk_circle(e, ps, vd).value
-            for tri in t.triangles:
-                assert ev.element_value("triangular_lens", tri) == triangular_lens(tri, ps).value
-                assert (
-                    ev.element_value("shrunk_circumcircle", tri)
-                    == shrunk_circumcircle(tri, ps).value
-                )
 
 
 class TestSimilarityInvariance:
