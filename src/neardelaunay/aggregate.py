@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .delaunay import cdt, delaunay
+from .delaunay import cdt, delaunay, normalize_edges
 from .errors import IncomparableScores, NearDelaunayError
 from .geom import PointSet
 from .metrics import Evaluator, ScoreOrientation, lookup_metric
@@ -243,7 +243,9 @@ def optimize(
     The triangulation table of the most recent point set is kept, so
     repeated queries on one set enumerate it once.
     """
-    lookup_metric(metric)  # an unknown name fails before the enumeration
+    # an unknown metric or a bad required edge fails before the enumeration
+    lookup_metric(metric)
+    normalize_edges(ps, constraint.edges)
     if evaluator is None:
         evaluator = Evaluator(ps)
     return best_triangulation(_table_for(ps, cap), constraint, metric, mode, evaluator)

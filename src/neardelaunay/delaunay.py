@@ -32,8 +32,8 @@ from .triangulation import (
     apex_map,
     apex_triangles,
     flip_edge,
+    index_pair,
     scan_triangulation,
-    strict_index,
 )
 
 
@@ -99,12 +99,9 @@ def _insert_edge(pts: Sequence[Point], apex: ApexMap, edge: EdgeKey) -> None:
 def normalize_edges(ps: PointSet, edges) -> list[EdgeKey]:
     """Sorted distinct edge keys; InvalidConstraintEdges for a bad index pair."""
     norm: set[EdgeKey] = set()
-    for i, j in edges:
-        try:
-            ok = i != j and 0 <= strict_index(i) < len(ps) and 0 <= strict_index(j) < len(ps)
-        except TypeError:
-            ok = False
-        if not ok:
+    for edge in edges:
+        i, j = index_pair(edge)
+        if i == j or not (0 <= i < len(ps) and 0 <= j < len(ps)):
             raise InvalidConstraintEdges(f"bad edge ({i}, {j})")
         norm.add((min(i, j), max(i, j)))
     return sorted(norm)

@@ -6,10 +6,10 @@ defines determinism for enumeration, tie-breaking and file output.
 
 Enumeration builds one integer table per point set (:class:`TriangulationTable`):
 every triangulation as a row of triangle ids, with the per-row columns that
-constraints filter on and that scores are gathered by.  One breadth-first
-walk of the flip graph finds the rows a level at a time, in numpy, and
-derives each row's columns when it expands the row; a row's key is the
-bitmask of its non-hull edges, which determines the triangulation.
+constraints filter on and that scores are gathered by.  A canonical
+construction builds each row exactly once, a triangle per level, in numpy,
+from one exact orientation sign per index triple; the columns are derived
+from the sorted rows.
 """
 
 from __future__ import annotations
@@ -23,7 +23,12 @@ from typing import ClassVar, Iterator, Sequence
 
 import numpy as np
 
-from .errors import EnumerationTooLarge, MismatchedPointSets, NearDelaunayError
+from .errors import (
+    EnumerationTooLarge,
+    InvalidConstraintEdges,
+    MismatchedPointSets,
+    NearDelaunayError,
+)
 from .geom import (
     Orientation,
     Point,
@@ -142,10 +147,15 @@ class Quadrilateral:
 
 @dataclass(frozen=True)
 class RequiredEdges:
+    """Edges every triangulation must contain, as sorted index pairs.  An
+    entry that is not a pair of indices (:func:`index_pair`) raises
+    InvalidConstraintEdges; the indices are checked against a point set
+    where one is at hand."""
+
     edges: frozenset[EdgeKey]
 
     def __init__(self, edges):
-        norm = frozenset((min(i, j), max(i, j)) for i, j in edges)
+        norm = frozenset((min(i, j), max(i, j)) for i, j in map(index_pair, edges))
         object.__setattr__(self, "edges", norm)
 
 
@@ -193,8 +203,22 @@ def strict_index(i) -> int:
     return operator.index(i)
 
 
+def index_pair(edge) -> tuple[int, int]:
+    """The two ends of an edge entry, each an index (:func:`strict_index`);
+    InvalidConstraintEdges for any other entry, such as a triple, a bare
+    number or a pair with a float end."""
+    try:
+        i, j = edge
+    except (TypeError, ValueError):
+        raise InvalidConstraintEdges(f"bad edge {edge!r}") from None
+    try:
+        return strict_index(i), strict_index(j)
+    except TypeError:
+        raise InvalidConstraintEdges(f"bad edge ({i!r}, {j!r})") from None
+
+
 def _index_pairs(edges) -> list[EdgeKey]:
-    return [(strict_index(i), strict_index(j)) for i, j in edges]
+    return [index_pair(e) for e in edges]
 
 
 def _number(x) -> float:
@@ -455,7 +479,7 @@ def scan_triangulation(ps: PointSet) -> Triangulation:
 
 # --- the triangulation table ------------------------------------------------
 
-# Rows per block when deriving columns and flips; bounds the temporaries.
+# Rows per block when deriving the columns; bounds the temporaries.
 _BLOCK_ROWS = 256
 
 
@@ -489,13 +513,9 @@ class TriangulationTable:
       bit for bit;
     * ``max_degree``: the largest vertex degree.
 
-    :func:`triangulation_table` finds the rows by one breadth-first walk of
-    the flip graph and fills every column as it expands them.  A row's key
-    is the bitmask of its non-hull edges.  It is exact: a triangulation is
-    determined by its edge set, and every triangulation has all hull edges.
-    A level of rows is expanded in blocks; one bincount over (row, edge)
-    gives each edge's count and its other triangle, from which follow the
-    columns and the row's legal flips.
+    :func:`triangulation_table` builds the rows by canonical construction,
+    a triangle at a time, so that each triangulation is reached once, and
+    then derives the columns from the sorted rows in blocks.
     """
 
     __slots__ = (
@@ -536,171 +556,202 @@ class TriangulationTable:
         return self.rows, self.triangles.__getitem__
 
 
-def _legal_flips(ps: PointSet) -> list[tuple[int, int, int, int]]:
-    """Every flip a triangulation of ps can make, as (u, v, p, q): triangles
-    uvp and uvq, p left and q right of u -> v, become upq and vpq.
-
-    Legality is the test :func:`flip_edge` makes: the new diagonal pq must have
-    u and v strictly on opposite sides.  An end of a pair is collinear with
-    it without asking ``orientation``, whose determinant there is exactly 0
-    and would be recomputed in rationals.
-    """
+def _orientation_signs(ps: PointSet, corners: np.ndarray) -> np.ndarray:
+    """The n x n x n int8 array of orientation signs: entry (a, b, c) is 1
+    when abc turns counterclockwise, -1 when it turns clockwise and 0 when
+    two of a, b, c are equal.  One :func:`orientation` per ascending triple,
+    the rows of corners; the other five orders follow by antisymmetry."""
     pts = ps.points
     n = len(pts)
-    side = {
-        (a, b): [
-            Orientation.COLLINEAR if w in (a, b) else orientation(pts[a], pts[b], pts[w])
-            for w in range(n)
-        ]
-        for a, b in itertools.combinations(range(n), 2)
-    }
-    flips = []
-    for (u, v), s in side.items():
-        left = [w for w in range(n) if s[w] is Orientation.CCW]
-        right = [w for w in range(n) if s[w] is Orientation.CW]
-        for p, q in itertools.product(left, right):
-            su, sv = side[min(p, q), max(p, q)][u], side[min(p, q), max(p, q)][v]
-            # geom.separates on the table's values: calling it would redo
-            # the orientations, over twice the table's calls at n = 12
-            if su is not sv and Orientation.COLLINEAR not in (su, sv):
-                flips.append((u, v, p, q))
-    return flips
+    turns = [orientation(pts[i], pts[j], pts[k]).value for i, j, k in corners.tolist()]
+    s = np.array(turns, dtype=np.int8)
+    sign = np.zeros((n, n, n), dtype=np.int8)
+    for shift in range(3):  # a rotation keeps the sign, a swap flips it
+        a, b, c = np.roll(corners, shift, axis=1).T
+        sign[a, b, c] = s
+        sign[b, a, c] = -s
+    return sign
 
 
-def _one_bit(bits: np.ndarray, words: int) -> np.ndarray:
-    """Per bit index, a key of `words` uint64 words with only that bit set."""
-    key = np.zeros((len(bits), words), dtype=np.uint64)
-    key[np.arange(len(bits)), bits // 64] = np.uint64(1) << (bits % 64).astype(np.uint64)
-    return key
+def _bit_words(flags: np.ndarray, words: int) -> np.ndarray:
+    """Rows of flags as rows of `words` uint64 words, flag b in bit b % 64
+    of word b // 64."""
+    padded = np.zeros((len(flags), 64 * words), dtype=bool)
+    padded[:, : flags.shape[1]] = flags
+    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
 
 
 def triangulation_table(
     ps: PointSet, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> TriangulationTable:
-    """Enumerate every triangulation of ps once, by a breadth-first walk of
-    the flip graph from the sweep triangulation, one level of rows at a
-    time.  The flip graph of a point set is connected (Lawson, "Transforming
-    triangulations", 1972), so the walk reaches every triangulation.
+    """Enumerate every triangulation of ps once, by canonical construction.
 
-    Rows are keyed by their non-hull edges (see :class:`TriangulationTable`);
-    a flip XORs the leaving and the entering edge's bits into the parent's
-    key, and only the rows with new keys are built.
+    Every geometric decision reads the exact orientation signs of
+    :func:`_orientation_signs`.  A triangle is empty when no point lies on
+    its inner side of all three edges; an edge is a hull edge when every
+    point lies on one side of it; two edges with four distinct ends cross
+    properly when each separates the other's ends.
+
+    A partial triangulation is a set of empty triangles, kept as two bit
+    masks over the interior (non-hull) edges: the edges with a triangle on
+    their left and those with one on their right.  An edge is open when it
+    has a triangle on one side only.  The seeds are the empty triangles on
+    the inner side of the lowest hull edge.  Each level extends every
+    partial at its lowest open edge, on the open side, by each empty
+    triangle whose edges cross no edge of the partial.  After 2n - h - 2
+    levels, h the hull size, the partials are the triangulations.  Rows are
+    rebuilt from each level's (parent, triangle) trail, and the columns
+    derived from the sorted rows.
+
+    This is exact, by the view of triangulations as maximal sets of
+    non-crossing edges (De Loera, Rambau and Santos, *Triangulations*,
+    2010), for points in general position:
+
+    1. Two empty triangles s != t overlap iff an edge of one properly
+       crosses an edge of the other.  If is plain.  Only if: some edge e of
+       s meets the interior of t, or else t would lie inside s, whose
+       emptiness makes t's vertices its own.  e is no edge of t, so one of
+       its ends is no vertex of t; follow e from inside t to that end.  It
+       leaves t at a point of an edge f of t that is neither a vertex of t
+       nor an end of e, as no point lies inside a segment joining two
+       others.  So e and f cross properly.  Hence a candidate, whose edges
+       cross none present, overlaps no triangle of the partial.
+    2. Each triangulation T is reached exactly once.  T has exactly one
+       triangle on the inner side of the lowest hull edge, and one on each
+       side of every interior edge.  The lowest open edge and its open side
+       depend on the partial only, and T's one triangle there crosses no
+       edge of T, so the partials inside T form one chain from a seed.
+       Partials that part at a level differ in the one triangle they put on
+       the same side of the same edge, so no two chains meet again.
+    3. No partial is a dead end.  Its edges cross nowhere, so they extend
+       to a maximal set of non-crossing edges: a triangulation T.  T holds
+       each triangle abc of the partial: T's triangle abx on c's side of ab
+       overlaps abc unless x = c, and by 1 an overlap would make two edges
+       of T cross.  So T triangulates the domain the partial leaves
+       uncovered, whose corners and inner points are points of the set,
+       and T's triangle on the open side of the lowest open edge is a
+       candidate.  A partial of 2n - h - 2 triangles, the size of every
+       triangulation, is then all of T.
     """
     check_enumeration_cap(ps, cap)
     validate_general_position(ps)
     n = len(ps)
     triangles = list(itertools.combinations(range(n), 3))
     pairs = list(itertools.combinations(range(n), 2))
-    n_pairs = len(pairs)
+    n_tri, n_pairs = len(triangles), len(pairs)
     corners = np.array(triangles, dtype=np.intp)
-    ends = np.array(pairs, dtype=np.int32)
-    tri_lut = np.full((n, n, n), -1, dtype=_id_dtype(len(triangles)))
-    for perm in itertools.permutations(range(3)):
-        tri_lut[tuple(corners[:, perm].T)] = np.arange(len(triangles))
+    ends = np.array(pairs, dtype=np.intp)
+    sign = _orientation_signs(ps, corners)
     edge_lut = np.full((n, n), -1, dtype=_id_dtype(n_pairs))
     edge_lut[ends[:, 0], ends[:, 1]] = edge_lut[ends[:, 1], ends[:, 0]] = np.arange(n_pairs)
-    # per triangle: its edges in apex_map insertion order, the vertex opposite each
-    tri_edges = edge_lut[corners[:, [0, 0, 1]], corners[:, [1, 2, 2]]]
-    tri_opp = corners[:, [2, 1, 0]].astype(edge_lut.dtype)
-    edge_len = np.array([math.dist(ps[i], ps[j]) for i, j in pairs])
+    # per triangle: its edges in apex_map insertion order, the vertex
+    # opposite each and the side of each it lies on (1 left, -1 right)
+    tails, heads, tri_opp = corners[:, [0, 0, 1]], corners[:, [1, 2, 2]], corners[:, [2, 1, 0]]
+    tri_edges = edge_lut[tails, heads]
+    tri_side = sign[tails, heads, tri_opp]
+    i, j, k = corners.T
+    turn = sign[i, j, k][:, None]
+    empty = ~((sign[i, j] == turn) & (sign[j, k] == turn) & (sign[k, i] == turn)).any(axis=1)
+    side = sign[ends[:, 0], ends[:, 1]]  # pair x point
+    interior = (side > 0).any(axis=1) & (side < 0).any(axis=1)
+    splits = side[:, ends[:, 0]] * side[:, ends[:, 1]] < 0  # pair x pair
+    n_bits = int(interior.sum())
+    h = n_pairs - n_bits
+    words = n_bits // 64 + 1
+    bit = np.full(n_pairs, -1, dtype=np.intp)
+    bit[interior] = np.arange(n_bits)
+
+    # per triangle, masks of the interior edges its edges cross and of its
+    # own interior edges with it on their left and on their right
+    cross = _bit_words((splits & splits.T)[tri_edges].any(axis=1)[:, interior], words)
+    on = np.zeros((n_tri, n_pairs), dtype=np.int8)
+    on[np.arange(n_tri)[:, None], tri_edges] = tri_side
+    add_left = _bit_words(on[:, interior] > 0, words)
+    add_right = _bit_words(on[:, interior] < 0, words)
+    # the empty triangles on each (interior edge, side) as CSR arrays,
+    # keyed 2 * bit + 1 for the right side
+    tri_of, slot = np.nonzero(empty[:, None] & interior[tri_edges])
+    keys = 2 * bit[tri_edges[tri_of, slot]] + (tri_side[tri_of, slot] < 0)
+    candidates = tri_of[np.argsort(keys, kind="stable")]
+    start = np.zeros(2 * n_bits + 1, dtype=np.intp)
+    np.cumsum(np.bincount(keys, minlength=2 * n_bits), out=start[1:])
+
+    lowest_hull = np.flatnonzero(~interior)[0]
+    tri = np.flatnonzero(empty & (tri_edges == lowest_hull).any(axis=1))
+    left, right = add_left[tri], add_right[tri]
+    trail = [(np.zeros(len(tri), dtype=np.intp), tri)]  # per level: parent, triangle
+    width = 2 * n - h - 2
+    for _ in range(width - 1):
+        at = np.arange(len(left))
+        open_ = left ^ right
+        word = (open_ != 0).argmax(axis=1)
+        x = open_[at, word]
+        lowest = x & (~x + 1)  # the lowest open edge's bit
+        key = 2 * (64 * word + np.frexp(lowest.astype(np.float64))[1] - 1)
+        # + 1 when its one triangle is on its left: the open side is the right
+        key += (left[at, word] & lowest) != 0
+        count = start[key + 1] - start[key]
+        parent = np.repeat(at, count)
+        offset = np.repeat(start[key] - np.cumsum(count) + count, count)
+        tri = candidates[offset + np.arange(len(parent))]
+        fits = ~((left | right)[parent] & cross[tri]).any(axis=1)
+        parent, tri = parent[fits], tri[fits]
+        left, right = left[parent] | add_left[tri], right[parent] | add_right[tri]
+        trail.append((parent, tri))
+    del left, right
+    rows = np.empty((len(trail[-1][1]), width), dtype=_id_dtype(n_tri))
+    at = np.arange(len(rows))
+    for level in range(width - 1, -1, -1):
+        parent, tri = trail[level]
+        rows[:, level] = tri[at]
+        at = parent[at]
+    del trail
+    rows.sort(axis=1)
+    rows = rows[np.lexsort(rows.T[::-1])]
+    columns = _row_columns(ps, ends, edge_lut, tri_edges, tri_opp, h, rows)
+    return TriangulationTable(ps, triangles, pairs, rows, *columns)
+
+
+def _row_columns(ps, ends, edge_lut, tri_edges, tri_opp, h, rows):
+    """The edges, quads, length and max_degree columns of the ascending rows
+    of a table with h hull edges, a block of rows at a time: one bincount
+    over (row, edge) gives each edge's count and its other triangle, from
+    which the columns follow."""
+    n, n_pairs = len(ps), len(ends)
+    n_edges, n_interior = 3 * n - h - 3, 3 * n - 2 * h - 3
+    edge_len = np.array([math.dist(ps[i], ps[j]) for i, j in ends.tolist()])
     incidence = np.zeros((n_pairs, n))  # edge x vertex, 1 at the edge's ends
     incidence[np.arange(n_pairs), ends[:, 0]] = incidence[np.arange(n_pairs), ends[:, 1]] = 1
-    hull = np.array(ps.hull())
-    h = len(hull)
-    n_edges, n_interior = 3 * n - h - 3, 3 * n - 2 * h - 3
-    quad_dtype = _id_dtype(n_pairs**2)
-
-    # key bit of each non-hull edge; hull edges, in every row, get none
-    bit = np.full(n_pairs, -1, dtype=np.intp)
-    interior = np.ones(n_pairs, dtype=bool)
-    interior[edge_lut[hull, np.roll(hull, -1)]] = False
-    bit[interior] = np.arange(n_pairs - h)
-    words = (n_pairs - h) // 64 + 1
-
-    u, v, p, q = np.array(_legal_flips(ps), dtype=np.intp).reshape(-1, 4).T
-    gone = np.stack([tri_lut[u, v, p], tri_lut[u, v, q]], axis=1)
-    born = np.stack([tri_lut[u, p, q], tri_lut[v, p, q]], axis=1)
-    n_tri = len(triangles)
-    flip_at = np.full(n_tri * n_tri, -1, dtype=_id_dtype(len(u)))  # at lower * n_tri + higher
-    flip_at[gone.min(axis=1).astype(np.intp) * n_tri + gone.max(axis=1)] = np.arange(len(u))
-    flip_key = _one_bit(bit[edge_lut[u, v]], words) | _one_bit(bit[edge_lut[p, q]], words)
-
-    def expand(block: np.ndarray):
-        """The table columns of a block of rows, and each row's legal flips
-        as (row in block, flip)."""
+    count = len(rows)
+    edges = np.empty((count, n_edges), dtype=edge_lut.dtype)
+    quads = np.empty((count, n_interior), dtype=_id_dtype(n_pairs**2))
+    length = np.empty(count)
+    degree = np.empty(count, dtype=np.int16)
+    slot = np.arange(3 * rows.shape[1], dtype=np.int32)
+    for lo in range(0, count, _BLOCK_ROWS):
+        block = rows[lo : lo + _BLOCK_ROWS]
         b = len(block)
         seq = np.take(tri_edges, block, axis=0).reshape(b, -1)  # every edge once per triangle
         opp = np.take(tri_opp, block, axis=0).ravel()
-        width = seq.shape[1]
-        slot = np.arange(width, dtype=np.int32)
         at = (seq + np.arange(0, b * n_pairs, n_pairs, dtype=np.int32)[:, None]).ravel()
         # per (row, edge): 4 * (sum of its one or two slots) + its count
         tally = np.bincount(at, weights=np.tile(4 * slot + 1, b), minlength=b * n_pairs)
-        degree = ((tally > 0).reshape(b, n_pairs) @ incidence).max(axis=1).astype(np.int16)
-        tally = np.take(tally, at).astype(np.int32).reshape(b, width)
+        degree[lo : lo + b] = ((tally > 0).reshape(b, n_pairs) @ incidence).max(axis=1)
+        tally = np.take(tally, at).astype(np.int32).reshape(b, -1)
         step = (tally >> 2) - 2 * slot  # from an interior edge's slot to its other one
         # Rows ascend, so the first slot of an interior edge is in its lower
         # triangle: these with the hull edges are apex_map's insertion order.
         lower = step > 0
         inserted = seq[lower | (tally & 3 == 1)].reshape(b, n_edges)
         # left to right, as total_edge_length adds
-        length = np.take(edge_len, inserted).cumsum(axis=1)[:, -1]
-        edges = np.sort(inserted, axis=1)
+        length[lo : lo + b] = np.take(edge_len, inserted).cumsum(axis=1)[:, -1]
+        edges[lo : lo + b] = np.sort(inserted, axis=1)
         first = np.flatnonzero(lower)  # flat (row, slot) indices
         second = first + np.take(step, first)
         pq = np.take(edge_lut, np.take(opp, first) * n + np.take(opp, second))
-        quads = (np.take(seq, first).astype(quad_dtype) * n_pairs + pq).reshape(b, n_interior)
-        quads.sort(axis=1)
-        # slot s of a row is in its triangle s // 3, so flat index // 3 is flat in block
-        tri = block.ravel().astype(np.intp)
-        flips = np.take(flip_at, np.take(tri, first // 3) * n_tri + np.take(tri, second // 3))
-        legal = flips >= 0
-        return (edges, quads, length, degree), first[legal] // width, flips[legal]
-
-    rows = np.array([[tri_lut[tri] for tri in scan_triangulation(ps).triangles]])
-    seed_bits = bit[np.unique(tri_edges[rows])]
-    keys = np.bitwise_or.reduce(_one_bit(seed_bits[seed_bits >= 0], words), 0, keepdims=True)
-    before = keys[:0]
-    found = ([], [], [], [], [])  # per column: its part for every level, rows first
-    while len(rows):
-        parent, flips, blocks = [], [], ([], [], [], [])
-        for lo in range(0, len(rows), _BLOCK_ROWS):
-            columns, r, f = expand(rows[lo : lo + _BLOCK_ROWS])
-            for part, column in zip(blocks, columns):
-                part.append(column)
-            parent.append(r + lo)
-            flips.append(f)
-        for part, column in zip(found, (rows, *map(np.concatenate, blocks))):
-            part.append(column)
-        del blocks
-        parent, flips = np.concatenate(parent), np.concatenate(flips)
-        # A flip moves one step in the flip graph, so a neighbour of this
-        # breadth-first level lies in the level before, this one or the
-        # next: only those two earlier levels can hold a candidate already.
-        pool = np.concatenate([before, keys, keys[parent] ^ flip_key[flips]])
-        order = np.lexsort(pool.T)  # stable, so a known key comes first
-        pool = pool[order]
-        fresh = np.ones(len(pool), dtype=bool)
-        fresh[1:] = (pool[1:] != pool[:-1]).any(axis=1)
-        fresh &= order >= len(before) + len(keys)
-        pick = order[fresh] - (len(before) + len(keys))
-        before, keys = keys, pool[fresh]
-        parent, flips = parent[pick], flips[pick]
-        grown = rows[parent]
-        rows = np.where(
-            grown == gone[flips, :1],
-            born[flips, :1],
-            np.where(grown == gone[flips, 1:], born[flips, 1:], grown),
-        )
-        rows.sort(axis=1)
-    order = np.lexsort(np.concatenate(found[0]).T[::-1])
-    columns = []
-    for part in found:  # one column at a time, each freed once permuted
-        column = np.concatenate(part)
-        part.clear()
-        columns.append(column[order])
-        del column
-    return TriangulationTable(ps, triangles, pairs, *columns)
+        uv = np.take(seq, first).astype(quads.dtype)
+        quads[lo : lo + b] = np.sort((uv * n_pairs + pq).reshape(b, n_interior), axis=1)
+    return edges, quads, length, degree
 
 
 def enumerate_triangulations(

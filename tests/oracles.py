@@ -2,21 +2,23 @@
 
 These deliberately avoid the code paths of the package: brute-force grids,
 explicit arc constructions, and a separate polygon clipper.  The flip walk
-over frozensets, the bitmask table walk, the per-candidate search scan, the
-sampled root finder of shrunk_circumcircle, the whole-list general-position
-check, the index-order local Voronoi diagram, the frozenset Delaunay and
-CDT construction and the pairwise triangulation check are the exceptions:
+over frozensets, the bitmask table walk, the level-by-level numpy flip
+walk, the per-candidate search scan, the sampled root finder of
+shrunk_circumcircle, the whole-list general-position check, the
+index-order local Voronoi diagram, the frozenset Delaunay and CDT
+construction and the pairwise triangulation check are the exceptions:
 they are the package's implementations from before the integer
-triangulation table, the level-by-level numpy walk, the closed-form roots,
-the streamed subset scan, the nearest-first clipping, the in-place apex map
-and the edge-local validity test, kept as the references those must match.
+triangulation table, the level-by-level numpy walk, the canonical
+construction, the closed-form roots, the streamed subset scan, the
+nearest-first clipping, the in-place apex map and the edge-local validity
+test, kept as the references those must match.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from itertools import combinations, islice
+from itertools import combinations, islice, permutations, product
 
 import numpy as np
 
@@ -441,6 +443,177 @@ def _row_columns(ps: PointSet, triangles, pairs, edge_lut: np.ndarray, rows: np.
         at = ends[edges[lo : lo + b]].reshape(b, -1) + n * np.arange(b)[:, None]
         max_deg[lo : lo + b] = np.bincount(at.ravel(), minlength=b * n).reshape(b, n).max(axis=1)
     return edges, quads, length, max_deg
+
+
+# --- the triangulation table by a breadth-first numpy flip walk --------------
+
+# Rows per block when deriving columns and flips; bounds the temporaries.
+_WALK_BLOCK_ROWS = 256
+
+
+def _legal_flips(ps: PointSet) -> list[tuple[int, int, int, int]]:
+    """Every flip a triangulation of ps can make, as (u, v, p, q): triangles
+    uvp and uvq, p left and q right of u -> v, become upq and vpq.
+
+    Legality is the test :func:`flip_edge` makes: the new diagonal pq must have
+    u and v strictly on opposite sides.  An end of a pair is collinear with
+    it without asking ``orientation``, whose determinant there is exactly 0
+    and would be recomputed in rationals.
+    """
+    pts = ps.points
+    n = len(pts)
+    side = {
+        (a, b): [
+            Orientation.COLLINEAR if w in (a, b) else orientation(pts[a], pts[b], pts[w])
+            for w in range(n)
+        ]
+        for a, b in combinations(range(n), 2)
+    }
+    flips = []
+    for (u, v), s in side.items():
+        left = [w for w in range(n) if s[w] is Orientation.CCW]
+        right = [w for w in range(n) if s[w] is Orientation.CW]
+        for p, q in product(left, right):
+            su, sv = side[min(p, q), max(p, q)][u], side[min(p, q), max(p, q)][v]
+            # geom.separates on the table's values: calling it would redo
+            # the orientations, over twice the table's calls at n = 12
+            if su is not sv and Orientation.COLLINEAR not in (su, sv):
+                flips.append((u, v, p, q))
+    return flips
+
+
+def _one_bit(bits: np.ndarray, words: int) -> np.ndarray:
+    """Per bit index, a key of `words` uint64 words with only that bit set."""
+    key = np.zeros((len(bits), words), dtype=np.uint64)
+    key[np.arange(len(bits)), bits // 64] = np.uint64(1) << (bits % 64).astype(np.uint64)
+    return key
+
+
+def level_walk_table(ps: PointSet, cap: int = DEFAULT_ENUMERATION_CAP) -> TriangulationTable:
+    """Enumerate every triangulation of ps once, by a breadth-first walk of
+    the flip graph from the sweep triangulation, one level of rows at a
+    time.  The flip graph of a point set is connected (Lawson, "Transforming
+    triangulations", 1972), so the walk reaches every triangulation.
+
+    Rows are keyed by their non-hull edges (see :class:`TriangulationTable`);
+    a flip XORs the leaving and the entering edge's bits into the parent's
+    key, and only the rows with new keys are built.
+    """
+    check_enumeration_cap(ps, cap)
+    validate_general_position(ps)
+    n = len(ps)
+    triangles = list(combinations(range(n), 3))
+    pairs = list(combinations(range(n), 2))
+    n_pairs = len(pairs)
+    corners = np.array(triangles, dtype=np.intp)
+    ends = np.array(pairs, dtype=np.int32)
+    tri_lut = np.full((n, n, n), -1, dtype=_id_dtype(len(triangles)))
+    for perm in permutations(range(3)):
+        tri_lut[tuple(corners[:, perm].T)] = np.arange(len(triangles))
+    edge_lut = np.full((n, n), -1, dtype=_id_dtype(n_pairs))
+    edge_lut[ends[:, 0], ends[:, 1]] = edge_lut[ends[:, 1], ends[:, 0]] = np.arange(n_pairs)
+    # per triangle: its edges in apex_map insertion order, the vertex opposite each
+    tri_edges = edge_lut[corners[:, [0, 0, 1]], corners[:, [1, 2, 2]]]
+    tri_opp = corners[:, [2, 1, 0]].astype(edge_lut.dtype)
+    edge_len = np.array([math.dist(ps[i], ps[j]) for i, j in pairs])
+    incidence = np.zeros((n_pairs, n))  # edge x vertex, 1 at the edge's ends
+    incidence[np.arange(n_pairs), ends[:, 0]] = incidence[np.arange(n_pairs), ends[:, 1]] = 1
+    hull = np.array(ps.hull())
+    h = len(hull)
+    n_edges, n_interior = 3 * n - h - 3, 3 * n - 2 * h - 3
+    quad_dtype = _id_dtype(n_pairs**2)
+
+    # key bit of each non-hull edge; hull edges, in every row, get none
+    bit = np.full(n_pairs, -1, dtype=np.intp)
+    interior = np.ones(n_pairs, dtype=bool)
+    interior[edge_lut[hull, np.roll(hull, -1)]] = False
+    bit[interior] = np.arange(n_pairs - h)
+    words = (n_pairs - h) // 64 + 1
+
+    u, v, p, q = np.array(_legal_flips(ps), dtype=np.intp).reshape(-1, 4).T
+    gone = np.stack([tri_lut[u, v, p], tri_lut[u, v, q]], axis=1)
+    born = np.stack([tri_lut[u, p, q], tri_lut[v, p, q]], axis=1)
+    n_tri = len(triangles)
+    flip_at = np.full(n_tri * n_tri, -1, dtype=_id_dtype(len(u)))  # at lower * n_tri + higher
+    flip_at[gone.min(axis=1).astype(np.intp) * n_tri + gone.max(axis=1)] = np.arange(len(u))
+    flip_key = _one_bit(bit[edge_lut[u, v]], words) | _one_bit(bit[edge_lut[p, q]], words)
+
+    def expand(block: np.ndarray):
+        """The table columns of a block of rows, and each row's legal flips
+        as (row in block, flip)."""
+        b = len(block)
+        seq = np.take(tri_edges, block, axis=0).reshape(b, -1)  # every edge once per triangle
+        opp = np.take(tri_opp, block, axis=0).ravel()
+        width = seq.shape[1]
+        slot = np.arange(width, dtype=np.int32)
+        at = (seq + np.arange(0, b * n_pairs, n_pairs, dtype=np.int32)[:, None]).ravel()
+        # per (row, edge): 4 * (sum of its one or two slots) + its count
+        tally = np.bincount(at, weights=np.tile(4 * slot + 1, b), minlength=b * n_pairs)
+        degree = ((tally > 0).reshape(b, n_pairs) @ incidence).max(axis=1).astype(np.int16)
+        tally = np.take(tally, at).astype(np.int32).reshape(b, width)
+        step = (tally >> 2) - 2 * slot  # from an interior edge's slot to its other one
+        # Rows ascend, so the first slot of an interior edge is in its lower
+        # triangle: these with the hull edges are apex_map's insertion order.
+        lower = step > 0
+        inserted = seq[lower | (tally & 3 == 1)].reshape(b, n_edges)
+        # left to right, as total_edge_length adds
+        length = np.take(edge_len, inserted).cumsum(axis=1)[:, -1]
+        edges = np.sort(inserted, axis=1)
+        first = np.flatnonzero(lower)  # flat (row, slot) indices
+        second = first + np.take(step, first)
+        pq = np.take(edge_lut, np.take(opp, first) * n + np.take(opp, second))
+        quads = (np.take(seq, first).astype(quad_dtype) * n_pairs + pq).reshape(b, n_interior)
+        quads.sort(axis=1)
+        # slot s of a row is in its triangle s // 3, so flat index // 3 is flat in block
+        tri = block.ravel().astype(np.intp)
+        flips = np.take(flip_at, np.take(tri, first // 3) * n_tri + np.take(tri, second // 3))
+        legal = flips >= 0
+        return (edges, quads, length, degree), first[legal] // width, flips[legal]
+
+    rows = np.array([[tri_lut[tri] for tri in scan_triangulation(ps).triangles]])
+    seed_bits = bit[np.unique(tri_edges[rows])]
+    keys = np.bitwise_or.reduce(_one_bit(seed_bits[seed_bits >= 0], words), 0, keepdims=True)
+    before = keys[:0]
+    found = ([], [], [], [], [])  # per column: its part for every level, rows first
+    while len(rows):
+        parent, flips, blocks = [], [], ([], [], [], [])
+        for lo in range(0, len(rows), _WALK_BLOCK_ROWS):
+            columns, r, f = expand(rows[lo : lo + _WALK_BLOCK_ROWS])
+            for part, column in zip(blocks, columns):
+                part.append(column)
+            parent.append(r + lo)
+            flips.append(f)
+        for part, column in zip(found, (rows, *map(np.concatenate, blocks))):
+            part.append(column)
+        del blocks
+        parent, flips = np.concatenate(parent), np.concatenate(flips)
+        # A flip moves one step in the flip graph, so a neighbour of this
+        # breadth-first level lies in the level before, this one or the
+        # next: only those two earlier levels can hold a candidate already.
+        pool = np.concatenate([before, keys, keys[parent] ^ flip_key[flips]])
+        order = np.lexsort(pool.T)  # stable, so a known key comes first
+        pool = pool[order]
+        fresh = np.ones(len(pool), dtype=bool)
+        fresh[1:] = (pool[1:] != pool[:-1]).any(axis=1)
+        fresh &= order >= len(before) + len(keys)
+        pick = order[fresh] - (len(before) + len(keys))
+        before, keys = keys, pool[fresh]
+        parent, flips = parent[pick], flips[pick]
+        grown = rows[parent]
+        rows = np.where(
+            grown == gone[flips, :1],
+            born[flips, :1],
+            np.where(grown == gone[flips, 1:], born[flips, 1:], grown),
+        )
+        rows.sort(axis=1)
+    order = np.lexsort(np.concatenate(found[0]).T[::-1])
+    columns = []
+    for part in found:  # one column at a time, each freed once permuted
+        column = np.concatenate(part)
+        part.clear()
+        columns.append(column[order])
+        del column
+    return TriangulationTable(ps, triangles, pairs, *columns)
 
 
 # --- Delaunay and CDT construction over frozensets of triangles ---------------

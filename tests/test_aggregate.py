@@ -16,7 +16,12 @@ from neardelaunay.aggregate import (
     optimize,
 )
 from neardelaunay.delaunay import cdt, delaunay
-from neardelaunay.errors import EnumerationTooLarge, IncomparableScores, NearDelaunayError
+from neardelaunay.errors import (
+    EnumerationTooLarge,
+    IncomparableScores,
+    InvalidConstraintEdges,
+    NearDelaunayError,
+)
 from neardelaunay.geom import PointSet, similarity_transform
 from neardelaunay.metrics import ALL_METRICS, Evaluator, ScoreOrientation, lookup_metric
 from neardelaunay.pointgen import pick_required_edge, random_point_set, wheel_point_set
@@ -154,6 +159,21 @@ class TestOptimize:
         ps = random_point_set(13, seed=3)
         with pytest.raises(NearDelaunayError, match="unknown metric 'sharpness'"):
             optimize(ps, MaxDegree(5), "sharpness", AggregationMode.SUM)
+
+    @pytest.mark.parametrize("edge", [(0, 1.5), (0, True), (True, 0), (0, 9), (3, 3), (0, 1, 2)])
+    def test_bad_required_edge_rejected(self, edge):
+        # not "no feasible triangulation" (None): (0, True) is not edge (0, 1),
+        # and six points have no point 9
+        ps = random_point_set(6, seed=1)
+        with pytest.raises(InvalidConstraintEdges, match="bad edge"):
+            optimize(ps, RequiredEdges([edge]), "lens", AggregationMode.SUM)
+
+    def test_bad_required_edge_rejected_before_enumeration(self):
+        # 13 points exceed the cap: building the table first would raise
+        # EnumerationTooLarge instead
+        ps = random_point_set(13, seed=3)
+        with pytest.raises(InvalidConstraintEdges, match=r"bad edge \(0, 13\)"):
+            optimize(ps, RequiredEdges([(0, 13)]), "lens", AggregationMode.SUM)
 
     def test_cap_propagates(self):
         ps = random_point_set(8, seed=2)

@@ -189,8 +189,8 @@ class TestCdt:
             cdt(p4, [(0, 1), (2, 3)])
 
     def test_bad_indices_rejected(self, p4):
-        # out of range, or not an integer: (0, True) is not edge (0, 1)
-        for edge in [(0, 9), (0, 1.5), (0, True), (True, 0), ("0", 1), (0, None)]:
+        # out of range, not an integer, or not a pair: (0, True) is not edge (0, 1)
+        for edge in [(0, 9), (0, 1.5), (0, True), (True, 0), ("0", 1), (0, None), (0, 1, 2), 5]:
             with pytest.raises(InvalidConstraintEdges, match="bad edge"):
                 cdt(p4, [edge])
 

@@ -8,6 +8,7 @@ import pytest
 from neardelaunay.delaunay import delaunay
 from neardelaunay.errors import (
     EnumerationTooLarge,
+    InvalidConstraintEdges,
     MismatchedPointSets,
     NearDelaunayError,
     ParseError,
@@ -53,10 +54,11 @@ from oracles import (
     bitmask_table,
     enumerate_by_frozenset_walk,
     frozenset_flip,
+    level_walk_table,
     pairwise_validate,
 )
 
-CATALAN = {4: 2, 5: 5, 6: 14, 7: 42, 8: 132}
+CATALAN = {4: 2, 5: 5, 6: 14, 7: 42, 8: 132, 9: 429, 10: 1430, 11: 4862, 12: 16796}
 
 
 class TestValidate:
@@ -408,8 +410,8 @@ def assert_same_table(ours, oracle):
 
 
 class TestTableMatchesBitmaskOracle:
-    """The level-by-level numpy walk against the Python-int bitmask walk it
-    replaced, column by column."""
+    """The canonical construction against the Python-int bitmask walk of the
+    flip graph, column by column."""
 
     @pytest.mark.parametrize("name", sorted(BITMASK_ORACLE_SETS))
     def test_columns_equal(self, name):
@@ -437,8 +439,9 @@ class TestTableMatchesBitmaskOracle:
         assert peaks["triangulation_table"] <= peaks["bitmask_table"], peaks
 
     def test_build_needs_no_exact_orientation(self, monkeypatch):
-        # _legal_flips takes a pair's own ends as collinear without asking
-        # orientation, whose float test cannot decide an exact zero
+        # the signs come from one orientation per ascending triple of
+        # distinct points; a repeated index is 0 without asking orientation,
+        # whose float test cannot decide an exact zero
         ps = random_point_set(12, seed=1203)
         calls = 0
         exact = geom_module._orient_det_exact
@@ -452,6 +455,32 @@ class TestTableMatchesBitmaskOracle:
         table = triangulation_table(ps)
         assert len(table) > 1000
         assert calls == 0
+
+
+LEVEL_WALK_SETS = {
+    **{
+        f"random{n}-{seed}": lambda n=n, seed=seed: random_point_set(n, seed=seed)
+        for n in range(3, 13)
+        for seed in (0, 1, 2)
+    },
+    **{f"circle{n}": lambda n=n: jittered_circle_points(n) for n in (6, 9, 12)},
+    **{
+        f"jittered{n}": lambda n=n: PointSet(
+            random_jittered_circle(random.Random(1400 + n), n, 1e-3)
+        )
+        for n in (7, 11)
+    },
+    "wheel": wheel_point_set,
+    "long_delaunay": long_delaunay_point_set,
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEVEL_WALK_SETS))
+def test_table_matches_level_walk(name):
+    """The canonical construction against the breadth-first numpy flip walk
+    it replaced, column by column."""
+    ps = LEVEL_WALK_SETS[name]()
+    assert_same_table(triangulation_table(ps), level_walk_table(ps))
 
 
 class TestQuadrilaterals:
@@ -533,6 +562,12 @@ class TestConstraints:
         assert not satisfies(
             Triangulation(p4, [(0, 2, 3), (1, 2, 3)]), MaxDegree(3), 1.0
         ) or max_degree(delaunay(p4)) <= 3
+
+    def test_required_edges_are_index_pairs(self):
+        assert RequiredEdges([(1, 0), (0, 1)]).edges == {(0, 1)}
+        for edge in [(0, True), (0, 1.5), ("0", 1), (0, 1, 2), 5]:
+            with pytest.raises(InvalidConstraintEdges, match="bad edge"):
+                RequiredEdges([edge])
 
     def test_constraint_parameter_validation(self):
         with pytest.raises(ValueError):
