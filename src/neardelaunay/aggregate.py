@@ -220,7 +220,7 @@ _last_table: TriangulationTable | None = None
 
 def _table_for(ps: PointSet, cap: int) -> TriangulationTable:
     global _last_table
-    check_enumeration_cap(ps, cap)
+    check_enumeration_cap(len(ps), cap)
     table = _last_table
     if table is None or table.point_set != ps:
         table = _last_table = None  # release the old table before building the next

@@ -65,7 +65,15 @@ from .pointgen import (
     wheel_point_set,
 )
 from .svg import render_svg
-from .triangulation import Constraint, edge_diff, parse_constraint, triangulation_table
+from .triangulation import (
+    DEFAULT_ENUMERATION_CAP,
+    Constraint,
+    check_enumeration_cap,
+    edge_diff,
+    parse_constraint,
+    strict_index,
+    triangulation_table,
+)
 
 CONSTRAINT_LABELS = {
     "required_edges": "required",
@@ -119,9 +127,11 @@ def _load_point_set(entry: dict, base_dir: Path) -> PointSet:
     if "random" in entry:
         r = entry["random"]
         try:
-            n, seed = int(r["n"]), int(r["seed"])
-        except (KeyError, TypeError, ValueError):
+            n, seed = strict_index(r["n"]), strict_index(r["seed"])
+        except (KeyError, TypeError):
             raise NearDelaunayError(f"random point set needs integer n and seed: {r}") from None
+        # every set is enumerated; refuse before drawing, which slows with n
+        check_enumeration_cap(n, DEFAULT_ENUMERATION_CAP)
         return random_point_set(n, seed)
     if "fixture" in entry:
         kind = entry["fixture"]
@@ -173,8 +183,7 @@ def run_experiment(
     except (TypeError, ValueError):
         raise NearDelaunayError(f"seed {spec['seed']!r} is not an integer") from None
     metrics = _spec_list(spec, "metrics", ALL_METRICS)
-    for m in metrics:
-        lookup_metric(m)
+    kinds = {lookup_metric(m).decomposition for m in metrics}
     modes = [AggregationMode(m) for m in _spec_list(spec, "modes", ["sum", "bottleneck"])]
     set_entries = _spec_list(spec, "point_sets", [], objects=True)
     constraint_entries = _spec_list(spec, "constraints", [], objects=True)
@@ -191,6 +200,8 @@ def run_experiment(
         name = entry.get("name", f"set{idx}")
         ps = _load_point_set(entry, base_dir)
         table = triangulation_table(ps)
+        for kind in kinds:  # every cell reads its metric's id column: derive it with the table
+            table.element_ids(kind)
         sets.append((name, entry, ps, table, Evaluator(ps)))
         report["point_sets"].append(
             {

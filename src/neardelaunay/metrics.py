@@ -513,10 +513,11 @@ def _quadratic_roots(qa: float, qb: float, qc: float) -> list[float]:
 
 
 def _straight_candidates(seg: StraightSegment, sides):
-    """Circles centred at x(t) = a + t (b - a), t in [0, 1], through the site S
-    (radius |x - S|) at t = 0, 1 and wherever the distance to a side's line or
-    to a corner equals the radius.  Squared, the first is a quadratic in t; the
-    second puts x on the bisector of the corner and S, which is linear in t."""
+    """(radius, centre) of the circles centred at x(t) = a + t (b - a), t in
+    [0, 1], through the site S (radius |x - S|) at t = 0, 1 and wherever the
+    distance to a side's line or to a corner equals the radius.  Squared, the
+    first is a quadratic in t; the second puts x on the bisector of the
+    corner and S, which is linear in t."""
     sa, sb = seg.a, seg.b
     site = seg.sites[0]
     wx, wy = sb[0] - sa[0], sb[1] - sa[1]
@@ -539,15 +540,16 @@ def _straight_candidates(seg: StraightSegment, sides):
     for t in params:
         if 0.0 <= t <= 1.0:
             x = Point(sa[0] + t * wx, sa[1] + t * wy)
-            out.append((x, math.dist(x, site)))
+            out.append((math.dist(x, site), x))
     return out
 
 
 def _arc_candidates(seg: EllipticalSegment, sides):
-    """Circles centred on the arc at its ends and wherever the distance to a
-    side's line or to a corner equals the radius a + c cos(theta).  The signed
-    line distance and the corner's bisector are affine in (cos, sin), so each
-    case is one A cos(theta) + B sin(theta) = K."""
+    """(radius, theta) of the circles centred on the arc at its ends and
+    wherever the distance to a side's line or to a corner equals the radius
+    a + c cos(theta); the centre is ``ell.point_at(theta)``.  The signed line
+    distance and the corner's bisector are affine in (cos, sin), so each case
+    is one A cos(theta) + B sin(theta) = K."""
     ell = seg.ellipse
     (cx, cy), (sx, sy) = ell.center, seg.site
     equations = []
@@ -569,7 +571,7 @@ def _arc_candidates(seg: EllipticalSegment, sides):
             params.extend(
                 th for th in (r % TWO_PI for r in roots) if seg.theta_lo <= th <= seg.theta_hi
             )
-    return [(ell.point_at(th), ell.radius_at(th)) for th in params]
+    return [(ell.radius_at(th), th) for th in params]
 
 
 # A site less than this relative depth inside the circumcircle makes its
@@ -650,9 +652,66 @@ def _shrunk_circumcircle_value(ev: Evaluator, tri: tuple) -> float:
     )
 
 
+def _radius_bound(seg: EllipticalSegment | StraightSegment) -> float:
+    """The largest radius of a circle centred on the piece through its site:
+    at the farther end of a straight piece (the distance to the site is
+    convex along it), a + c max cos(theta) at an end of an arc (its
+    [theta_lo, theta_hi] lies in [0, 2pi], where cos falls to pi and rises
+    after)."""
+    if isinstance(seg, StraightSegment):
+        site = seg.sites[0]
+        return max(math.dist(seg.a, site), math.dist(seg.b, site))
+    top = max(math.cos(seg.theta_lo), math.cos(seg.theta_hi))
+    return seg.ellipse.a + seg.ellipse.c * top
+
+
+def _line_distance(seg: EllipticalSegment | StraightSegment, a: Point, n) -> float:
+    """The least distance from the piece to the line through a with unit
+    normal n.  The signed distance n . (x - a) is affine along a straight
+    piece, and A cos(theta) + B sin(theta) + K0 along an arc, whose extremes
+    K0 -+ hypot(A, B) lie at atan2(B, A) + pi and atan2(B, A)."""
+    if isinstance(seg, StraightSegment):
+        ends = [n[0] * (x[0] - a[0]) + n[1] * (x[1] - a[1]) for x in (seg.a, seg.b)]
+    else:
+        ell = seg.ellipse
+        lo, hi = seg.theta_lo, seg.theta_hi
+        big_a, big_b = _ellipse_linear(ell, n)
+        k0 = n[0] * (ell.center[0] - a[0]) + n[1] * (ell.center[1] - a[1])
+        ends = [big_a * math.cos(th) + big_b * math.sin(th) + k0 for th in (lo, hi)]
+        rho, phi = math.hypot(big_a, big_b), math.atan2(big_b, big_a)
+        if lo <= phi % TWO_PI <= hi:
+            ends.append(k0 + rho)
+        if lo <= (phi + math.pi) % TWO_PI <= hi:
+            ends.append(k0 - rho)
+    low, high = min(ends), max(ends)
+    return low if low > 0.0 else max(0.0, -high)
+
+
+# The screen of _largest_contained_circle skips a piece when its radius bound
+# cannot beat the best radius found, or when some side's line lies farther
+# from the piece than its radius bound plus the slack: a point is never
+# closer to a segment than to the segment's line, so no candidate on the
+# piece can pass.  Both tests compare closed forms with the values the full
+# search computes at its candidates: a centre from its angle (point_at) or
+# its parameter, the radius at it and its distance to each side
+# (dist_point_segment), each a few dozen float operations.  The corners, the
+# sites and every centre lie within 2R of a corner, so every operand is at
+# most S = (largest corner coordinate) + 2R in magnitude, and each operation
+# errs by at most about eps S; the whole chain by under 20 eps S.  The
+# errors scale with S, not with R: at an offset of 1e7 and R = 1, a centre
+# computed from its angle is off by about 1e-9, far more than eps R.
+# _SCREEN_MARGIN * S, over a hundred times that bound, is added to every
+# radius bound and taken from every line distance, so the screen skips only
+# pieces whose candidates the full search would skip or fail as well.
+# Visiting pieces by descending bound and candidates by descending radius
+# changes which candidates are tested, not the largest radius that passes.
+_SCREEN_MARGIN = 1e-12
+
+
 def _largest_contained_circle(corners, diagram: LocalVoronoiDiagram) -> float:
     """The shrunk_circumcircle value from the local diagram of the
-    circumcircle of ``corners``."""
+    circumcircle of ``corners``: the largest radius among the incircle and
+    the candidate circles within the slack of all three sides."""
     circ = diagram.circle
     big_r = circ.radius
     r2 = big_r * big_r
@@ -662,19 +721,36 @@ def _largest_contained_circle(corners, diagram: LocalVoronoiDiagram) -> float:
         (corners[1], corners[2]),
         (corners[2], corners[0]),
     ]
-    candidates: list[tuple[Point, float]] = []
-    for seg in diagram.segments:
-        if isinstance(seg, StraightSegment):
-            candidates.extend(_straight_candidates(seg, sides))
-        else:
-            candidates.extend(_arc_candidates(seg, sides))
+    lines = []
+    for a, b in sides:
+        length = math.dist(a, b)
+        lines.append((a, ((a[1] - b[1]) / length, (b[0] - a[0]) / length)))
     slack = 1e-9 * big_r
+    margin = _SCREEN_MARGIN * (max(abs(v) for p in corners for v in p) + 2.0 * big_r)
     best = inc.radius  # the incircle is always empty and meets all three sides
-    for x, r in candidates:
-        if r <= best:
+    pieces = sorted(
+        ((_radius_bound(seg) + margin, k) for k, seg in enumerate(diagram.segments)),
+        reverse=True,
+    )
+    for bound, k in pieces:
+        if bound <= best:
+            break
+        seg = diagram.segments[k]
+        if any(_line_distance(seg, a, n) - margin > bound + slack for a, n in lines):
             continue
-        if all(_dist_point_segment(x, a, b) <= r + slack for a, b in sides):
-            best = r
+        if isinstance(seg, StraightSegment):
+            candidates = _straight_candidates(seg, sides)
+        else:
+            candidates = _arc_candidates(seg, sides)
+        candidates.sort(key=lambda rc: rc[0], reverse=True)
+        for r, x in candidates:
+            if r <= best:
+                break
+            if isinstance(seg, EllipticalSegment):
+                x = seg.ellipse.point_at(x)
+            if all(_dist_point_segment(x, a, b) <= r + slack for a, b in sides):
+                best = r
+                break
     best = min(best, big_r)
     ri2 = inc.radius * inc.radius
     return max(0.0, min(1.0, (best * best - ri2) / (r2 - ri2)))

@@ -5,11 +5,11 @@ triple, the triple set sorted lexicographically.  That single ordering
 defines determinism for enumeration, tie-breaking and file output.
 
 Enumeration builds one integer table per point set (:class:`TriangulationTable`):
-every triangulation as a row of triangle ids, with the per-row columns that
-constraints filter on and that scores are gathered by.  A canonical
-construction builds each row exactly once, a triangle per level, in numpy,
-from one exact orientation sign per index triple; the columns are derived
-from the sorted rows.
+every triangulation as a row of triangle ids.  A canonical construction
+builds each row exactly once, a triangle per level, in numpy, from one exact
+orientation sign per index triple.  The per-row edge, quadrilateral, length
+and degree columns are derived from the sorted rows the first time each is
+read; constraints are decided from the rows themselves.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import ClassVar, Iterator, Sequence
 
 import numpy as np
@@ -326,21 +327,62 @@ def satisfies(t: Triangulation, c: Constraint, dt_length: float) -> bool:
     raise TypeError(f"unknown constraint {c!r}")
 
 
+# The length screen of TriangulationTable and _length_rows.  Write u = eps / 2,
+# let d_e be the float edge lengths (math.dist) and L the exact sum of a
+# row's E of them.
+# total_edge_length adds them left to right: E - 1 rounded additions of
+# non-negative terms, so |length - L| <= g(E - 1) L with g(k) = k u / (1 -
+# k u) (Higham, "Accuracy and Stability of Numerical Algorithms", 2nd ed.,
+# section 4.2).  The screen adds the same d_e otherwise: each of the row's W
+# triangle perimeters is two additions, the perimeters are summed by numpy in
+# W - 1 more, and the hull length H, summed in h - 1 (h <= W + 2), is added
+# once.  Every d_e enters 2L = sum of perimeters + H at most twice, each
+# copy through at most W + 2 roundings, so |screen - L| <= g(W + 2) L; the
+# final halving is exact unless the sum is subnormal.  Hence |screen -
+# length| <= (g(W + 2) + g(E - 1)) L, about (W + E + 1) u screen, and err =
+# (W + E + 1) eps screen + TINY covers it twice over with the rounding
+# of screen - err and screen + err (TINY, the smallest normal double, for
+# subnormal sums).  The error is relative to L: every d_e and every partial
+# sum is non-negative, so no cancellation enters, however far the points
+# lie from the origin.  A row whose interval [screen - err, screen + err]
+# lies strictly on one side of factor * dt_length has its length on that
+# side; only the others go back to total_edge_length.
+_TINY = np.finfo(float).tiny
+_EPS = np.finfo(float).eps
+
+
+def _length_rows(table: "TriangulationTable", bound: float, at_least: bool) -> np.ndarray:
+    """Mask of the rows whose total_edge_length is >= bound (at_least) or
+    <= bound, decided by the table's length screen and, inside its error
+    band, by total_edge_length itself."""
+    low, high = table._length_screen
+    above, below = low > bound, high < bound
+    mask = above if at_least else below
+    for row in np.flatnonzero(above == below).tolist():  # neither: in the band
+        length = total_edge_length(table.triangulation(row))
+        mask[row] = length >= bound if at_least else length <= bound
+    return mask
+
+
 def feasible_rows(table: "TriangulationTable", c: Constraint, dt_length: float) -> np.ndarray:
-    """Boolean mask of the table rows that satisfy c, by the comparisons of
-    :func:`satisfies` on the table's columns."""
+    """Boolean mask of the table rows that satisfy c, each decided as
+    :func:`satisfies` decides it.  Only a degree bound reads a derived
+    column (``max_degree``).  A required edge is a lookup of the triangles
+    that have it; a length bound is screened by half the sum of the
+    triangle perimeters and the hull length (see the comment above)."""
     if isinstance(c, RequiredEdges):
         mask = np.ones(len(table), dtype=bool)
         for e in c.edges:
             eid = table.edge_index.get(e)
             if eid is None:
                 return np.zeros(len(table), dtype=bool)
-            mask &= (table.edges == eid).any(axis=1)
+            has_edge = (table._sides[0] == eid).any(axis=1)  # per triangle
+            mask &= np.take(has_edge, table.rows).any(axis=1)
         return mask
     if isinstance(c, MinTotalLength):
-        return table.length >= c.factor * dt_length
+        return _length_rows(table, c.factor * dt_length, True)
     if isinstance(c, MaxTotalLength):
-        return table.length <= c.factor * dt_length
+        return _length_rows(table, c.factor * dt_length, False)
     if isinstance(c, MaxDegree):
         return table.max_degree <= c.bound
     raise TypeError(f"unknown constraint {c!r}")
@@ -433,14 +475,6 @@ def flip_edge(pts: Sequence[Point], apex: ApexMap, edge: EdgeKey) -> EdgeKey | N
     return p, q
 
 
-def flip(ps: PointSet, tris: frozenset[Triple], edge: EdgeKey) -> frozenset[Triple] | None:
-    """The triangle set with edge (u, v) flipped by :func:`flip_edge`, or None."""
-    apex = apex_map(sorted(tris))
-    if flip_edge(ps.points, apex, edge) is None:
-        return None
-    return frozenset(apex_triangles(apex))
-
-
 def scan_triangulation(ps: PointSet) -> Triangulation:
     """Some valid triangulation: insert points in lexicographic order,
     connecting each new point to the hull edges it sees."""
@@ -479,7 +513,7 @@ def scan_triangulation(ps: PointSet) -> Triangulation:
 
 # --- the triangulation table ------------------------------------------------
 
-# Rows per block when deriving the columns; bounds the temporaries.
+# Rows per block when deriving a column; bounds the temporaries.
 _BLOCK_ROWS = 256
 
 
@@ -488,12 +522,21 @@ def _id_dtype(count: int):
     return np.int16 if count <= np.iinfo(np.int16).max + 1 else np.int32
 
 
-def check_enumeration_cap(ps: PointSet, cap: int) -> None:
-    """Refuse to enumerate a point set larger than the cap."""
-    if len(ps) > cap:
-        raise EnumerationTooLarge(
-            f"{len(ps)} points exceeds enumeration cap {cap}"
-        )
+def check_enumeration_cap(count: int, cap: int) -> None:
+    """Refuse to enumerate a point set of more than cap points."""
+    if count > cap:
+        raise EnumerationTooLarge(f"{count} points exceeds enumeration cap {cap}")
+
+
+def _triangle_sides(n: int, triangles, pairs):
+    """Per triangle (i, j, k) over n points, the ids of its edges in
+    apex_map insertion order, (i, j), (i, k), (j, k), and the vertex
+    opposite each."""
+    corners = np.array(triangles, dtype=np.intp)
+    ends = np.array(pairs, dtype=np.intp)
+    edge_lut = np.full((n, n), -1, dtype=_id_dtype(len(pairs)))
+    edge_lut[ends[:, 0], ends[:, 1]] = edge_lut[ends[:, 1], ends[:, 0]] = np.arange(len(pairs))
+    return edge_lut[corners[:, [0, 0, 1]], corners[:, [1, 2, 2]]], corners[:, [2, 1, 0]]
 
 
 class TriangulationTable:
@@ -513,26 +556,26 @@ class TriangulationTable:
       bit for bit;
     * ``max_degree``: the largest vertex degree.
 
-    :func:`triangulation_table` builds the rows by canonical construction,
-    a triangle at a time, so that each triangulation is reached once, and
-    then derives the columns from the sorted rows in blocks.
+    :func:`triangulation_table` builds the rows only.  Each other column is
+    derived from the rows the first time it is read, on its own and a block
+    of rows at a time, unless the constructor was given it.  Of these,
+    :func:`feasible_rows` reads ``max_degree`` for a degree bound only, and
+    a query reads the id column of its metric's decomposition.
     """
 
-    __slots__ = (
-        "point_set", "triangles", "edge_pairs", "edge_index",
-        "rows", "edges", "quads", "length", "max_degree",
-    )
-
-    def __init__(self, point_set, triangles, edge_pairs, rows, edges, quads, length, max_degree):
+    def __init__(
+        self, point_set, triangles, edge_pairs, rows,
+        edges=None, quads=None, length=None, max_degree=None,
+    ):
         self.point_set = point_set
         self.triangles: list[Triple] = triangles
         self.edge_pairs: list[EdgeKey] = edge_pairs
         self.edge_index = {e: i for i, e in enumerate(edge_pairs)}
         self.rows = rows
-        self.edges = edges
-        self.quads = quads
-        self.length = length
-        self.max_degree = max_degree
+        given = {"edges": edges, "quads": quads, "length": length, "max_degree": max_degree}
+        for name, column in given.items():
+            if column is not None:
+                setattr(self, name, column)  # in place of the derived column
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -554,6 +597,127 @@ class TriangulationTable:
         if kind is Decomposition.EDGE:
             return self.edges, self.edge_pairs.__getitem__
         return self.rows, self.triangles.__getitem__
+
+    @cached_property
+    def _sides(self):
+        return _triangle_sides(len(self.point_set), self.triangles, self.edge_pairs)
+
+    @cached_property
+    def _length_screen(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per row, the low and high ends of the screen interval around
+        total_edge_length: half the sum of its triangles' perimeters and the
+        hull length, minus and plus its error bound (see the comment above
+        _length_rows)."""
+        pts = self.point_set.points
+        side = np.array([math.dist(pts[i], pts[j]) for i, j in self.edge_pairs])
+        perimeter = side[self._sides[0]].sum(axis=1)
+        hull = self.point_set.hull()
+        hull_length = 0.0
+        for i, j in zip(hull, hull[1:] + hull[:1]):
+            hull_length += side[self.edge_index[min(i, j), max(i, j)]]
+        screen = (np.take(perimeter, self.rows).sum(axis=1) + hull_length) / 2.0
+        terms = 2 * self.rows.shape[1] + len(pts)  # W + E + 1, as E = W + n - 1
+        err = terms * _EPS * screen + _TINY
+        return screen - err, screen + err
+
+    def _tallies(self):
+        """Per block of rows: its first row, the block, at (per row and
+        triangle slot, three a triangle, the flat index of the (row, edge)
+        pair the slot's edge makes) and the tally of each (row, pair):
+        ``2**n`` times the number of the row's triangles on the pair plus the
+        sum of ``2**o`` over their vertices o opposite it.  So a pair that is
+        no edge tallies 0, a hull edge ``2**n + 2**p`` and an interior edge
+        ``2**(n + 1) + 2**p + 2**q``.  One bincount a block, whose float sums
+        are exact: integers below ``2**(n + 2)``."""
+        tri_edges, tri_opp = self._sides
+        n, n_pairs = len(self.point_set), len(self.edge_pairs)
+        weight = (1 << n) + (1 << tri_opp).astype(np.float64)
+        for lo in range(0, len(self.rows), _BLOCK_ROWS):
+            block = self.rows[lo : lo + _BLOCK_ROWS]
+            b = len(block)
+            at = np.take(tri_edges, block, axis=0).reshape(b, -1)
+            at = at + np.arange(0, b * n_pairs, n_pairs, dtype=np.int32)[:, None]
+            weights = np.take(weight, block, axis=0).ravel()
+            yield lo, block, at, np.bincount(at.ravel(), weights, minlength=b * n_pairs)
+
+    def _row_pairs(self, flat: np.ndarray, b: int) -> np.ndarray:
+        """Pair ids of flat (row, pair) indices into a block of b rows, the
+        same number in each row, as a b-row array."""
+        n_pairs = len(self.edge_pairs)
+        return flat.reshape(b, -1) - np.arange(0, b * n_pairs, n_pairs)[:, None]
+
+    @cached_property
+    def edges(self) -> np.ndarray:
+        # a row's edges are the OR of its triangles' edge bits
+        tri_edges = self._sides[0]
+        n_pairs = len(self.edge_pairs)
+        flags = np.zeros((len(tri_edges), n_pairs), dtype=bool)
+        flags[np.arange(len(tri_edges))[:, None], tri_edges] = True
+        tri_words = _bit_words(flags, n_pairs // 64 + 1)
+        width = len(self.point_set) + self.rows.shape[1] - 1
+        out = np.empty((len(self.rows), width), dtype=tri_edges.dtype)
+        for lo in range(0, len(self.rows), _BLOCK_ROWS):
+            block = np.take(tri_words, self.rows[lo : lo + _BLOCK_ROWS], axis=0)
+            words = np.bitwise_or.reduce(block, axis=1).view(np.uint8)
+            present = np.unpackbits(words, axis=1, count=n_pairs, bitorder="little")
+            # flat indices ascend, so each row's edge ids do
+            out[lo : lo + len(block)] = self._row_pairs(np.flatnonzero(present), len(block))
+        return out
+
+    @cached_property
+    def max_degree(self) -> np.ndarray:
+        # A vertex has as many edges as triangles, and one more on the hull:
+        # its triangles close a cycle around an inner vertex, and make a fan
+        # between its two hull edges around a hull vertex.
+        n = len(self.point_set)
+        corners = np.array(self.triangles, dtype=np.int32)
+        on_hull = np.zeros(n, dtype=np.int64)
+        on_hull[list(self.point_set.hull())] = 1
+        out = np.empty(len(self.rows), dtype=np.int16)
+        for lo in range(0, len(self.rows), _BLOCK_ROWS):
+            block = self.rows[lo : lo + _BLOCK_ROWS]
+            b = len(block)
+            at = np.take(corners, block, axis=0).reshape(b, -1)
+            at = at + np.arange(0, b * n, n, dtype=np.int32)[:, None]
+            count = np.bincount(at.ravel(), minlength=b * n).reshape(b, n)
+            out[lo : lo + b] = (count + on_hull).max(axis=1)
+        return out
+
+    @cached_property
+    def length(self) -> np.ndarray:
+        pts = self.point_set.points
+        edge_len = np.array([math.dist(pts[i], pts[j]) for i, j in self.edge_pairs])
+        tri_edges, tri_opp = self._sides
+        slot_len, below_opp = edge_len[tri_edges], (1 << tri_opp) - 1
+        out = np.empty(len(self.rows))
+        for lo, block, at, tally in self._tallies():
+            b = len(block)
+            # Rows ascend, and of the two triangles on an edge the one with
+            # the smaller opposite vertex has the smaller id.  So the slots
+            # whose opposite vertex is the lowest bit of their tally are each
+            # edge's first: apex_map's insertion order, summed left to right
+            # as total_edge_length adds.
+            lower = np.take(below_opp, block, axis=0).reshape(b, -1)
+            first = (np.take(tally, at).astype(np.int64) & lower) == 0
+            lengths = np.take(slot_len, block, axis=0).reshape(b, -1)[first]
+            out[lo : lo + b] = lengths.reshape(b, -1).cumsum(axis=1)[:, -1]
+        return out
+
+    @cached_property
+    def quads(self) -> np.ndarray:
+        n, n_pairs = len(self.point_set), len(self.edge_pairs)
+        pair_of_bits = np.zeros(1 << n, dtype=_id_dtype(n_pairs))  # 2**p + 2**q -> id(pq)
+        for e, (i, j) in enumerate(self.edge_pairs):
+            pair_of_bits[(1 << i) + (1 << j)] = e
+        width = 2 * self.rows.shape[1] - n + 1
+        out = np.empty((len(self.rows), width), dtype=_id_dtype(n_pairs**2))
+        for lo, block, _, tally in self._tallies():
+            b = len(block)
+            interior = np.flatnonzero(tally >= 2 << n)  # ascending, so by edge in each row
+            bits = np.take(tally, interior).astype(np.int64) & ((1 << n) - 1)
+            uv = self._row_pairs(interior, b).astype(out.dtype)
+            out[lo : lo + b] = uv * n_pairs + np.take(pair_of_bits, bits).reshape(b, -1)
+        return out
 
 
 def _orientation_signs(ps: PointSet, corners: np.ndarray) -> np.ndarray:
@@ -600,8 +764,8 @@ def triangulation_table(
     partial at its lowest open edge, on the open side, by each empty
     triangle whose edges cross no edge of the partial.  After 2n - h - 2
     levels, h the hull size, the partials are the triangulations.  Rows are
-    rebuilt from each level's (parent, triangle) trail, and the columns
-    derived from the sorted rows.
+    rebuilt from each level's (parent, triangle) trail and sorted; the table
+    derives its other columns from them when they are read.
 
     This is exact, by the view of triangulations as maximal sets of
     non-crossing edges (De Loera, Rambau and Santos, *Triangulations*,
@@ -633,7 +797,7 @@ def triangulation_table(
        candidate.  A partial of 2n - h - 2 triangles, the size of every
        triangulation, is then all of T.
     """
-    check_enumeration_cap(ps, cap)
+    check_enumeration_cap(len(ps), cap)
     validate_general_position(ps)
     n = len(ps)
     triangles = list(itertools.combinations(range(n), 3))
@@ -642,13 +806,10 @@ def triangulation_table(
     corners = np.array(triangles, dtype=np.intp)
     ends = np.array(pairs, dtype=np.intp)
     sign = _orientation_signs(ps, corners)
-    edge_lut = np.full((n, n), -1, dtype=_id_dtype(n_pairs))
-    edge_lut[ends[:, 0], ends[:, 1]] = edge_lut[ends[:, 1], ends[:, 0]] = np.arange(n_pairs)
-    # per triangle: its edges in apex_map insertion order, the vertex
-    # opposite each and the side of each it lies on (1 left, -1 right)
-    tails, heads, tri_opp = corners[:, [0, 0, 1]], corners[:, [1, 2, 2]], corners[:, [2, 1, 0]]
-    tri_edges = edge_lut[tails, heads]
-    tri_side = sign[tails, heads, tri_opp]
+    # per triangle: its edges, the vertex opposite each and the side of
+    # each it lies on (1 left, -1 right)
+    tri_edges, tri_opp = _triangle_sides(n, triangles, pairs)
+    tri_side = sign[corners[:, [0, 0, 1]], corners[:, [1, 2, 2]], tri_opp]
     i, j, k = corners.T
     turn = sign[i, j, k][:, None]
     empty = ~((sign[i, j] == turn) & (sign[j, k] == turn) & (sign[k, i] == turn)).any(axis=1)
@@ -707,51 +868,7 @@ def triangulation_table(
         at = parent[at]
     del trail
     rows.sort(axis=1)
-    rows = rows[np.lexsort(rows.T[::-1])]
-    columns = _row_columns(ps, ends, edge_lut, tri_edges, tri_opp, h, rows)
-    return TriangulationTable(ps, triangles, pairs, rows, *columns)
-
-
-def _row_columns(ps, ends, edge_lut, tri_edges, tri_opp, h, rows):
-    """The edges, quads, length and max_degree columns of the ascending rows
-    of a table with h hull edges, a block of rows at a time: one bincount
-    over (row, edge) gives each edge's count and its other triangle, from
-    which the columns follow."""
-    n, n_pairs = len(ps), len(ends)
-    n_edges, n_interior = 3 * n - h - 3, 3 * n - 2 * h - 3
-    edge_len = np.array([math.dist(ps[i], ps[j]) for i, j in ends.tolist()])
-    incidence = np.zeros((n_pairs, n))  # edge x vertex, 1 at the edge's ends
-    incidence[np.arange(n_pairs), ends[:, 0]] = incidence[np.arange(n_pairs), ends[:, 1]] = 1
-    count = len(rows)
-    edges = np.empty((count, n_edges), dtype=edge_lut.dtype)
-    quads = np.empty((count, n_interior), dtype=_id_dtype(n_pairs**2))
-    length = np.empty(count)
-    degree = np.empty(count, dtype=np.int16)
-    slot = np.arange(3 * rows.shape[1], dtype=np.int32)
-    for lo in range(0, count, _BLOCK_ROWS):
-        block = rows[lo : lo + _BLOCK_ROWS]
-        b = len(block)
-        seq = np.take(tri_edges, block, axis=0).reshape(b, -1)  # every edge once per triangle
-        opp = np.take(tri_opp, block, axis=0).ravel()
-        at = (seq + np.arange(0, b * n_pairs, n_pairs, dtype=np.int32)[:, None]).ravel()
-        # per (row, edge): 4 * (sum of its one or two slots) + its count
-        tally = np.bincount(at, weights=np.tile(4 * slot + 1, b), minlength=b * n_pairs)
-        degree[lo : lo + b] = ((tally > 0).reshape(b, n_pairs) @ incidence).max(axis=1)
-        tally = np.take(tally, at).astype(np.int32).reshape(b, -1)
-        step = (tally >> 2) - 2 * slot  # from an interior edge's slot to its other one
-        # Rows ascend, so the first slot of an interior edge is in its lower
-        # triangle: these with the hull edges are apex_map's insertion order.
-        lower = step > 0
-        inserted = seq[lower | (tally & 3 == 1)].reshape(b, n_edges)
-        # left to right, as total_edge_length adds
-        length[lo : lo + b] = np.take(edge_len, inserted).cumsum(axis=1)[:, -1]
-        edges[lo : lo + b] = np.sort(inserted, axis=1)
-        first = np.flatnonzero(lower)  # flat (row, slot) indices
-        second = first + np.take(step, first)
-        pq = np.take(edge_lut, np.take(opp, first) * n + np.take(opp, second))
-        uv = np.take(seq, first).astype(quads.dtype)
-        quads[lo : lo + b] = np.sort((uv * n_pairs + pq).reshape(b, n_interior), axis=1)
-    return edges, quads, length, degree
+    return TriangulationTable(ps, triangles, pairs, rows[np.lexsort(rows.T[::-1])])
 
 
 def enumerate_triangulations(

@@ -6,12 +6,14 @@ over frozensets, the bitmask table walk, the level-by-level numpy flip
 walk, the per-candidate search scan, the sampled root finder of
 shrunk_circumcircle, the whole-list general-position check, the
 index-order local Voronoi diagram, the frozenset Delaunay and CDT
-construction and the pairwise triangulation check are the exceptions:
-they are the package's implementations from before the integer
-triangulation table, the level-by-level numpy walk, the canonical
-construction, the closed-form roots, the streamed subset scan, the
-nearest-first clipping, the in-place apex map and the edge-local validity
-test, kept as the references those must match.
+construction, the pairwise triangulation check and the unscreened
+candidate loop of shrunk_circumcircle are the exceptions: they are the
+package's implementations from before the integer triangulation table,
+the level-by-level numpy walk, the canonical construction, the
+closed-form roots, the streamed subset scan, the nearest-first clipping,
+the in-place apex map, the edge-local validity test and the screened
+search, kept as the references those must match.  ``flip``, which only
+tests and the frozenset walk call, lives here too.
 """
 
 from __future__ import annotations
@@ -58,8 +60,10 @@ from neardelaunay.metrics import (
     _dist_point_segment,
     _ellipse_halfplane_arcs,
     _intersect_intervals,
+    _arc_candidates,
     _largest_contained_circle,
     _site_ellipse,
+    _straight_candidates,
     local_voronoi,
     lookup_metric,
 )
@@ -67,9 +71,11 @@ from neardelaunay.triangulation import (
     DEFAULT_ENUMERATION_CAP,
     Triangulation,
     TriangulationTable,
+    apex_map,
+    apex_triangles,
     check_enumeration_cap,
     feasible_rows,
-    flip,
+    flip_edge,
     satisfies,
     scan_triangulation,
     total_edge_length,
@@ -184,6 +190,16 @@ def general_position_message(ps: PointSet, guard: float) -> str | None:
 
 
 # --- enumeration by a flip walk over triangle sets --------------------------
+
+
+def flip(ps: PointSet, tris: frozenset, edge) -> frozenset | None:
+    """The triangle set with edge (u, v) flipped by
+    :func:`~neardelaunay.triangulation.flip_edge`, or None."""
+    apex = apex_map(sorted(tris))
+    if flip_edge(ps.points, apex, edge) is None:
+        return None
+    return frozenset(apex_triangles(apex))
+
 
 
 def enumerate_by_frozenset_walk(ps: PointSet) -> list[Triangulation]:
@@ -375,7 +391,7 @@ def bitmask_table(ps: PointSet, cap: int = DEFAULT_ENUMERATION_CAP) -> Triangula
     """Every triangulation of ps as a table, by a depth-first walk of the flip
     graph over Python-int triangle bitmasks, then a block-wise argsort pass
     that derives the columns."""
-    check_enumeration_cap(ps, cap)
+    check_enumeration_cap(len(ps), cap)
     validate_general_position(ps)
     n = len(ps)
     triangles = list(combinations(range(n), 3))
@@ -499,7 +515,7 @@ def level_walk_table(ps: PointSet, cap: int = DEFAULT_ENUMERATION_CAP) -> Triang
     a flip XORs the leaving and the entering edge's bits into the parent's
     key, and only the rows with new keys are built.
     """
-    check_enumeration_cap(ps, cap)
+    check_enumeration_cap(len(ps), cap)
     validate_general_position(ps)
     n = len(ps)
     triangles = list(combinations(range(n), 3))
@@ -1323,3 +1339,36 @@ def all_pairs_shrunk_circumcircle(ps: PointSet, tri) -> float:
     return _largest_contained_circle(
         corners, local_voronoi_in_index_order(circumcircle(*corners), sites)
     )
+
+
+def full_search_largest_contained_circle(corners, diagram: LocalVoronoiDiagram) -> float:
+    """The package's search for the shrunk_circumcircle value before its
+    screen: every candidate of every piece, in diagram order, against the
+    best radius so far."""
+    circ = diagram.circle
+    big_r = circ.radius
+    r2 = big_r * big_r
+    inc = inscribed_circle(*corners)
+    sides = [
+        (corners[0], corners[1]),
+        (corners[1], corners[2]),
+        (corners[2], corners[0]),
+    ]
+    candidates = []
+    for seg in diagram.segments:
+        if isinstance(seg, StraightSegment):
+            candidates.extend((x, r) for r, x in _straight_candidates(seg, sides))
+        else:
+            candidates.extend(
+                (seg.ellipse.point_at(th), r) for r, th in _arc_candidates(seg, sides)
+            )
+    slack = 1e-9 * big_r
+    best = inc.radius
+    for x, r in candidates:
+        if r <= best:
+            continue
+        if all(_dist_point_segment(x, a, b) <= r + slack for a, b in sides):
+            best = r
+    best = min(best, big_r)
+    ri2 = inc.radius * inc.radius
+    return max(0.0, min(1.0, (best * best - ri2) / (r2 - ri2)))

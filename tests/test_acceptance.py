@@ -41,7 +41,6 @@ from neardelaunay.triangulation import (
     RequiredEdges,
     Triangulation,
     enumerate_triangulations,
-    flip,
     interior_quadrilaterals,
 )
 
@@ -49,6 +48,7 @@ from conftest import jittered_circle_points
 from divergence import ALL_PAIRS, score_element
 from oracles import (
     clip_dual_overlap_oracle,
+    flip,
     grid_shrunk_circle,
     grid_shrunk_circumcircle,
     lens_arc_oracle,

@@ -3,12 +3,15 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+from neardelaunay import experiment as experiment_module
 from neardelaunay.cli import _collect_constraint, build_parser, main
 from neardelaunay.delaunay import cdt, delaunay
+from neardelaunay.errors import EnumerationTooLarge
 from neardelaunay.experiment import make_default_spec, run_experiment
 from neardelaunay.fileio import parse_triangulation, write_triangulation
 from neardelaunay.geom import PointSet
@@ -572,6 +575,23 @@ class TestExperiment:
         assert (cell["constraint"], cell["status"]) == (None, "error")
         assert cell["error"] == "constraint entry needs a type: {'factor': 1.2}"
 
+    def test_random_set_over_the_cap_fails_before_drawing(self, tmp_path, monkeypatch):
+        # drawing 500 points in general position practically never returns
+        def draw(n, seed):
+            raise AssertionError(f"drew a random set of {n} points")
+
+        monkeypatch.setattr(experiment_module, "random_point_set", draw)
+        spec = {
+            "point_sets": [{"name": "big", "random": {"n": 500, "seed": 1}}],
+            "constraints": [{"type": "max_degree", "bound": 5}],
+            "metrics": ["lens"],
+            "modes": ["sum"],
+        }
+        started = time.perf_counter()
+        with pytest.raises(EnumerationTooLarge, match="500 points exceeds enumeration cap 12"):
+            run_experiment(spec, tmp_path / "out")
+        assert time.perf_counter() - started < 5.0
+
     @pytest.mark.parametrize(
         "entry, message",
         [
@@ -580,6 +600,12 @@ class TestExperiment:
             ({"points": [[0, 0], [1, 0]]}, "need at least 3 points, got 2"),
             ({"points": [[0, 0], [1, 0], [0]]}, "point [0] needs two numbers"),
             ({"points": [["a", 1], [1, 0], [0, 1]]}, "point ['a', 1] needs two numbers"),
+            ({"random": {"n": 5.7, "seed": 1}}, "random point set needs integer n and seed"),
+            ({"random": {"n": 6, "seed": 2.9}}, "random point set needs integer n and seed"),
+            ({"random": {"n": "7", "seed": 1}}, "random point set needs integer n and seed"),
+            ({"random": {"n": True, "seed": 1}}, "random point set needs integer n and seed"),
+            ({"random": {"n": 6, "seed": "1"}}, "random point set needs integer n and seed"),
+            ({"random": 6}, "random point set needs integer n and seed"),
         ],
     )
     def test_bad_point_set_entry_is_an_error(self, tmp_path, capsys, entry, message):

@@ -39,16 +39,17 @@ from neardelaunay.metrics import (
 from neardelaunay.pointgen import long_delaunay_point_set, random_point_set, wheel_point_set
 from neardelaunay.triangulation import (
     Triangulation,
-    flip,
     interior_quadrilaterals,
 )
 
-from conftest import random_jittered_circle
+from conftest import jittered_circle_points, random_jittered_circle
 from divergence import ALL_PAIRS, score_element
 from oracles import (
     all_pairs_shrunk_circumcircle,
     bisection_shrunk_circumcircle,
     clip_dual_overlap_oracle,
+    flip,
+    full_search_largest_contained_circle,
     grid_shrunk_circle,
     grid_shrunk_circumcircle,
     lens_arc_oracle,
@@ -594,6 +595,75 @@ class TestShrunkCircumcircle:
         inc = 0.2360680
         far_score = (far_radius**2 - inc**2) / (circ.radius**2 - inc**2)
         assert far_score > value
+
+
+def _moved(ps, scale=1.0, offset=0.0):
+    return PointSet([(x * scale + offset, y * scale + offset) for x, y in ps.points])
+
+
+def _fan(n):
+    return [(0, i, i + 1) for i in range(1, n - 1)]
+
+
+SEARCH_SETS = {
+    **{
+        f"random{n}": (lambda n=n: random_point_set(n, seed=2100 + n), None)
+        for n in (8, 10, 12, 16, 20, 30)
+    },
+    # every triple through point 0: all triples at n = 40 take about 20 s
+    "random40": (
+        lambda: random_point_set(40, seed=2140),
+        [t for t in itertools.combinations(range(40), 3) if t[0] == 0],
+    ),
+    **{
+        f"circle9-{jitter}": (
+            lambda jitter=jitter: PointSet(random_jittered_circle(random.Random(2200), 9, jitter)),
+            None,
+        )
+        for jitter in (3e-10, 1e-9, 1e-8, 1e-6, 1e-4, 1e-3)
+    },
+    **{
+        f"offset{offset:g}": (
+            lambda offset=offset: _moved(random_point_set(12, 2300), offset=offset),
+            None,
+        )
+        for offset in (1e6, 1e7)
+    },
+    **{
+        f"scale{scale:g}": (lambda scale=scale: _moved(random_point_set(12, 2300), scale), None)
+        for scale in (1e-6, 1e6)
+    },
+    # criterion 10's convex-position family, its fans included
+    **{f"circle{n}": (lambda n=n: jittered_circle_points(n), None) for n in (10, 20)},
+    **{f"circle{n}-fan": (lambda n=n: jittered_circle_points(n), _fan(n)) for n in (40, 80)},
+}
+
+
+class TestScreenedSearch:
+    """_largest_contained_circle, which screens the diagram's pieces and
+    visits them by radius bound, gives exactly the value of the full
+    candidate loop in tests/oracles.py on every diagram the metric builds."""
+
+    @pytest.mark.parametrize("name", sorted(SEARCH_SETS))
+    def test_same_value_as_the_full_search(self, monkeypatch, name):
+        make, triangles = SEARCH_SETS[name]
+        ps = make()
+        screened = metrics._largest_contained_circle
+        compared = 0
+
+        def both(corners, diagram):
+            nonlocal compared
+            compared += 1
+            value = screened(corners, diagram)
+            assert value == full_search_largest_contained_circle(corners, diagram), corners
+            return value
+
+        monkeypatch.setattr(metrics, "_largest_contained_circle", both)
+        ev = Evaluator(ps)
+        for tri in triangles or itertools.combinations(range(len(ps)), 3):
+            if orientation(*(ps[i] for i in tri)) is not Orientation.COLLINEAR:
+                ev.element_value("shrunk_circumcircle", tri)
+        assert compared > 0
 
 
 class TestNearCocircular:

@@ -39,7 +39,7 @@ from neardelaunay.triangulation import (
     edge_diff,
     elements,
     enumerate_triangulations,
-    flip,
+    feasible_rows,
     flip_edge,
     interior_quadrilaterals,
     max_degree,
@@ -53,6 +53,7 @@ from conftest import jittered_circle_points, random_jittered_circle
 from oracles import (
     bitmask_table,
     enumerate_by_frozenset_walk,
+    flip,
     frozenset_flip,
     level_walk_table,
     pairwise_validate,
@@ -587,6 +588,94 @@ class TestConstraints:
     def test_constraint_errors_are_package_errors(self, build, message):
         with pytest.raises(NearDelaunayError, match=message):
             build()
+
+
+FEASIBLE_SETS = {
+    "wheel": wheel_point_set,
+    "long_delaunay": long_delaunay_point_set,
+    **{f"random{n}": lambda n=n: random_point_set(n, seed=1500 + n) for n in range(8, 13)},
+}
+
+
+def _factor_for(bound: float, dt_length: float) -> float | None:
+    """A length factor f with f * dt_length == bound exactly, if one lies
+    within a few ulps of bound / dt_length."""
+    f = bound / dt_length
+    for _ in range(4):
+        f = math.nextafter(f, -math.inf)
+    for _ in range(9):
+        if f * dt_length == bound:
+            return f
+        f = math.nextafter(f, math.inf)
+    return None
+
+
+class TestFeasibleRows:
+    """feasible_rows against satisfies on every row.  Length bounds equal to
+    a row's exact length, and to its neighbouring doubles, fall inside the
+    screen's error band, where only total_edge_length can decide."""
+
+    @pytest.fixture(scope="class", params=sorted(FEASIBLE_SETS))
+    def case(self, request):
+        ps = FEASIBLE_SETS[request.param]()
+        table = triangulation_table(ps)
+        tris = [table.triangulation(row) for row in range(len(table))]
+        return table, tris, total_edge_length(delaunay(ps))
+
+    @staticmethod
+    def check(table, tris, c, dt_length):
+        got = feasible_rows(table, c, dt_length)
+        assert got.dtype == bool and got.shape == (len(table),)
+        assert got.tolist() == [satisfies(t, c, dt_length) for t in tris]
+
+    def test_length_bounds_at_row_lengths(self, case, monkeypatch):
+        table, tris, dt_length = case
+        lengths = sorted({total_edge_length(t) for t in tris})
+        targets = [*lengths[:: max(1, len(lengths) // 8)], lengths[-1], dt_length]
+        exact = triangulation_module.total_edge_length
+        calls = 0
+
+        def counted(t):
+            nonlocal calls
+            calls += 1
+            return exact(t)
+
+        bounds = 0
+        for target in targets:
+            below, above = math.nextafter(target, -math.inf), math.nextafter(target, math.inf)
+            for bound in (below, target, above):
+                factor = _factor_for(bound, dt_length)
+                if factor is None:
+                    continue
+                bounds += 1
+                for constraint in (MinTotalLength(factor), MaxTotalLength(factor)):
+                    with monkeypatch.context() as m:
+                        m.setattr(triangulation_module, "total_edge_length", counted)
+                        feasible_rows(table, constraint, dt_length)
+                    self.check(table, tris, constraint, dt_length)
+        assert bounds >= len(targets)
+        assert calls > 0  # the band path ran
+
+    def test_length_bounds_between_rows(self, case):
+        table, tris, dt_length = case
+        for factor in (0.5, 0.9, 1.0, 1.05, 1.1, 1.2, 1.5, 3.0):
+            for constraint in (MinTotalLength(factor), MaxTotalLength(factor)):
+                self.check(table, tris, constraint, dt_length)
+
+    def test_required_edges(self, case):
+        table, tris, dt_length = case
+        n = len(table.point_set)
+        pairs = list(itertools.combinations(range(n), 2))
+        for edge in pairs[:: max(1, len(pairs) // 16)]:
+            self.check(table, tris, RequiredEdges([edge]), dt_length)
+        self.check(table, tris, RequiredEdges([]), dt_length)
+        self.check(table, tris, RequiredEdges(delaunay(table.point_set).edges()[:2]), dt_length)
+        self.check(table, tris, RequiredEdges([(0, n)]), dt_length)  # no such edge
+
+    def test_max_degree(self, case):
+        table, tris, dt_length = case
+        for bound in range(3, len(table.point_set) + 1):
+            self.check(table, tris, MaxDegree(bound), dt_length)
 
 
 class TestEdgeDiff:
