@@ -2,8 +2,8 @@
 
 Two aggregations: the plain sum, and worst-first lexicographic comparison
 ("bottleneck").  Optimization is exhaustive: every triangulation within the
-enumeration cap is checked against the constraint and scored, as rows of the
-point set's triangulation table.
+enumeration cap is checked against the constraint, as rows of the point
+set's triangulation table, and every row that can still win is scored.
 """
 
 from __future__ import annotations
@@ -11,11 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
 from .delaunay import cdt, delaunay, normalize_edges
-from .errors import IncomparableScores, NearDelaunayError
+from .errors import IncomparableScores, MismatchedPointSets, NearDelaunayError
 from .geom import PointSet
 from .metrics import Evaluator, ScoreOrientation, lookup_metric
 from .triangulation import (
@@ -108,10 +109,6 @@ def compare_bottleneck_lex(a: ScoreVector, b: ScoreVector) -> Comparison:
     return Comparison.EQUAL
 
 
-def _is_sum_better(value: float, best: float, lower_better: bool) -> bool:
-    return value < best if lower_better else value > best
-
-
 # The candidate filter of _best_sum.  Take a row of k finite values x_j with
 # exact sum S and A = sum |x_j|, and write u = eps / 2.  numpy's float sum s
 # is k - 1 rounded additions in some order, so |s - S| <= g A with
@@ -123,50 +120,122 @@ def _is_sum_better(value: float, best: float, lower_better: bool) -> bool:
 # the product's underflow.  For k u < 1e-3 that exceeds g A + u (|s| + err)
 # (1 + u) by about k u A: the error of s, and the rounding of s - err and
 # s + err, with |s| <= A (1 + g).  So the float interval [s - err, s + err]
-# holds S.  A row whose low end lies above some row's high end (below its
-# low end when higher is better) is worse than that row: it can neither win
-# nor tie.  Every other row is a candidate, exact ties included.  A row
-# that is not finite gives a NaN or infinite end and stays a candidate, so
-# math.fsum decides (or raises) on it as before.
+# holds S.
+#
+# Some entries of a row may be a metric's bound in place of its value (see
+# metrics.Metric): never worse than the value.  The interval then holds the
+# exact sum of the bounds, so its optimistic end (the high end when higher
+# is better, the low end otherwise) is never worse than the exact sum V of
+# the row's values.  Its pessimistic end bounds V only when every entry is a
+# value.  Both ends are doubles, and math.fsum rounds V correctly, hence
+# monotonically: fsum is never better than the optimistic end, and never
+# worse than the pessimistic end of an exact row.  So a row whose optimistic
+# end lies strictly beyond (worse than) the pessimistic end of some exact
+# row has a worse fsum than that row: it can neither win nor tie.  Every
+# other row is a candidate, exact ties included.  A row that is not finite
+# gives a NaN or infinite end and stays a candidate, so math.fsum decides
+# (or raises) on it as before.
 _TINY = np.finfo(float).tiny
 _EPS = np.finfo(float).eps
 
 
-def _best_sum(scores: np.ndarray, lower_better: bool) -> int:
-    """Row with the best exact sum (``math.fsum``); a later row wins only
-    when strictly better, so ties keep the earliest.
+def _best_sum(
+    ids: np.ndarray,
+    values: np.ndarray,
+    exact: np.ndarray,
+    value_of: Callable[[int], float],
+    lower_better: bool,
+) -> int:
+    """Row of ``ids`` with the best exact sum (``math.fsum``) of
+    ``values[ids[row]]``; a later row wins only when strictly better, so
+    ties keep the earliest.
 
-    ``math.fsum`` runs only on the candidate rows: those whose numpy row sum,
-    widened by its error bound, can reach the best row's (see the comment
-    above).  A median query at n = 12 keeps about one candidate row.
+    ``values`` holds, per element id, a value where ``exact`` is set and the
+    metric's bound elsewhere; ``value_of(id)`` computes a value.  The search
+    is best first.  While the candidate row with the most optimistic end
+    (see the comment above) holds bounds, their values replace them.  Once
+    that row is exact, the bounds of every remaining candidate are replaced
+    too, and ``math.fsum`` runs on the candidates.  Every step first drops
+    the rows that can no longer win.  When every entry is a value from the
+    start, the first step is the whole search.  A median required-edge
+    ``shrunk_circumcircle`` query at n = 12 computes two or three of its
+    75-79 values that are not 1, and keeps about one candidate row.
     """
-    s = scores.sum(axis=1)
-    err = scores.shape[1] * _EPS * np.abs(scores).sum(axis=1) + _TINY
-    if lower_better:
-        candidate = ~(s - err > np.min(s + err, initial=np.inf))
-    else:
-        candidate = ~(s + err < np.max(s - err, initial=-np.inf))
-    rows = np.flatnonzero(candidate)
+    # Negated when higher is better, so that lower is better below.  The
+    # negation is exact, and fsum of negated values is the negated fsum, so
+    # every comparison and tie stays as it was.
+    sign = 1.0 if lower_better else -1.0
+    values = sign * values
+
+    def ends(row_ids):
+        scores = values[row_ids]
+        s = scores.sum(axis=-1)
+        err = row_ids.shape[-1] * _EPS * np.abs(scores).sum(axis=-1) + _TINY
+        return s - err, s + err  # optimistic, pessimistic
+
+    def fill(which):
+        which = which[~exact[which]]
+        if len(which):
+            which = np.unique(which)
+            for e in which.tolist():
+                values[e] = sign * value_of(e)
+            exact[which] = True
+        return len(which)
+
+    rows, row_ids = np.arange(len(ids)), ids
+    while True:
+        hope, fear = ends(row_ids)
+        done = np.ones(len(rows), dtype=bool) if exact.all() else exact[row_ids].all(axis=-1)
+        keep = np.flatnonzero(~(hope > np.min(fear, where=done, initial=np.inf)))
+        rows, row_ids, hope, done = rows[keep], row_ids[keep], hope[keep], done[keep]
+        top = int(np.argmin(hope))
+        if not done[top]:
+            fill(row_ids[top])
+            # The top row is exact now.  Its pessimistic end drops rows by
+            # the optimistic ends at hand, which stay optimistic as values
+            # replace bounds, before the next gather.
+            keep = np.flatnonzero(~(hope > ends(row_ids[top])[1]))
+            rows, row_ids = rows[keep], row_ids[keep]
+        elif not fill(row_ids):
+            break
     best, best_sum = 0, None
-    for row, values in zip(rows.tolist(), scores[rows].tolist()):
-        value = math.fsum(values)
-        if best_sum is None or _is_sum_better(value, best_sum, lower_better):
+    for row, row_values in zip(rows.tolist(), values[row_ids].tolist()):
+        value = math.fsum(row_values)
+        if best_sum is None or value < best_sum:
             best, best_sum = row, value
     return best
 
 
 def _best_bottleneck(scores: np.ndarray, lower_better: bool) -> int:
     """The scan of compare_bottleneck_lex over the rows: a later row replaces
-    the best only when closer, so ties keep the earliest.  Each step finds
-    the next closer row among a block of rows at once.  A block is 8 rows
-    after each closer row and doubles, up to 1,024 rows, while none is
-    found, so the about hundred closer rows of a query at n = 12 do not
-    each cost a full block."""
-    worst_first = np.sort(scores, axis=1)
+    the best only when closer, so ties keep the earliest.
+
+    A screen first drops the rows that can never replace the best.  Row j
+    replaces it only when its worst entry is better, or within the
+    tolerance; so each replacement moves the best's worst entry by at most
+    the tolerance the worse way.  Whichever rows were replaced, before row j
+    the best's worst entry lies within j tolerances of the best worst entry
+    P of rows 0..j-1 (the row that has it either replaced the best or tied
+    with it), and row j can replace it only within j + 1.  The screen drops
+    row j when its worst entry lies beyond P by more than 2 (j + 1)
+    tolerances plus eps |P|, which covers the rounding of the scan's
+    differences and of the screen's own sum.  Dropped rows never replace
+    the best, so the scan keeps the same sequence of replacements; a
+    min-length query at n = 12 keeps about 500 of 14,000 rows.
+
+    Each step of the scan finds the next closer row among a block of rows at
+    once.  A block is 8 rows after each closer row and doubles, up to 1,024
+    rows, while none is found, so the closer rows of a query do not each
+    cost a full block."""
+    if scores.shape[1] == 0:
+        return 0
+    worst = scores.max(axis=1) if lower_better else -scores.min(axis=1)  # lower is better
+    prefix = np.minimum.accumulate(worst)[:-1]
+    reach = prefix + (2 * LEX_TOLERANCE * np.arange(2, len(worst) + 1) + _EPS * np.abs(prefix))
+    kept = np.flatnonzero(np.concatenate(([True], ~(worst[1:] > reach))))
+    worst_first = np.sort(scores[kept], axis=1)
     if lower_better:
         worst_first = worst_first[:, ::-1]
-    if worst_first.shape[1] == 0:
-        return 0
     best, lo, size = 0, 1, 8
     while lo < len(worst_first):
         block = worst_first[lo : lo + size]
@@ -180,7 +249,7 @@ def _best_bottleneck(scores: np.ndarray, lower_better: bool) -> int:
             lo, size = best + 1, 8
         else:
             lo, size = lo + len(block), min(2 * size, 1024)
-    return best
+    return int(kept[best])
 
 
 def best_triangulation(
@@ -192,10 +261,16 @@ def best_triangulation(
 ) -> Triangulation | None:
     """Best feasible row of the table; ties keep the canonically earliest.
 
-    Evaluator values are filled only for the elements of feasible rows, into
-    one array indexed by element id (:meth:`Evaluator.values_by_id`), and
-    gathered per row from it.
+    Values go into one array indexed by element id, gathered per row from
+    it, and only for elements of feasible rows.  The bottleneck scan fills
+    every such element (:meth:`Evaluator.values_by_id`).  The sum starts
+    from the metric's bounds where it has them
+    (:meth:`Evaluator.bounds_by_id`) and computes the values only of the
+    rows that can still win (:func:`_best_sum`).  Raises
+    MismatchedPointSets when the evaluator is over another point set.
     """
+    if evaluator.point_set != table.point_set:
+        raise MismatchedPointSets("the evaluator is not over the table's point set")
     m = lookup_metric(metric)
     lower_better = m.orientation is ScoreOrientation.LOWER_BETTER
     dt_length = total_edge_length(delaunay(table.point_set))
@@ -204,11 +279,16 @@ def best_triangulation(
         return None
     ids, element = table.element_ids(m.decomposition)
     ids = ids[feasible]
-    scores = evaluator.values_by_id(metric, ids, element)[ids]
-    del ids
     if mode is AggregationMode.SUM:
-        best = _best_sum(scores, lower_better)
+        values, exact = evaluator.bounds_by_id(metric, ids, element)
+
+        def value_of(e: int) -> float:
+            return evaluator.element_value(metric, element(e))
+
+        best = _best_sum(ids, values, exact, value_of, lower_better)
     else:
+        scores = evaluator.values_by_id(metric, ids, element)[ids]
+        del ids
         best = _best_bottleneck(scores, lower_better)
     return table.triangulation(int(feasible[best]))
 

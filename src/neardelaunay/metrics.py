@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .delaunay import VoronoiDiagram, delaunay, voronoi
-from .errors import NearDelaunayError, SiteOutsideCircle
+from .errors import MismatchedPointSets, NearDelaunayError, SiteOutsideCircle
 from .geom import (
     DEGENERACY_GUARD,
     Circle,
@@ -46,6 +46,7 @@ from .geom import (
 from .triangulation import Decomposition, Triangulation, elements
 
 TWO_PI = 2.0 * math.pi
+_EPS = float(np.finfo(float).eps)
 
 
 class ScoreOrientation(Enum):
@@ -399,6 +400,22 @@ def local_voronoi(c: Circle, inside_sites: Sequence[Point]) -> LocalVoronoiDiagr
     return _local_voronoi(c, inside_sites, _every_other(len(inside_sites)))
 
 
+def _site_distances(c: Circle, sites: Sequence[Point]) -> list[float]:
+    """The distance from the circle's centre to each site.  Raises
+    SiteOutsideCircle for the first site whose float distance exceeds
+    R (1 + 1e-9): the exact in-circle predicate can put a site inside whose
+    float distance rounds to R or just above, and its ellipse then
+    degenerates (b = 0)."""
+    o, big_r = c
+    out = []
+    for s in sites:
+        d = math.dist(o, s)
+        if d > big_r * (1.0 + 1e-9):
+            raise SiteOutsideCircle(f"site {s} is not inside {c}")
+        out.append(d)
+    return out
+
+
 def _every_other(k: int) -> list[list[int]]:
     return [[j for j in range(k) if j != i] for i in range(k)]
 
@@ -409,11 +426,7 @@ def _local_voronoi(c: Circle, inside_sites: Sequence[Point], neighbours) -> Loca
     for a pair i < j with j in ``neighbours[i]``."""
     o, big_r = c
     sites = tuple(Point(float(p[0]), float(p[1])) for p in inside_sites)
-    for s in sites:
-        # The exact in-circle predicate can put a site inside whose float distance
-        # rounds to R or just above; its ellipse then degenerates (b = 0).
-        if math.dist(o, s) > big_r * (1.0 + 1e-9):
-            raise SiteOutsideCircle(f"site {s} is not inside {c}")
+    _site_distances(c, sites)
     # Each site's neighbours nearest-first, with their bisector halfplanes: a
     # near site is the likeliest to cut an arc or a bisector to nothing, and
     # the clips below stop once nothing is left.  Clipping intersects
@@ -714,7 +727,6 @@ def _largest_contained_circle(corners, diagram: LocalVoronoiDiagram) -> float:
     the candidate circles within the slack of all three sides."""
     circ = diagram.circle
     big_r = circ.radius
-    r2 = big_r * big_r
     inc = inscribed_circle(*corners)
     sides = [
         (corners[0], corners[1]),
@@ -751,9 +763,71 @@ def _largest_contained_circle(corners, diagram: LocalVoronoiDiagram) -> float:
             if all(_dist_point_segment(x, a, b) <= r + slack for a, b in sides):
                 best = r
                 break
-    best = min(best, big_r)
-    ri2 = inc.radius * inc.radius
-    return max(0.0, min(1.0, (best * best - ri2) / (r2 - ri2)))
+    return _radius_fraction(best, inc.radius, big_r)
+
+
+def _radius_fraction(r: float, r_inc: float, big_r: float) -> float:
+    """The shrunk_circumcircle value of a circle of radius r (capped at R):
+    (r^2 - r_inc^2) / (R^2 - r_inc^2), clamped to [0, 1].  Every float
+    operation in it rounds monotonically, so the value never falls as r
+    grows."""
+    r = min(r, big_r)
+    ri2 = r_inc * r_inc
+    return max(0.0, min(1.0, (r * r - ri2) / (big_r * big_r - ri2)))
+
+
+# The optimistic bound of shrunk_circumcircle.  Let C be the circumcircle
+# (centre O, radius R) and d the distance from O to the nearest site s
+# inside it.  A circle of centre x and radius r inside C that does not hold
+# s strictly has r <= |x - s| <= |x - O| + d <= (R - r) + d, so
+# r <= (R + d) / 2.  Every candidate circle of _largest_contained_circle
+# is such a circle in exact arithmetic: it lies inside C and passes through
+# a site whose region of the local diagram excludes s.  The float search
+# departs from that in three ways.  With S = (largest corner coordinate)
+# + 2R, which bounds every operand (see _SCREEN_MARGIN):
+#
+# * a bisector halfplane n . x <= c of two sites (_bisector_halfplane)
+#   forms c from squared coordinates, not centred, so c errs by about
+#   2 eps S^2 and the clip line moves by about 2 eps S^2 / |n|, at most
+#   2 eps S^2 / h for h the least distance between two sites inside.  A
+#   centre a distance delta past a bisector is at most 2 delta closer to
+#   the far site than to its own, so r grows by at most delta;
+# * a straight piece's ends are cut by a site's ellipse, a quadratic
+#   conditioned like (a / b)^2, about 1 / (2 depth) for a site depth * R
+#   inside C, so r can exceed R by up to about eps S / depth.  Where
+#   depth <= 4e-6, 1e-6 S >= 2e-6 R lifts (R + d) / 2 to R, and the bound
+#   is 1; elsewhere eps S / depth < 6e-11 S;
+# * every other step errs by a few dozen eps S.
+#
+# The margin is 16 eps S^2 / h + 1e-6 S.  On the test sets r exceeded
+# (R + d) / 2 by up to 0.135 times 2 eps S^2 / h (0.066 R at an offset of
+# 1e7) and by 1.3e-8 R (at 1e-10 depth, on circles jittered by 3e-10), at
+# most 1 / 230 of the margin.  There 1e-6 S alone covers the excess; the
+# first term is for sites far closer together than R at large offsets.
+# _radius_fraction is monotone in r, so the bound is at least the value
+# whenever the widened radius is at least the float search's.
+_BOUND_MARGIN = 1e-6
+
+
+def _shrunk_circumcircle_bound(ev: Evaluator, tri: tuple) -> float:
+    """At least the shrunk_circumcircle value of a triangle: 1 when its
+    circumcircle holds no site, otherwise the value of a circle of radius
+    (R + d) / 2 widened by a margin (see the comment above).  Raises
+    SiteOutsideCircle where the value would, so skipping an element on its
+    bound never turns an error into a result."""
+    pts = ev.point_set.points
+    inside = ev.inside(tri)
+    if not inside:
+        return 1.0
+    corners = tuple(pts[i] for i in tri)
+    circ = circumcircle(*corners)
+    big_r = circ.radius
+    sites = [pts[i] for i in inside]
+    d = min(_site_distances(circ, sites))
+    h = min((math.dist(p, q) for i, p in enumerate(sites) for q in sites[:i]), default=math.inf)
+    size = max(abs(v) for p in corners for v in p) + 2.0 * big_r
+    margin = _BOUND_MARGIN * size + 16.0 * _EPS * size * size / h
+    return _radius_fraction((big_r + d) / 2.0 + margin, inscribed_circle(*corners).radius, big_r)
 
 
 # --- the registry -------------------------------------------------------------
@@ -762,13 +836,20 @@ def _largest_contained_circle(corners, diagram: LocalVoronoiDiagram) -> float:
 @dataclass(frozen=True)
 class Metric:
     """One metric: the elements it scores, its direction, its value on every Delaunay
-    element, and its uncached value as a function of (evaluator, element)."""
+    element, and its uncached value as a function of (evaluator, element).
+
+    ``bound``, where a metric has one, is a cheaper function of (evaluator,
+    element) that is never worse than the value: at least the value when
+    higher is better, at most it when lower is better.  The sum search
+    (:func:`aggregate.best_triangulation`) computes values only where that
+    bound cannot settle a row."""
 
     name: str
     decomposition: Decomposition
     orientation: ScoreOrientation
     perfect: float
     value: Callable[["Evaluator", tuple], float]
+    bound: Callable[["Evaluator", tuple], float] | None = None
 
 
 def _of_points(value):
@@ -786,7 +867,14 @@ METRICS = (
     Metric("lens", _EDGE, _HIGHER, math.pi, _lens_value),
     Metric("shrunk_circle", _EDGE, _HIGHER, 1.0, _shrunk_circle_value),
     Metric("triangular_lens", _TRI, _HIGHER, 1.0, _triangular_lens_value),
-    Metric("shrunk_circumcircle", _TRI, _HIGHER, 1.0, _shrunk_circumcircle_value),
+    Metric(
+        "shrunk_circumcircle",
+        _TRI,
+        _HIGHER,
+        1.0,
+        _shrunk_circumcircle_value,
+        _shrunk_circumcircle_bound,
+    ),
 )
 
 # Views of the registry, in its order.
@@ -856,7 +944,26 @@ class Evaluator:
         values[used] = [self.element_value(metric, element(e)) for e in used.tolist()]
         return values
 
+    def bounds_by_id(self, metric: str, ids: np.ndarray, element) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`values_by_id`, except that an element whose value is not
+        cached gets the metric's ``bound`` in its place, where the metric has
+        one; and a mask, per id, that is False only at those bounds."""
+        used = np.flatnonzero(np.bincount(ids.ravel()))
+        values = np.zeros(int(used[-1]) + 1 if len(used) else 0)
+        exact = np.ones(len(values), dtype=bool)
+        bound, cache = _BY_NAME[metric].bound, self._cache[metric]
+        keys = [element(e) for e in used.tolist()]
+        known = [bound is None or key in cache for key in keys]
+        values[used] = [
+            self.element_value(metric, key) if ok else bound(self, key)
+            for key, ok in zip(keys, known)
+        ]
+        exact[used] = known
+        return values, exact
+
     def scores(self, t: Triangulation, metric: str) -> list[ElementScore]:
+        if t.point_set != self.point_set:
+            raise MismatchedPointSets("the triangulation is not over the evaluator's point set")
         m = lookup_metric(metric)
         return [
             ElementScore(e, self.element_value(metric, e), m.orientation)

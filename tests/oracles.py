@@ -12,7 +12,9 @@ package's implementations from before the integer triangulation table,
 the level-by-level numpy walk, the canonical construction, the
 closed-form roots, the streamed subset scan, the nearest-first clipping,
 the in-place apex map, the edge-local validity test and the screened
-search, kept as the references those must match.  ``flip``, which only
+search, kept as the references those must match.  So are the sum search
+that fills every value and the bottleneck scan of every row, from before
+the bounded sum search and the bottleneck screen.  ``flip``, which only
 tests and the frozenset walk call, lives here too.
 """
 
@@ -837,6 +839,74 @@ def unique_best_triangulation(table, constraint, metric, mode, evaluator):
         best = scan_best_sum(scores, lower_better)
     else:
         best = block_best_bottleneck(scores, lower_better)
+    return table.triangulation(int(feasible[best]))
+
+
+# --- the search before bounds and the bottleneck screen -------------------------
+
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+
+
+def filtered_best_sum(scores: np.ndarray, lower_better: bool) -> int:
+    """Row with the best exact sum (math.fsum), every entry a value; fsum
+    runs only on the rows whose numpy row sum, widened by its error bound,
+    can reach the best row's.  Ties keep the earliest."""
+    s = scores.sum(axis=1)
+    err = scores.shape[1] * _EPS * np.abs(scores).sum(axis=1) + _TINY
+    if lower_better:
+        candidate = ~(s - err > np.min(s + err, initial=np.inf))
+    else:
+        candidate = ~(s + err < np.max(s - err, initial=-np.inf))
+    rows = np.flatnonzero(candidate)
+    best, best_sum = 0, None
+    for row, values in zip(rows.tolist(), scores[rows].tolist()):
+        value = math.fsum(values)
+        if best_sum is None or (value < best_sum if lower_better else value > best_sum):
+            best, best_sum = row, value
+    return best
+
+
+def unscreened_best_bottleneck(scores: np.ndarray, lower_better: bool) -> int:
+    """The scan of compare_bottleneck_lex over every row, in blocks of 8
+    rows after each closer row that double, up to 1,024 rows, while none
+    is found; ties keep the earliest."""
+    worst_first = np.sort(scores, axis=1)
+    if lower_better:
+        worst_first = worst_first[:, ::-1]
+    if worst_first.shape[1] == 0:
+        return 0
+    best, lo, size = 0, 1, 8
+    while lo < len(worst_first):
+        block = worst_first[lo : lo + size]
+        ref = worst_first[best]
+        differs = ~(np.abs(block - ref) <= LEX_TOLERANCE)
+        at = differs.argmax(axis=1)
+        x = np.take_along_axis(block, at[:, None], axis=1)[:, 0]
+        closer = np.flatnonzero(differs.any(axis=1) & ((x < ref[at]) == lower_better))
+        if len(closer):
+            best = lo + int(closer[0])
+            lo, size = best + 1, 8
+        else:
+            lo, size = lo + len(block), min(2 * size, 1024)
+    return best
+
+
+def full_fill_best_triangulation(table, constraint, metric, mode, evaluator):
+    """best_triangulation with the value of every element of the feasible
+    rows (Evaluator.values_by_id) and the two searches above."""
+    lower_better = lookup_metric(metric).orientation is ScoreOrientation.LOWER_BETTER
+    dt_length = total_edge_length(delaunay(table.point_set))
+    feasible = np.flatnonzero(feasible_rows(table, constraint, dt_length))
+    if not len(feasible):
+        return None
+    ids, element = table.element_ids(lookup_metric(metric).decomposition)
+    ids = ids[feasible]
+    scores = evaluator.values_by_id(metric, ids, element)[ids]
+    if mode is AggregationMode.SUM:
+        best = filtered_best_sum(scores, lower_better)
+    else:
+        best = unscreened_best_bottleneck(scores, lower_better)
     return table.triangulation(int(feasible[best]))
 
 

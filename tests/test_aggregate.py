@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -20,10 +21,11 @@ from neardelaunay.errors import (
     EnumerationTooLarge,
     IncomparableScores,
     InvalidConstraintEdges,
+    MismatchedPointSets,
     NearDelaunayError,
 )
 from neardelaunay.geom import PointSet, similarity_transform
-from neardelaunay.metrics import ALL_METRICS, Evaluator, ScoreOrientation, lookup_metric
+from neardelaunay.metrics import ALL_METRICS, METRICS, Evaluator, ScoreOrientation, lookup_metric
 from neardelaunay.pointgen import pick_required_edge, random_point_set, wheel_point_set
 from neardelaunay.triangulation import (
     MaxDegree,
@@ -41,8 +43,11 @@ from oracles import (
     best_by_scan,
     block_best_bottleneck,
     enumerate_by_frozenset_walk,
+    filtered_best_sum,
+    full_fill_best_triangulation,
     scan_best_sum,
     unique_best_triangulation,
+    unscreened_best_bottleneck,
 )
 
 
@@ -174,6 +179,15 @@ class TestOptimize:
         ps = random_point_set(13, seed=3)
         with pytest.raises(InvalidConstraintEdges, match=r"bad edge \(0, 13\)"):
             optimize(ps, RequiredEdges([(0, 13)]), "lens", AggregationMode.SUM)
+
+    def test_evaluator_of_another_set_rejected(self):
+        ps, other = random_point_set(7, 1), random_point_set(7, 2)
+        with pytest.raises(MismatchedPointSets):
+            optimize(ps, MaxDegree(5), "lens", AggregationMode.SUM, evaluator=Evaluator(other))
+        table = triangulation_table(ps)
+        for mode in AggregationMode:
+            with pytest.raises(MismatchedPointSets):
+                best_triangulation(table, MaxDegree(5), "lens", mode, Evaluator(other))
 
     def test_cap_propagates(self):
         ps = random_point_set(8, seed=2)
@@ -423,6 +437,82 @@ class TestDenseSearchOracle:
             assert tied  # some best rows must tie exactly with later ones
 
 
+def _stencil_jitter(seed):
+    """One fixed random 12-point set with every point moved by up to 0.004,
+    as the optimize benchmark draws its sets."""
+    rng = random.Random(seed)
+    return PointSet(
+        [
+            (x + rng.uniform(-0.004, 0.004), y + rng.uniform(-0.004, 0.004))
+            for x, y in random_point_set(12, seed=1400).points
+        ]
+    )
+
+
+BOUNDED_SETS = {
+    **{f"dense-{name}": make for name, make in DENSE_SETS.items()},
+    **{f"stencil{seed}": lambda seed=seed: _stencil_jitter(seed) for seed in range(4)},
+    # the offset sets of tests/test_metrics.py SEARCH_SETS
+    **{
+        f"offset{offset:g}": lambda offset=offset: PointSet(
+            [(x + offset, y + offset) for x, y in random_point_set(12, 2300).points]
+        )
+        for offset in (1e6, 1e7)
+    },
+}
+BOUNDED_METRICS = [m.name for m in METRICS if m.bound is not None]
+
+
+class TestBoundedSearch:
+    """best_triangulation with a fresh Evaluator, whose sum starts from the
+    metric's bounds, against tests/oracles.py full_fill_best_triangulation,
+    which fills every value, on every constraint kind and both modes."""
+
+    @pytest.mark.parametrize("name", sorted(BOUNDED_SETS))
+    def test_same_row_as_the_full_fill(self, name):
+        ps = BOUNDED_SETS[name]()
+        table = triangulation_table(ps)
+        edge = pick_required_edge(ps)
+        constraints = (
+            RequiredEdges([edge] if edge else []),
+            MinTotalLength(1.0),
+            MinTotalLength(1.1),
+            MaxTotalLength(0.9),
+            MaxDegree(4),
+        )
+        ev = Evaluator(ps)
+        tied = 0
+        for c in constraints:
+            for metric in BOUNDED_METRICS:
+                for mode in AggregationMode:
+                    got = best_triangulation(table, c, metric, mode, Evaluator(ps))
+                    want = full_fill_best_triangulation(table, c, metric, mode, ev)
+                    assert (got and got.triangles) == (want and want.triangles), (c, metric, mode)
+                    if want and mode is AggregationMode.SUM:
+                        dt_len = total_edge_length(delaunay(ps))
+                        tied += _exact_sums(table, c, metric, dt_len, ev).count(
+                            math.fsum(ev.values(want, metric))
+                        ) > 1
+        if name in ("dense-squares2", "dense-squares3"):  # dyadic offsets
+            assert tied  # some best rows must tie exactly with later ones
+
+    def test_sum_query_computes_few_values(self):
+        # A required-edge sum query fills the values of only some of the
+        # triangles of its feasible rows; the bounds settle the rest.
+        for seed in range(4):
+            ps = _stencil_jitter(seed)
+            table = triangulation_table(ps)
+            c = RequiredEdges([pick_required_edge(ps)])
+            ev = Evaluator(ps)
+            best_triangulation(table, c, "shrunk_circumcircle", AggregationMode.SUM, ev)
+            feasible = feasible_rows(table, c, total_edge_length(delaunay(ps)))
+            occupied = [
+                e for e in np.unique(table.rows[feasible]).tolist() if ev.inside(table.triangles[e])
+            ]
+            computed = [tri for tri in ev._cache["shrunk_circumcircle"] if ev.inside(tri)]
+            assert len(computed) < len(occupied) / 4, (seed, len(computed), len(occupied))
+
+
 def _row_by_row_bottleneck(scores, lower_better):
     """compare_bottleneck_lex over the rows one by one."""
     orientation = (
@@ -436,17 +526,26 @@ def _row_by_row_bottleneck(scores, lower_better):
     return best
 
 
+def dense_best_sum(scores, lower_better):
+    """_best_sum on a score array, each entry its own element id and a value."""
+    scores = np.asarray(scores, dtype=float)
+    ids = np.arange(scores.size).reshape(scores.shape)
+    values = scores.ravel().copy()
+    exact = np.ones(values.shape, dtype=bool)
+    return aggregate._best_sum(ids, values, exact, values.__getitem__, lower_better)
+
+
 class TestBestSum:
-    """The candidate-filtered sum against tests/oracles.py scan_best_sum,
-    which takes math.fsum of every row."""
+    """The best-first sum against tests/oracles.py scan_best_sum, which takes
+    math.fsum of every row, and filtered_best_sum, which fills every value."""
 
     @staticmethod
     def check(scores):
         scores = np.asarray(scores, dtype=float)
         for lower_better in (True, False):
-            assert aggregate._best_sum(scores, lower_better) == scan_best_sum(
-                scores, lower_better
-            ), lower_better
+            want = scan_best_sum(scores, lower_better)
+            assert dense_best_sum(scores, lower_better) == want, lower_better
+            assert filtered_best_sum(scores, lower_better) == want, lower_better
 
     def test_cancellation_in_every_order(self):
         rng = np.random.default_rng(5)
@@ -473,8 +572,8 @@ class TestBestSum:
         sums = scores.sum(axis=1)
         assert len(set(sums.tolist())) > 1
         assert len({math.fsum(r) for r in scores.tolist()}) == 1
-        assert aggregate._best_sum(scores, True) == 0
-        assert aggregate._best_sum(scores[1:], False) == 0
+        assert dense_best_sum(scores, True) == 0
+        assert dense_best_sum(scores[1:], False) == 0
         self.check(scores)
         self.check(scores[::-1])
 
@@ -492,25 +591,89 @@ class TestBestSum:
 
     def test_all_rows_equal(self):
         self.check(np.full((50, 7), 0.25))
-        assert aggregate._best_sum(np.full((50, 7), 0.25), True) == 0
+        assert dense_best_sum(np.full((50, 7), 0.25), True) == 0
 
     def test_zero_columns(self):
         self.check(np.zeros((4, 0)))
-        assert aggregate._best_sum(np.zeros((4, 0)), False) == 0
+        assert dense_best_sum(np.zeros((4, 0)), False) == 0
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_bounds_in_place_of_values(self, ties):
+        # Rows share element ids, as table rows do.  Each bound is the value
+        # moved the optimistic way, or the value itself; some ids start
+        # exact.  The search must pick the exact scan's row and compute
+        # values only for some of the ids.
+        rng = np.random.default_rng(8 + ties)
+        computed = total = 0
+        for _ in range(40):
+            count = int(rng.integers(5, 60))
+            ids = rng.integers(0, count, size=(int(rng.integers(1, 300)), int(rng.integers(1, 12))))
+            if ties:  # dyadic values: exact sums tie across rows
+                true = rng.integers(0, 8, size=count) / 8.0
+            else:
+                true = rng.uniform(0.0, 1.0, size=count)
+            slack = rng.choice([0.0, 1e-12, 0.01, 0.5], size=count)
+            start_exact = rng.random(count) < 0.2
+            for lower_better in (True, False):
+                bound = true - slack if lower_better else true + slack
+                values = np.where(start_exact, true, bound)
+                exact = start_exact.copy()
+                asked = []
+
+                def value_of(e):
+                    asked.append(e)
+                    return true[e]
+
+                got = aggregate._best_sum(ids, values, exact, value_of, lower_better)
+                assert got == scan_best_sum(true[ids], lower_better), lower_better
+                assert len(asked) == len(set(asked)) and not start_exact[asked].any()
+                computed += len(asked)
+                total += len(np.setdiff1d(np.unique(ids), np.flatnonzero(start_exact)))
+        assert computed < total / 2, (computed, total)
 
 
 class TestBestBottleneck:
-    """The growing blocks of _best_bottleneck against tests/oracles.py
-    block_best_bottleneck (fixed 1,024-row blocks) and a row-by-row
-    compare_bottleneck_lex scan."""
+    """The screened scan of _best_bottleneck against tests/oracles.py
+    unscreened_best_bottleneck and block_best_bottleneck (fixed 1,024-row
+    blocks), and a row-by-row compare_bottleneck_lex scan."""
 
     @staticmethod
     def check(scores):
         for lower_better in (True, False):
             got = aggregate._best_bottleneck(scores, lower_better)
+            assert got == unscreened_best_bottleneck(scores, lower_better), lower_better
             assert got == block_best_bottleneck(scores, lower_better), lower_better
             assert got == _row_by_row_bottleneck(scores, lower_better), lower_better
         return got
+
+    @pytest.mark.parametrize("magnitude", [1.0, 1e6])
+    @pytest.mark.parametrize("lower_better", [True, False])
+    @pytest.mark.parametrize("drift", [1, -1])
+    def test_screen_keeps_drifting_chains(self, magnitude, lower_better, drift):
+        # Each chain row ties the one before on its worst entry, 0.6
+        # tolerances away, and is closer on a later entry, so every chain
+        # row replaces the best and the best's worst entry drifts by 0.6
+        # tolerances a row.  Drifting the worse way, the k-th chain row lies
+        # 0.6 k tolerances beyond row 0's worst entry, the best before it,
+        # and the screen must keep it.  At 1e6 one ulp (1.2e-10) exceeds the
+        # tolerance, so rounded steps tie only where they are equal.  The
+        # noise rows in between never replace the best.
+        rng = np.random.default_rng(11)
+        rows = 2000
+        sign = 1.0 if lower_better else -1.0
+        noise = rng.random(rows) < 0.5
+        noise[0] = False
+        step = np.cumsum(~noise)  # position along the chain
+        worst = magnitude * (1.0 + sign * 0.5) + drift * 0.6 * LEX_TOLERANCE * step
+        second = magnitude * (0.5 - sign * step / (4 * rows))
+        worst[noise] += sign * magnitude * rng.uniform(1e-3, 0.3, size=noise.sum())
+        scores = np.column_stack([worst, second, np.full(rows, magnitude)])
+        got = aggregate._best_bottleneck(scores, lower_better)
+        assert got == _row_by_row_bottleneck(scores, lower_better)
+        assert got == unscreened_best_bottleneck(scores, lower_better)
+        if magnitude == 1.0:
+            # the chain runs to its last row, whichever way it drifts
+            assert got == np.flatnonzero(~noise)[-1]
 
     def test_chains_below_the_tolerance(self):
         # Each row's worst entry moves 0.6 tolerances from the row before,

@@ -6,7 +6,7 @@ import pytest
 
 from neardelaunay import metrics
 from neardelaunay.delaunay import cdt, delaunay, voronoi
-from neardelaunay.errors import NearDelaunayError, SiteOutsideCircle
+from neardelaunay.errors import MismatchedPointSets, NearDelaunayError, SiteOutsideCircle
 from neardelaunay.geom import (
     Circle,
     Orientation,
@@ -666,6 +666,46 @@ class TestScreenedSearch:
         assert compared > 0
 
 
+class TestShrunkCircumcircleBound:
+    """The optimistic bound of shrunk_circumcircle (``Metric.bound``) is at
+    least the value on every triangle of SEARCH_SETS, exactly 1 where the
+    circumcircle holds no site, and below 1 on most triangles of the random
+    sets whose circumcircle holds one, so a bound that is always 1 fails."""
+
+    @pytest.mark.parametrize("name", sorted(SEARCH_SETS))
+    def test_at_least_the_value(self, name):
+        make, triangles = SEARCH_SETS[name]
+        ps = make()
+        ev = Evaluator(ps)
+        bound = lookup_metric("shrunk_circumcircle").bound
+        occupied = below = 0
+        for tri in triangles or itertools.combinations(range(len(ps)), 3):
+            if orientation(*(ps[i] for i in tri)) is Orientation.COLLINEAR:
+                continue
+            b = bound(ev, tri)
+            assert b >= ev.element_value("shrunk_circumcircle", tri), tri
+            if ev.inside(tri):
+                occupied += 1
+                below += b < 1.0
+            else:
+                assert b == 1.0, tri
+        if name.startswith("random"):
+            assert below > 0.9 * occupied, (below, occupied)
+
+    def test_raises_where_the_value_does(self):
+        # a site the float circle does not hold: skipping the element on
+        # its bound must not turn the value's error into a result
+        ps = random_point_set(8, seed=2400)
+        tri = (0, 1, 2)
+        far = next(i for i in range(3, 8) if not in_circumcircle(*(ps[j] for j in tri), ps[i]))
+        ev = Evaluator(ps)
+        ev._inside[tri] = [far]
+        with pytest.raises(SiteOutsideCircle):
+            lookup_metric("shrunk_circumcircle").bound(ev, tri)
+        with pytest.raises(SiteOutsideCircle):
+            ev.element_value("shrunk_circumcircle", tri)
+
+
 class TestNearCocircular:
     """Sites within rounding of a circumcircle: both triangle metrics pick them
     with the exact in_circumcircle predicate, as the Delaunay construction does."""
@@ -712,6 +752,14 @@ class TestEvaluate:
         for metric in ALL_METRICS:
             for s in evaluate(dt, metric):
                 assert abs(s.value - PERFECT_VALUE[metric]) <= 1e-9
+
+    def test_triangulation_of_another_set_rejected(self):
+        t = delaunay(random_point_set(7, 1))
+        ev = Evaluator(random_point_set(7, 2))
+        with pytest.raises(MismatchedPointSets):
+            ev.scores(t, "lens")
+        with pytest.raises(MismatchedPointSets):
+            ev.values(t, "lens")
 
     def test_bad_diagonal_single_quad_score(self, p4):
         scores = evaluate(bad_diagonal(p4), "opposing_angles")
