@@ -112,13 +112,7 @@ def make_default_spec(seed: int = 0) -> dict:
 
 def _load_point_set(entry: dict, base_dir: Path) -> PointSet:
     if "points" in entry:
-        pts = []
-        for p in entry["points"]:
-            try:
-                pts.append((float(p[0]), float(p[1])))
-            except (IndexError, KeyError, TypeError, ValueError):
-                raise NearDelaunayError(f"point {p!r} needs two numbers") from None
-        return PointSet(pts)
+        return PointSet(entry["points"])
     if "file" in entry:
         path = base_dir / entry["file"]
         if not path.exists():

@@ -256,7 +256,7 @@ def chord_overlap_length(circle: Circle, seg: Segment) -> float:
 class PointSet:
     """An ordered planar point set; indices are stable identities.
 
-    Construction checks finiteness, size (>= 3) and exact duplicates.
+    Construction checks two finite numbers per point, size (>= 3) and duplicates.
     Near-degeneracy (collinear triples / cocircular quadruples) is checked by
     :func:`validate_general_position`, which operations that require general
     position call for themselves.
@@ -267,9 +267,12 @@ class PointSet:
     def __init__(self, points: Iterable[Sequence[float]]):
         pts = []
         for p in points:
-            x, y = float(p[0]), float(p[1])
+            try:
+                x, y = float(p[0]), float(p[1])
+            except (IndexError, KeyError, TypeError, ValueError):
+                raise NearDelaunayError(f"point {p!r} needs two numbers") from None
             if not (math.isfinite(x) and math.isfinite(y)):
-                raise NearDelaunayError(f"non-finite coordinate {p!r}")
+                raise NearDelaunayError(f"non-finite coordinate {(x, y)!r}")
             pts.append(Point(x, y))
         if len(pts) < 3:
             raise NearDelaunayError(f"need at least 3 points, got {len(pts)}")

@@ -841,8 +841,8 @@ class Metric:
     ``bound``, where a metric has one, is a cheaper function of (evaluator,
     element) that is never worse than the value: at least the value when
     higher is better, at most it when lower is better.  The sum search
-    (:func:`aggregate.best_triangulation`) computes values only where that
-    bound cannot settle a row."""
+    gathers it by :meth:`Evaluator.values_by_id` and computes values only
+    where that bound cannot settle a row."""
 
     name: str
     decomposition: Decomposition
@@ -934,31 +934,24 @@ class Evaluator:
             value = cache[element] = _BY_NAME[metric].value(self, element)
         return value
 
-    def values_by_id(self, metric: str, ids: np.ndarray, element) -> np.ndarray:
-        """One float array indexed by element id: entry e is the value of
-        ``element(e)`` for every id e in ``ids`` (non-negative integers, any
-        shape), 0 for the ids not in it.  ``np.bincount`` marks the ids used,
-        so ``values[ids]`` gathers per-row values without a sort."""
-        used = np.flatnonzero(np.bincount(ids.ravel()))
-        values = np.zeros(int(used[-1]) + 1 if len(used) else 0)
-        values[used] = [self.element_value(metric, element(e)) for e in used.tolist()]
-        return values
-
-    def bounds_by_id(self, metric: str, ids: np.ndarray, element) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`values_by_id`, except that an element whose value is not
-        cached gets the metric's ``bound`` in its place, where the metric has
-        one; and a mask, per id, that is False only at those bounds."""
+    def values_by_id(
+        self, metric: str, ids: np.ndarray, element, bound=None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One float array indexed by element id, and a mask of its exact
+        entries.  Entry e is the value of ``element(e)`` for every id e in
+        ``ids`` (non-negative integers, any shape), 0 for the ids not in it;
+        given the metric's ``bound``, an uncached element gets its bound
+        instead, False in the mask.  ``np.bincount`` marks the ids used, so
+        ``values[ids]`` gathers per-row values without a sort."""
         used = np.flatnonzero(np.bincount(ids.ravel()))
         values = np.zeros(int(used[-1]) + 1 if len(used) else 0)
         exact = np.ones(len(values), dtype=bool)
-        bound, cache = _BY_NAME[metric].bound, self._cache[metric]
         keys = [element(e) for e in used.tolist()]
-        known = [bound is None or key in cache for key in keys]
+        exact[used] = known = [bound is None or key in self._cache[metric] for key in keys]
         values[used] = [
             self.element_value(metric, key) if ok else bound(self, key)
             for key, ok in zip(keys, known)
         ]
-        exact[used] = known
         return values, exact
 
     def scores(self, t: Triangulation, metric: str) -> list[ElementScore]:

@@ -7,9 +7,9 @@ defines determinism for enumeration, tie-breaking and file output.
 Enumeration builds one integer table per point set (:class:`TriangulationTable`):
 every triangulation as a row of triangle ids.  A canonical construction
 builds each row exactly once, a triangle per level, in numpy, from one exact
-orientation sign per index triple.  The per-row edge, quadrilateral, length
-and degree columns are derived from the sorted rows the first time each is
-read; constraints are decided from the rows themselves.
+orientation sign per index triple.  The per-row edge, quadrilateral and
+degree columns are derived from the sorted rows the first time each is read;
+constraints are decided from the rows themselves.
 """
 
 from __future__ import annotations
@@ -294,8 +294,8 @@ def elements(t: Triangulation, kind: Decomposition) -> tuple:
 
 def total_edge_length(t: Triangulation) -> float:
     if t._length is None:
-        # Left to right in apex_map order, plain float additions, which the
-        # table's length column repeats (sum() compensates from Python 3.12).
+        # Left to right in apex_map order, plain float additions, as the length
+        # screen's error bound assumes (sum() compensates from Python 3.12).
         pts = t.point_set.points
         total = 0.0
         for i, j in t.apexes():
@@ -552,30 +552,20 @@ class TriangulationTable:
     * ``quads``: one code per interior edge uv, ``id(uv) * edge count +
       id(pq)`` with p, q the opposing vertices, ascending (so ordered by
       edge, as in :func:`interior_quadrilaterals`);
-    * ``length``: total edge length, equal to :func:`total_edge_length`
-      bit for bit;
     * ``max_degree``: the largest vertex degree.
 
     :func:`triangulation_table` builds the rows only.  Each other column is
-    derived from the rows the first time it is read, on its own and a block
-    of rows at a time, unless the constructor was given it.  Of these,
-    :func:`feasible_rows` reads ``max_degree`` for a degree bound only, and
-    a query reads the id column of its metric's decomposition.
+    derived from them the first time it is read, a block of rows at a time.
+    :func:`feasible_rows` reads ``max_degree`` for a degree bound only, and a
+    query reads the id column of its metric's decomposition.
     """
 
-    def __init__(
-        self, point_set, triangles, edge_pairs, rows,
-        edges=None, quads=None, length=None, max_degree=None,
-    ):
+    def __init__(self, point_set, triangles, edge_pairs, rows):
         self.point_set = point_set
         self.triangles: list[Triple] = triangles
         self.edge_pairs: list[EdgeKey] = edge_pairs
         self.edge_index = {e: i for i, e in enumerate(edge_pairs)}
         self.rows = rows
-        given = {"edges": edges, "quads": quads, "length": length, "max_degree": max_degree}
-        for name, column in given.items():
-            if column is not None:
-                setattr(self, name, column)  # in place of the derived column
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -619,26 +609,6 @@ class TriangulationTable:
         terms = 2 * self.rows.shape[1] + len(pts)  # W + E + 1, as E = W + n - 1
         err = terms * _EPS * screen + _TINY
         return screen - err, screen + err
-
-    def _tallies(self):
-        """Per block of rows: its first row, the block, at (per row and
-        triangle slot, three a triangle, the flat index of the (row, edge)
-        pair the slot's edge makes) and the tally of each (row, pair):
-        ``2**n`` times the number of the row's triangles on the pair plus the
-        sum of ``2**o`` over their vertices o opposite it.  So a pair that is
-        no edge tallies 0, a hull edge ``2**n + 2**p`` and an interior edge
-        ``2**(n + 1) + 2**p + 2**q``.  One bincount a block, whose float sums
-        are exact: integers below ``2**(n + 2)``."""
-        tri_edges, tri_opp = self._sides
-        n, n_pairs = len(self.point_set), len(self.edge_pairs)
-        weight = (1 << n) + (1 << tri_opp).astype(np.float64)
-        for lo in range(0, len(self.rows), _BLOCK_ROWS):
-            block = self.rows[lo : lo + _BLOCK_ROWS]
-            b = len(block)
-            at = np.take(tri_edges, block, axis=0).reshape(b, -1)
-            at = at + np.arange(0, b * n_pairs, n_pairs, dtype=np.int32)[:, None]
-            weights = np.take(weight, block, axis=0).ravel()
-            yield lo, block, at, np.bincount(at.ravel(), weights, minlength=b * n_pairs)
 
     def _row_pairs(self, flat: np.ndarray, b: int) -> np.ndarray:
         """Pair ids of flat (row, pair) indices into a block of b rows, the
@@ -684,35 +654,24 @@ class TriangulationTable:
         return out
 
     @cached_property
-    def length(self) -> np.ndarray:
-        pts = self.point_set.points
-        edge_len = np.array([math.dist(pts[i], pts[j]) for i, j in self.edge_pairs])
-        tri_edges, tri_opp = self._sides
-        slot_len, below_opp = edge_len[tri_edges], (1 << tri_opp) - 1
-        out = np.empty(len(self.rows))
-        for lo, block, at, tally in self._tallies():
-            b = len(block)
-            # Rows ascend, and of the two triangles on an edge the one with
-            # the smaller opposite vertex has the smaller id.  So the slots
-            # whose opposite vertex is the lowest bit of their tally are each
-            # edge's first: apex_map's insertion order, summed left to right
-            # as total_edge_length adds.
-            lower = np.take(below_opp, block, axis=0).reshape(b, -1)
-            first = (np.take(tally, at).astype(np.int64) & lower) == 0
-            lengths = np.take(slot_len, block, axis=0).reshape(b, -1)[first]
-            out[lo : lo + b] = lengths.reshape(b, -1).cumsum(axis=1)[:, -1]
-        return out
-
-    @cached_property
     def quads(self) -> np.ndarray:
+        # Per (row, pair) the bincount adds 2**n + 2**o for each triangle of the row
+        # on the pair, o opposite it: 2**(n + 1) + 2**p + 2**q on an interior edge,
+        # less elsewhere.  Its float sums are exact: integers below 2**(n + 2).
+        tri_edges, tri_opp = self._sides
         n, n_pairs = len(self.point_set), len(self.edge_pairs)
+        weight = (1 << n) + (1 << tri_opp).astype(np.float64)
         pair_of_bits = np.zeros(1 << n, dtype=_id_dtype(n_pairs))  # 2**p + 2**q -> id(pq)
         for e, (i, j) in enumerate(self.edge_pairs):
             pair_of_bits[(1 << i) + (1 << j)] = e
         width = 2 * self.rows.shape[1] - n + 1
         out = np.empty((len(self.rows), width), dtype=_id_dtype(n_pairs**2))
-        for lo, block, _, tally in self._tallies():
+        for lo in range(0, len(self.rows), _BLOCK_ROWS):
+            block = self.rows[lo : lo + _BLOCK_ROWS]
             b = len(block)
+            at = np.take(tri_edges, block, axis=0).reshape(b, -1)
+            at = at + np.arange(0, b * n_pairs, n_pairs, dtype=np.int32)[:, None]
+            tally = np.bincount(at.ravel(), np.take(weight, block, axis=0).ravel(), b * n_pairs)
             interior = np.flatnonzero(tally >= 2 << n)  # ascending, so by edge in each row
             bits = np.take(tally, interior).astype(np.int64) & ((1 << n) - 1)
             uv = self._row_pairs(interior, b).astype(out.dtype)
@@ -841,7 +800,7 @@ def triangulation_table(
     tri = np.flatnonzero(empty & (tri_edges == lowest_hull).any(axis=1))
     left, right = add_left[tri], add_right[tri]
     trail = [(np.zeros(len(tri), dtype=np.intp), tri)]  # per level: parent, triangle
-    width = 2 * n - h - 2
+    width, rows_dtype = 2 * n - h - 2, _id_dtype(n_tri)
     for _ in range(width - 1):
         at = np.arange(len(left))
         open_ = left ^ right
@@ -858,9 +817,9 @@ def triangulation_table(
         fits = ~((left | right)[parent] & cross[tri]).any(axis=1)
         parent, tri = parent[fits], tri[fits]
         left, right = left[parent] | add_left[tri], right[parent] | add_right[tri]
-        trail.append((parent, tri))
+        trail.append((parent.astype(np.int32), tri.astype(rows_dtype)))  # most of the peak memory
     del left, right
-    rows = np.empty((len(trail[-1][1]), width), dtype=_id_dtype(n_tri))
+    rows = np.empty((len(trail[-1][1]), width), dtype=rows_dtype)
     at = np.arange(len(rows))
     for level in range(width - 1, -1, -1):
         parent, tri = trail[level]

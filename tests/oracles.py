@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from dataclasses import dataclass
 from itertools import combinations, islice, permutations, product
 
 import numpy as np
@@ -72,7 +73,6 @@ from neardelaunay.metrics import (
 from neardelaunay.triangulation import (
     DEFAULT_ENUMERATION_CAP,
     Triangulation,
-    TriangulationTable,
     apex_map,
     apex_triangles,
     check_enumeration_cap,
@@ -389,7 +389,20 @@ def _decode_rows(masks: set[int], id_count: int, width: int) -> np.ndarray:
     return rows[np.lexsort(rows.T[::-1])]
 
 
-def bitmask_table(ps: PointSet, cap: int = DEFAULT_ENUMERATION_CAP) -> TriangulationTable:
+@dataclass(frozen=True)
+class OracleTable:
+    """The ids and columns of a TriangulationTable, as an oracle derives
+    them on its own."""
+
+    triangles: list
+    edge_pairs: list
+    rows: np.ndarray
+    edges: np.ndarray
+    quads: np.ndarray
+    max_degree: np.ndarray
+
+
+def bitmask_table(ps: PointSet, cap: int = DEFAULT_ENUMERATION_CAP) -> OracleTable:
     """Every triangulation of ps as a table, by a depth-first walk of the flip
     graph over Python-int triangle bitmasks, then a block-wise argsort pass
     that derives the columns."""
@@ -408,14 +421,12 @@ def bitmask_table(ps: PointSet, cap: int = DEFAULT_ENUMERATION_CAP) -> Triangula
     masks = _walk_flip_graph(seed, _flip_moves(ps, triangles, tri_id))
     rows = _decode_rows(masks, len(triangles), seed.bit_count())
     del masks
-    return TriangulationTable(
-        ps, triangles, pairs, rows, *_row_columns(ps, triangles, pairs, edge_lut, rows)
-    )
+    return OracleTable(triangles, pairs, rows, *_row_columns(ps, triangles, pairs, edge_lut, rows))
 
 
 def _row_columns(ps: PointSet, triangles, pairs, edge_lut: np.ndarray, rows: np.ndarray):
-    """Edge ids, quadrilateral codes, total length and maximum degree of
-    every row, derived block by block."""
+    """Edge ids, quadrilateral codes and maximum degree of every row,
+    derived block by block."""
     pts = ps.points
     n = len(pts)
     h = len(ps.hull())
@@ -424,14 +435,12 @@ def _row_columns(ps: PointSet, triangles, pairs, edge_lut: np.ndarray, rows: np.
     corners = np.array(triangles, dtype=np.intp)
     tri_edges = edge_lut[corners[:, [0, 0, 1]], corners[:, [1, 2, 2]]]
     tri_opp = corners[:, [2, 1, 0]]
-    edge_len = np.array([math.dist(pts[i], pts[j]) for i, j in pairs])
     ends = np.array(pairs, dtype=np.intp)
     quad_dtype = _id_dtype(len(pairs) ** 2)
 
     count = len(rows)
     edges = np.empty((count, n_edges), dtype=edge_lut.dtype)
     quads = np.empty((count, n_interior), dtype=quad_dtype)
-    length = np.empty(count)
     max_deg = np.empty(count, dtype=np.int16)
     for lo in range(0, count, _ORACLE_BLOCK_ROWS):
         block = rows[lo : lo + _ORACLE_BLOCK_ROWS]
@@ -450,17 +459,9 @@ def _row_columns(ps: PointSet, triangles, pairs, edge_lut: np.ndarray, rows: np.
         q = np.take_along_axis(opp, perm[:, 1:], axis=1)[again]
         uv = srt[:, 1:][again].astype(quad_dtype)
         quads[lo : lo + b] = (uv * len(pairs) + edge_lut[p, q]).reshape(b, n_interior)
-        # total length summed left to right in apex_map insertion order
-        in_order = np.zeros(seq.shape, dtype=bool)
-        np.put_along_axis(in_order, perm, first, axis=1)
-        inserted = seq[in_order].reshape(b, n_edges)
-        acc = np.zeros(b)
-        for c in range(n_edges):
-            acc += edge_len[inserted[:, c]]
-        length[lo : lo + b] = acc
         at = ends[edges[lo : lo + b]].reshape(b, -1) + n * np.arange(b)[:, None]
         max_deg[lo : lo + b] = np.bincount(at.ravel(), minlength=b * n).reshape(b, n).max(axis=1)
-    return edges, quads, length, max_deg
+    return edges, quads, max_deg
 
 
 # --- the triangulation table by a breadth-first numpy flip walk --------------
@@ -507,7 +508,7 @@ def _one_bit(bits: np.ndarray, words: int) -> np.ndarray:
     return key
 
 
-def level_walk_table(ps: PointSet, cap: int = DEFAULT_ENUMERATION_CAP) -> TriangulationTable:
+def level_walk_table(ps: PointSet, cap: int = DEFAULT_ENUMERATION_CAP) -> OracleTable:
     """Enumerate every triangulation of ps once, by a breadth-first walk of
     the flip graph from the sweep triangulation, one level of rows at a
     time.  The flip graph of a point set is connected (Lawson, "Transforming
@@ -533,7 +534,6 @@ def level_walk_table(ps: PointSet, cap: int = DEFAULT_ENUMERATION_CAP) -> Triang
     # per triangle: its edges in apex_map insertion order, the vertex opposite each
     tri_edges = edge_lut[corners[:, [0, 0, 1]], corners[:, [1, 2, 2]]]
     tri_opp = corners[:, [2, 1, 0]].astype(edge_lut.dtype)
-    edge_len = np.array([math.dist(ps[i], ps[j]) for i, j in pairs])
     incidence = np.zeros((n_pairs, n))  # edge x vertex, 1 at the edge's ends
     incidence[np.arange(n_pairs), ends[:, 0]] = incidence[np.arange(n_pairs), ends[:, 1]] = 1
     hull = np.array(ps.hull())
@@ -571,12 +571,9 @@ def level_walk_table(ps: PointSet, cap: int = DEFAULT_ENUMERATION_CAP) -> Triang
         tally = np.take(tally, at).astype(np.int32).reshape(b, width)
         step = (tally >> 2) - 2 * slot  # from an interior edge's slot to its other one
         # Rows ascend, so the first slot of an interior edge is in its lower
-        # triangle: these with the hull edges are apex_map's insertion order.
+        # triangle: these with the hull edges are each edge once.
         lower = step > 0
-        inserted = seq[lower | (tally & 3 == 1)].reshape(b, n_edges)
-        # left to right, as total_edge_length adds
-        length = np.take(edge_len, inserted).cumsum(axis=1)[:, -1]
-        edges = np.sort(inserted, axis=1)
+        edges = np.sort(seq[lower | (tally & 3 == 1)].reshape(b, n_edges), axis=1)
         first = np.flatnonzero(lower)  # flat (row, slot) indices
         second = first + np.take(step, first)
         pq = np.take(edge_lut, np.take(opp, first) * n + np.take(opp, second))
@@ -586,15 +583,15 @@ def level_walk_table(ps: PointSet, cap: int = DEFAULT_ENUMERATION_CAP) -> Triang
         tri = block.ravel().astype(np.intp)
         flips = np.take(flip_at, np.take(tri, first // 3) * n_tri + np.take(tri, second // 3))
         legal = flips >= 0
-        return (edges, quads, length, degree), first[legal] // width, flips[legal]
+        return (edges, quads, degree), first[legal] // width, flips[legal]
 
     rows = np.array([[tri_lut[tri] for tri in scan_triangulation(ps).triangles]])
     seed_bits = bit[np.unique(tri_edges[rows])]
     keys = np.bitwise_or.reduce(_one_bit(seed_bits[seed_bits >= 0], words), 0, keepdims=True)
     before = keys[:0]
-    found = ([], [], [], [], [])  # per column: its part for every level, rows first
+    found = ([], [], [], [])  # per column: its part for every level, rows first
     while len(rows):
-        parent, flips, blocks = [], [], ([], [], [], [])
+        parent, flips, blocks = [], [], ([], [], [])
         for lo in range(0, len(rows), _WALK_BLOCK_ROWS):
             columns, r, f = expand(rows[lo : lo + _WALK_BLOCK_ROWS])
             for part, column in zip(blocks, columns):
@@ -631,7 +628,7 @@ def level_walk_table(ps: PointSet, cap: int = DEFAULT_ENUMERATION_CAP) -> Triang
         part.clear()
         columns.append(column[order])
         del column
-    return TriangulationTable(ps, triangles, pairs, *columns)
+    return OracleTable(triangles, pairs, *columns)
 
 
 # --- Delaunay and CDT construction over frozensets of triangles ---------------
@@ -902,7 +899,7 @@ def full_fill_best_triangulation(table, constraint, metric, mode, evaluator):
         return None
     ids, element = table.element_ids(lookup_metric(metric).decomposition)
     ids = ids[feasible]
-    scores = evaluator.values_by_id(metric, ids, element)[ids]
+    scores = evaluator.values_by_id(metric, ids, element)[0][ids]
     if mode is AggregationMode.SUM:
         best = filtered_best_sum(scores, lower_better)
     else:

@@ -334,6 +334,21 @@ class TestPointSetValidation:
         with pytest.raises(ValueError):
             PointSet([(0, 0), (1, 1), (math.nan, 0)])
 
+    @pytest.mark.parametrize(
+        "bad, shown",
+        [
+            ((0,), "(0,)"),  # IndexError
+            (("a", 1), "('a', 1)"),  # ValueError
+            (None, "None"),  # TypeError
+            ({"x": 0, "y": 1}, "{'x': 0, 'y': 1}"),  # KeyError
+            ((0, [1]), "(0, [1])"),  # TypeError on the second number
+        ],
+    )
+    def test_point_needs_two_numbers(self, bad, shown):
+        with pytest.raises(NearDelaunayError) as info:
+            PointSet([(0, 0), (1, 0), bad])
+        assert str(info.value) == f"point {shown} needs two numbers"
+
     def test_collinear_rejected(self):
         ps = PointSet([(0, 0), (1, 1), (2, 2), (0, 5)])
         with pytest.raises(GeneralPositionViolated, match="collinear"):

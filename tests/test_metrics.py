@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from neardelaunay import metrics
@@ -40,6 +41,7 @@ from neardelaunay.pointgen import long_delaunay_point_set, random_point_set, whe
 from neardelaunay.triangulation import (
     Triangulation,
     interior_quadrilaterals,
+    triangulation_table,
 )
 
 from conftest import jittered_circle_points, random_jittered_circle
@@ -810,6 +812,63 @@ class TestEvaluate:
         ps = PointSet([(0, 0), (2, 0), (1, 0.5), (1, 1.7)])
         with pytest.raises(ValueError, match="opposite sides"):
             evaluate(Triangulation(ps, [(0, 1, 2), (0, 1, 3)]), metric)
+
+
+class TestValuesById:
+    """Evaluator.values_by_id with and without the metric's bound, on the
+    triangle ids of a table's rows: 2-D, each id repeated across rows."""
+
+    METRIC = "shrunk_circumcircle"  # the metric with a bound
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        return triangulation_table(random_point_set(8, seed=95))
+
+    def test_values_without_bound(self, table):
+        element = table.triangles.__getitem__
+        values, exact = Evaluator(table.point_set).values_by_id(self.METRIC, table.rows, element)
+        used = set(table.rows.ravel().tolist())
+        assert len(values) == len(exact) == max(used) + 1
+        assert exact.all()
+        fresh = Evaluator(table.point_set)
+        for e, value in enumerate(values.tolist()):
+            assert value == (fresh.element_value(self.METRIC, element(e)) if e in used else 0.0)
+
+    def test_bound_in_place_of_uncached_values(self, table):
+        element = table.triangles.__getitem__
+        ev = Evaluator(table.point_set)
+        used = sorted(set(table.rows.ravel().tolist()))
+        cached = set(used[::3])
+        for e in cached:
+            ev.element_value(self.METRIC, element(e))
+        bound = lookup_metric(self.METRIC).bound
+        values, exact = ev.values_by_id(self.METRIC, table.rows, element, bound)
+        assert exact.tolist() == [e not in used or e in cached for e in range(len(values))]
+        fresh = Evaluator(table.point_set)
+        below_one = 0
+        for e in used:
+            value = fresh.element_value(self.METRIC, element(e))
+            if e in cached:
+                assert values[e] == value
+            else:
+                assert values[e] == bound(fresh, element(e)) >= value  # higher is better
+                below_one += values[e] < 1.0
+        assert below_one  # some bound is not the trivial 1
+
+    @pytest.mark.parametrize("bounded", [False, True])
+    def test_few_and_no_ids(self, table, bounded):
+        element = table.triangles.__getitem__
+        ev = Evaluator(table.point_set)
+        bound = lookup_metric(self.METRIC).bound if bounded else None
+        values, exact = ev.values_by_id(
+            self.METRIC, np.array([[7, 3], [7, 7]], dtype=np.int16), element, bound
+        )
+        assert len(values) == 8 and values[[0, 1, 2, 4, 5, 6]].tolist() == [0.0] * 6
+        assert exact.tolist() == [True] * 3 + [not bounded] + [True] * 3 + [not bounded]
+        values, exact = ev.values_by_id(
+            self.METRIC, np.zeros((0, 6), dtype=np.int16), element, bound
+        )
+        assert values.shape == exact.shape == (0,)
 
 
 class TestRegistry:
