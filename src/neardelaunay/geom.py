@@ -256,7 +256,8 @@ def chord_overlap_length(circle: Circle, seg: Segment) -> float:
 class PointSet:
     """An ordered planar point set; indices are stable identities.
 
-    Construction checks two finite numbers per point, size (>= 3) and duplicates.
+    Construction checks exactly two finite numbers per point, size (>= 3)
+    and duplicates.
     Near-degeneracy (collinear triples / cocircular quadruples) is checked by
     :func:`validate_general_position`, which operations that require general
     position call for themselves.
@@ -268,8 +269,10 @@ class PointSet:
         pts = []
         for p in points:
             try:
+                if len(p) != 2:
+                    raise ValueError
                 x, y = float(p[0]), float(p[1])
-            except (IndexError, KeyError, TypeError, ValueError):
+            except (IndexError, KeyError, TypeError, ValueError, OverflowError):
                 raise NearDelaunayError(f"point {p!r} needs two numbers") from None
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise NearDelaunayError(f"non-finite coordinate {(x, y)!r}")

@@ -35,6 +35,9 @@ from .geom import (
     angle_at,
     chord_overlap_length,
     circular_segment_area,
+    _CCW_BOUND,
+    _INCIRCLE_BOUND,
+    _incircle_det,
     circumcircle,
     clip_polygon_halfplane,
     dist_point_segment as _dist_point_segment,
@@ -242,6 +245,45 @@ def _inside_circumcircle(pts: Sequence[Point], tri) -> list[int]:
     the exact predicate, ascending."""
     corners = tuple(pts[i] for i in tri)
     return [i for i, p in enumerate(pts) if i not in tri and in_circumcircle(*corners, p)]
+
+
+def _in_circumcircles(pts: Sequence[Point], abc: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """``in_circumcircle(pts[a], pts[b], pts[c], pts[e])`` for each row
+    (a, b, c) of the T x 3 index array abc against each entry e of the same
+    row of d (T x K, or 1 x K for the same points in every row), False
+    where e is a, b or c.
+
+    The determinant and permanent are :func:`~neardelaunay.geom._incircle_det`'s
+    own expression evaluated on arrays, so every double is the scalar's, and
+    so is the decision of its float filter.  The triangle's turn is filtered
+    as :func:`~neardelaunay.geom.orientation` filters it (its detsum is
+    |detleft| + |detright| in every branch that tests the bound).  Each pair
+    that either filter leaves undecided goes to the scalar predicate, so
+    every entry equals it."""
+    xy = np.array(pts, dtype=float)
+    (ax, ay), (bx, by), (cx, cy) = (xy[abc[:, k]].T[:, :, None] for k in range(3))
+    d = np.broadcast_to(d, (len(abc), d.shape[1]))
+    det, permanent = _incircle_det(ax, ay, bx, by, cx, cy, xy[d, 0], xy[d, 1])
+    detleft, detright = (bx - ax) * (cy - ay), (by - ay) * (cx - ax)
+    turn = detleft - detright
+    sure_turn = np.abs(turn) > _CCW_BOUND * (np.abs(detleft) + np.abs(detright))
+    sure = (np.abs(det) > _INCIRCLE_BOUND * permanent) & sure_turn
+    inside = sure & ((det > 0.0) == (turn > 0.0))
+    other = (d != abc[:, :1]) & (d != abc[:, 1:2]) & (d != abc[:, 2:])
+    for t, k in zip(*np.nonzero(other & ~sure)):
+        a, b, c = abc[t]
+        inside[t, k] = in_circumcircle(pts[a], pts[b], pts[c], pts[d[t, k]])
+    return inside
+
+
+def _inside_circumcircles(pts: Sequence[Point], tris) -> list[list[int]]:
+    """:func:`_inside_circumcircle` of each triangle, in one scan of
+    :func:`_in_circumcircles`."""
+    tris = np.array(tris, dtype=np.intp).reshape(-1, 3)
+    inside = _in_circumcircles(pts, tris, np.arange(len(pts))[None, :])
+    found = np.nonzero(inside)[1].tolist()
+    ends = np.cumsum(inside.sum(axis=1)).tolist()
+    return [found[lo:hi] for lo, hi in zip([0, *ends], ends)]
 
 
 def _triangular_lens_value(ev: Evaluator, tri: tuple) -> float:
@@ -842,7 +884,12 @@ class Metric:
     element) that is never worse than the value: at least the value when
     higher is better, at most it when lower is better.  The sum search
     gathers it by :meth:`Evaluator.values_by_id` and computes values only
-    where that bound cannot settle a row."""
+    where that bound cannot settle a row.
+
+    ``zero_outside`` marks a quadrilateral metric whose value is exactly 0.0
+    when q is not strictly inside the circumcircle of (u, v, p);
+    :meth:`Evaluator.values_by_id` settles those elements by one batched
+    in-circle screen."""
 
     name: str
     decomposition: Decomposition
@@ -850,6 +897,7 @@ class Metric:
     perfect: float
     value: Callable[["Evaluator", tuple], float]
     bound: Callable[["Evaluator", tuple], float] | None = None
+    zero_outside: bool = False
 
 
 def _of_points(value):
@@ -862,8 +910,17 @@ _QUAD, _EDGE, _TRI = Decomposition.QUADRILATERAL, Decomposition.EDGE, Decomposit
 
 METRICS = (
     Metric("opposing_angles", _QUAD, _LOWER, 0.0, _of_points(_opposing_angles_value)),
-    Metric("dual_edge_ratio", _QUAD, _LOWER, 0.0, _of_points(_dual_edge_ratio_value)),
-    Metric("dual_area_overlap", _QUAD, _LOWER, 0.0, _of_points(_dual_area_overlap_value)),
+    Metric(
+        "dual_edge_ratio", _QUAD, _LOWER, 0.0, _of_points(_dual_edge_ratio_value), zero_outside=True
+    ),
+    Metric(
+        "dual_area_overlap",
+        _QUAD,
+        _LOWER,
+        0.0,
+        _of_points(_dual_area_overlap_value),
+        zero_outside=True,
+    ),
     Metric("lens", _EDGE, _HIGHER, math.pi, _lens_value),
     Metric("shrunk_circle", _EDGE, _HIGHER, 1.0, _shrunk_circle_value),
     Metric("triangular_lens", _TRI, _HIGHER, 1.0, _triangular_lens_value),
@@ -942,16 +999,38 @@ class Evaluator:
         ``ids`` (non-negative integers, any shape), 0 for the ids not in it;
         given the metric's ``bound``, an uncached element gets its bound
         instead, False in the mask.  ``np.bincount`` marks the ids used, so
-        ``values[ids]`` gathers per-row values without a sort."""
+        ``values[ids]`` gathers per-row values without a sort.
+
+        Each used id is decoded once.  Before any value or bound, one
+        batched screen (:func:`_in_circumcircles`) fills :meth:`inside` for
+        the uncached triangles of a triangle metric, and caches 0.0 for each
+        uncached quadrilateral of a ``zero_outside`` metric whose q is not
+        inside the circumcircle of (u, v, p).  Both give what the scalar
+        scans give, so the values are the same."""
+        m = _BY_NAME[metric]
+        cache = self._cache[metric]
+        pts = self.point_set.points
         used = np.flatnonzero(np.bincount(ids.ravel()))
         values = np.zeros(int(used[-1]) + 1 if len(used) else 0)
         exact = np.ones(len(values), dtype=bool)
         keys = [element(e) for e in used.tolist()]
-        exact[used] = known = [bound is None or key in self._cache[metric] for key in keys]
-        values[used] = [
-            self.element_value(metric, key) if ok else bound(self, key)
-            for key, ok in zip(keys, known)
-        ]
+        fresh = [key for key in keys if key not in cache]
+        if m.decomposition is _TRI:
+            fresh = [key for key in fresh if key not in self._inside]
+            if fresh:
+                self._inside.update(zip(fresh, _inside_circumcircles(pts, fresh)))
+        elif m.zero_outside and fresh:
+            quads = np.array(fresh, dtype=np.intp)
+            inside = _in_circumcircles(pts, quads[:, :3], quads[:, 3:])[:, 0]
+            for i in np.flatnonzero(~inside).tolist():
+                cache[fresh[i]] = 0.0
+        if bound is None:
+            values[used] = [self.element_value(metric, key) for key in keys]
+        else:
+            exact[used] = known = [key in cache for key in keys]
+            values[used] = [
+                cache[key] if ok else bound(self, key) for key, ok in zip(keys, known)
+            ]
         return values, exact
 
     def scores(self, t: Triangulation, metric: str) -> list[ElementScore]:

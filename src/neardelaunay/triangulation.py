@@ -513,8 +513,9 @@ def scan_triangulation(ps: PointSet) -> Triangulation:
 
 # --- the triangulation table ------------------------------------------------
 
-# Rows per block when deriving a column; bounds the temporaries.
-_BLOCK_ROWS = 256
+# Rows per block when deriving a column; bounds the temporaries.  Of 256 to
+# 4,096 rows, 1,024 and 2,048 derived quads and edges fastest on 12 points.
+_BLOCK_ROWS = 1024
 
 
 def _id_dtype(count: int):
@@ -556,6 +557,10 @@ class TriangulationTable:
 
     :func:`triangulation_table` builds the rows only.  Each other column is
     derived from them the first time it is read, a block of rows at a time.
+    ``edges`` and ``quads`` sort one key per triangle side, ``(edge id <<
+    n.bit_length()) | opposite vertex``, within each row: a run of equal
+    edge ids is one edge, and a run of two is an interior edge uv with its
+    apexes p < q.  ``max_degree`` counts each row's triangles per vertex.
     :func:`feasible_rows` reads ``max_degree`` for a degree bound only, and a
     query reads the id column of its metric's decomposition.
     """
@@ -610,28 +615,33 @@ class TriangulationTable:
         err = terms * _EPS * screen + _TINY
         return screen - err, screen + err
 
-    def _row_pairs(self, flat: np.ndarray, b: int) -> np.ndarray:
-        """Pair ids of flat (row, pair) indices into a block of b rows, the
-        same number in each row, as a b-row array."""
-        n_pairs = len(self.edge_pairs)
-        return flat.reshape(b, -1) - np.arange(0, b * n_pairs, n_pairs)[:, None]
+    def _sorted_sides(self):
+        """Per block of rows: its first row, its row count and its rows'
+        sides as keys ``(edge id << n.bit_length()) | opposite vertex``,
+        each row's ascending, flattened into one array.  An interior edge's
+        two sides are adjacent there, the lower apex first.  No run of
+        equal edge ids crosses from one row to the next: the first row
+        would hold no edge above that id and the second none below it, but
+        each holds every hull edge."""
+        tri_edges, tri_opp = self._sides
+        keys = (tri_edges.astype(np.int32) << len(self.point_set).bit_length()) | tri_opp
+        keys = keys.astype(_id_dtype(int(keys.max()) + 1))
+        for lo in range(0, len(self.rows), _BLOCK_ROWS):
+            block = np.take(keys, self.rows[lo : lo + _BLOCK_ROWS], axis=0)
+            block = block.reshape(len(block), -1)
+            block.sort(axis=1)
+            yield lo, len(block), block.ravel()
 
     @cached_property
     def edges(self) -> np.ndarray:
-        # a row's edges are the OR of its triangles' edge bits
-        tri_edges = self._sides[0]
-        n_pairs = len(self.edge_pairs)
-        flags = np.zeros((len(tri_edges), n_pairs), dtype=bool)
-        flags[np.arange(len(tri_edges))[:, None], tri_edges] = True
-        tri_words = _bit_words(flags, n_pairs // 64 + 1)
+        # the last side of each run of equal edge ids
+        shift = len(self.point_set).bit_length()
         width = len(self.point_set) + self.rows.shape[1] - 1
-        out = np.empty((len(self.rows), width), dtype=tri_edges.dtype)
-        for lo in range(0, len(self.rows), _BLOCK_ROWS):
-            block = np.take(tri_words, self.rows[lo : lo + _BLOCK_ROWS], axis=0)
-            words = np.bitwise_or.reduce(block, axis=1).view(np.uint8)
-            present = np.unpackbits(words, axis=1, count=n_pairs, bitorder="little")
-            # flat indices ascend, so each row's edge ids do
-            out[lo : lo + len(block)] = self._row_pairs(np.flatnonzero(present), len(block))
+        out = np.empty((len(self.rows), width), dtype=self._sides[0].dtype)
+        for lo, b, keys in self._sorted_sides():
+            edge = keys >> shift
+            ends = np.append(np.flatnonzero(edge[1:] != edge[:-1]), len(edge) - 1)
+            out[lo : lo + b] = np.take(edge, ends).reshape(b, width)
         return out
 
     @cached_property
@@ -655,27 +665,18 @@ class TriangulationTable:
 
     @cached_property
     def quads(self) -> np.ndarray:
-        # Per (row, pair) the bincount adds 2**n + 2**o for each triangle of the row
-        # on the pair, o opposite it: 2**(n + 1) + 2**p + 2**q on an interior edge,
-        # less elsewhere.  Its float sums are exact: integers below 2**(n + 2).
-        tri_edges, tri_opp = self._sides
+        # an interior edge's two adjacent sides give id(uv) and its apexes
+        # p < q, and id(pq) is the rank of (p, q) among the pairs
         n, n_pairs = len(self.point_set), len(self.edge_pairs)
-        weight = (1 << n) + (1 << tri_opp).astype(np.float64)
-        pair_of_bits = np.zeros(1 << n, dtype=_id_dtype(n_pairs))  # 2**p + 2**q -> id(pq)
-        for e, (i, j) in enumerate(self.edge_pairs):
-            pair_of_bits[(1 << i) + (1 << j)] = e
+        shift = n.bit_length()
         width = 2 * self.rows.shape[1] - n + 1
         out = np.empty((len(self.rows), width), dtype=_id_dtype(n_pairs**2))
-        for lo in range(0, len(self.rows), _BLOCK_ROWS):
-            block = self.rows[lo : lo + _BLOCK_ROWS]
-            b = len(block)
-            at = np.take(tri_edges, block, axis=0).reshape(b, -1)
-            at = at + np.arange(0, b * n_pairs, n_pairs, dtype=np.int32)[:, None]
-            tally = np.bincount(at.ravel(), np.take(weight, block, axis=0).ravel(), b * n_pairs)
-            interior = np.flatnonzero(tally >= 2 << n)  # ascending, so by edge in each row
-            bits = np.take(tally, interior).astype(np.int64) & ((1 << n) - 1)
-            uv = self._row_pairs(interior, b).astype(out.dtype)
-            out[lo : lo + b] = uv * n_pairs + np.take(pair_of_bits, bits).reshape(b, -1)
+        for lo, b, keys in self._sorted_sides():
+            edge = keys >> shift
+            at = np.flatnonzero(edge[1:] == edge[:-1])  # ascending, so by edge in each row
+            p, q = np.take(keys, at) & ((1 << shift) - 1), np.take(keys, at + 1) & ((1 << shift) - 1)
+            pq = (p * (2 * n - 1 - p) >> 1) + q - p - 1
+            out[lo : lo + b] = (np.take(edge, at).astype(out.dtype) * n_pairs + pq).reshape(b, width)
         return out
 
 
@@ -696,12 +697,26 @@ def _orientation_signs(ps: PointSet, corners: np.ndarray) -> np.ndarray:
     return sign
 
 
-def _bit_words(flags: np.ndarray, words: int) -> np.ndarray:
-    """Rows of flags as rows of `words` uint64 words, flag b in bit b % 64
-    of word b // 64."""
+def _bit_words(flags: np.ndarray) -> list[np.ndarray]:
+    """Rows of flags as a list of 1-D uint64 arrays, one per word: flag b
+    in bit b % 64 of word b // 64."""
+    words = flags.shape[1] // 64 + 1
     padded = np.zeros((len(flags), 64 * words), dtype=bool)
     padded[:, : flags.shape[1]] = flags
-    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
+    packed = np.packbits(padded, axis=1, bitorder="little").view("<u8")
+    return [np.ascontiguousarray(packed[:, w]) for w in range(words)]
+
+
+def _lowest_bit(mask: list[np.ndarray], other: list[np.ndarray]):
+    """Per partial, of a mask kept as one uint64 array per word: the index
+    of its lowest set bit, that bit within its word (0, and the index
+    meaningless, where none is set), and whether the mask `other` has it."""
+    x, y, word = mask[0], other[0], 0
+    for w in range(1, len(mask)):
+        unset = x == 0
+        x, y, word = np.where(unset, mask[w], x), np.where(unset, other[w], y), np.where(unset, w, word)
+    low = x & (~x + 1)
+    return 64 * word + np.frexp(low.astype(np.float64))[1] - 1, low, (y & low) != 0
 
 
 def triangulation_table(
@@ -717,14 +732,17 @@ def triangulation_table(
 
     A partial triangulation is a set of empty triangles, kept as two bit
     masks over the interior (non-hull) edges: the edges with a triangle on
-    their left and those with one on their right.  An edge is open when it
-    has a triangle on one side only.  The seeds are the empty triangles on
-    the inner side of the lowest hull edge.  Each level extends every
-    partial at its lowest open edge, on the open side, by each empty
-    triangle whose edges cross no edge of the partial.  After 2n - h - 2
-    levels, h the hull size, the partials are the triangulations.  Rows are
-    rebuilt from each level's (parent, triangle) trail and sorted; the table
-    derives its other columns from them when they are read.
+    their left and those with one on their right.  Each mask is a list of
+    uint64 arrays, one per word and one entry per partial, so up to 64
+    interior edges (n <= 12) take one word.  An edge is open when it has a
+    triangle on one side only.  The seeds are the empty triangles on the
+    inner side of the lowest hull edge.  Each level extends every partial
+    at its lowest open edge, on the open side, by each empty triangle whose
+    edges cross no edge of the partial.  After 2n - h - 2 levels, h the
+    hull size, the partials are the triangulations; the last level looks
+    its one triangle up (4).  Rows are rebuilt from each level's (parent,
+    triangle) trail and sorted; the table derives its other columns from
+    them when they are read.
 
     This is exact, by the view of triangulations as maximal sets of
     non-crossing edges (De Loera, Rambau and Santos, *Triangulations*,
@@ -755,13 +773,24 @@ def triangulation_table(
        and T's triangle on the open side of the lowest open edge is a
        candidate.  A partial of 2n - h - 2 triangles, the size of every
        triangulation, is then all of T.
+    4. The last level is forced.  A partial one triangle short of T leaves
+       uncovered exactly T's last triangle t, and its open edges are
+       exactly t's interior edges: every other interior edge has its two
+       triangles of T in the partial.  Two edges that share an end name one
+       triangle, so t is named by its two lowest open edges when it has
+       two or three interior edges.  Otherwise its two other edges are hull
+       edges, so its third vertex is the one hull neighbour that both ends
+       of the open edge share on the open side (two hull vertices share at
+       most one hull neighbour on each side of the segment joining them).
+       Either way t is one entry of a lookup built from the triangles,
+       with no candidate to test.
     """
     check_enumeration_cap(len(ps), cap)
     validate_general_position(ps)
     n = len(ps)
     triangles = list(itertools.combinations(range(n), 3))
     pairs = list(itertools.combinations(range(n), 2))
-    n_tri, n_pairs = len(triangles), len(pairs)
+    n_pairs = len(pairs)
     corners = np.array(triangles, dtype=np.intp)
     ends = np.array(pairs, dtype=np.intp)
     sign = _orientation_signs(ps, corners)
@@ -777,54 +806,74 @@ def triangulation_table(
     splits = side[:, ends[:, 0]] * side[:, ends[:, 1]] < 0  # pair x pair
     n_bits = int(interior.sum())
     h = n_pairs - n_bits
-    words = n_bits // 64 + 1
     bit = np.full(n_pairs, -1, dtype=np.intp)
     bit[interior] = np.arange(n_bits)
+    tri_bits = bit[tri_edges]
 
     # per triangle, masks of the interior edges its edges cross and of its
     # own interior edges with it on their left and on their right
-    cross = _bit_words((splits & splits.T)[tri_edges].any(axis=1)[:, interior], words)
-    on = np.zeros((n_tri, n_pairs), dtype=np.int8)
-    on[np.arange(n_tri)[:, None], tri_edges] = tri_side
-    add_left = _bit_words(on[:, interior] > 0, words)
-    add_right = _bit_words(on[:, interior] < 0, words)
+    cross = _bit_words((splits & splits.T)[tri_edges].any(axis=1)[:, interior])
+    on = np.zeros((len(triangles), n_pairs), dtype=np.int8)
+    on[np.arange(len(triangles))[:, None], tri_edges] = tri_side
+    add_left = _bit_words(on[:, interior] > 0)
+    add_right = _bit_words(on[:, interior] < 0)
     # the empty triangles on each (interior edge, side) as CSR arrays,
     # keyed 2 * bit + 1 for the right side
-    tri_of, slot = np.nonzero(empty[:, None] & interior[tri_edges])
-    keys = 2 * bit[tri_edges[tri_of, slot]] + (tri_side[tri_of, slot] < 0)
+    tri_of, slot = np.nonzero(empty[:, None] & (tri_bits >= 0))
+    keys = 2 * tri_bits[tri_of, slot] + (tri_side[tri_of, slot] < 0)
     candidates = tri_of[np.argsort(keys, kind="stable")]
     start = np.zeros(2 * n_bits + 1, dtype=np.intp)
     np.cumsum(np.bincount(keys, minlength=2 * n_bits), out=start[1:])
+    # the last level's lookup (argument 4): entry (a, b) is the triangle
+    # whose two lowest interior edges are a < b, and entry (a, n_bits + s)
+    # the one whose only interior edge is a, on its right side when s = 1
+    inner = np.sort(tri_bits, axis=1)  # a hull edge's -1 first
+    low2 = np.where(inner[:, :1] < 0, inner[:, 1:], inner[:, :2])  # -1 first if one
+    only = low2[:, 0] < 0
+    on_its_right = ((tri_bits >= 0) & (tri_side < 0)).any(axis=1)
+    row = np.where(only, low2[:, 1], low2[:, 0])
+    col = np.where(only, n_bits + on_its_right, low2[:, 1])
+    named = np.flatnonzero(low2[:, 1] >= 0)
+    last = np.full((n_bits, n_bits + 2), -1, dtype=np.intp)
+    last[row[named], col[named]] = named
 
     lowest_hull = np.flatnonzero(~interior)[0]
     tri = np.flatnonzero(empty & (tri_edges == lowest_hull).any(axis=1))
-    left, right = add_left[tri], add_right[tri]
+    left = [w[tri] for w in add_left]
+    right = [w[tri] for w in add_right]
     trail = [(np.zeros(len(tri), dtype=np.intp), tri)]  # per level: parent, triangle
-    width, rows_dtype = 2 * n - h - 2, _id_dtype(n_tri)
-    for _ in range(width - 1):
-        at = np.arange(len(left))
-        open_ = left ^ right
-        word = (open_ != 0).argmax(axis=1)
-        x = open_[at, word]
-        lowest = x & (~x + 1)  # the lowest open edge's bit
-        key = 2 * (64 * word + np.frexp(lowest.astype(np.float64))[1] - 1)
-        # + 1 when its one triangle is on its left: the open side is the right
-        key += (left[at, word] & lowest) != 0
+    width, rows_dtype = 2 * n - h - 2, _id_dtype(len(triangles))
+    for _ in range(width - 2):
+        at = np.arange(len(left[0]))
+        # key 2 * bit of the lowest open edge, + 1 when its one triangle is
+        # on its left: the open side is the right
+        lowest, _, has_left = _lowest_bit([x ^ y for x, y in zip(left, right)], left)
+        key = 2 * lowest + has_left
         count = start[key + 1] - start[key]
         parent = np.repeat(at, count)
         offset = np.repeat(start[key] - np.cumsum(count) + count, count)
-        tri = candidates[offset + np.arange(len(parent))]
-        fits = ~((left | right)[parent] & cross[tri]).any(axis=1)
-        parent, tri = parent[fits], tri[fits]
-        left, right = left[parent] | add_left[tri], right[parent] | add_right[tri]
+        tri = np.take(candidates, offset + np.arange(len(parent)))
+        hit = np.take(left[0] | right[0], parent) & np.take(cross[0], tri)
+        for w in range(1, len(left)):
+            hit |= np.take(left[w] | right[w], parent) & np.take(cross[w], tri)
+        fits = np.flatnonzero(hit == 0)
+        parent, tri = np.take(parent, fits), np.take(tri, fits)
+        left = [np.take(x, parent) | np.take(y, tri) for x, y in zip(left, add_left)]
+        right = [np.take(x, parent) | np.take(y, tri) for x, y in zip(right, add_right)]
         trail.append((parent.astype(np.int32), tri.astype(rows_dtype)))  # most of the peak memory
-    del left, right
     rows = np.empty((len(trail[-1][1]), width), dtype=rows_dtype)
+    if width > 1:  # the forced last level: one triangle per partial
+        open_ = [x ^ y for x, y in zip(left, right)]
+        first, low, has_left = _lowest_bit(open_, left)
+        open_ = [x ^ np.where(first >> 6 == w, low, 0) for w, x in enumerate(open_)]
+        second, low, _ = _lowest_bit(open_, left)
+        rows[:, -1] = last[first, np.where(low != 0, second, n_bits + has_left)]
+    del left, right
     at = np.arange(len(rows))
-    for level in range(width - 1, -1, -1):
+    for level in range(len(trail) - 1, -1, -1):
         parent, tri = trail[level]
-        rows[:, level] = tri[at]
-        at = parent[at]
+        rows[:, level] = np.take(tri, at)
+        at = np.take(parent, at)
     del trail
     rows.sort(axis=1)
     return TriangulationTable(ps, triangles, pairs, rows[np.lexsort(rows.T[::-1])])

@@ -606,6 +606,8 @@ class TestExperiment:
             ({"random": {"n": True, "seed": 1}}, "random point set needs integer n and seed"),
             ({"random": {"n": 6, "seed": "1"}}, "random point set needs integer n and seed"),
             ({"random": 6}, "random point set needs integer n and seed"),
+            ({"points": [[0, 0, 9], [1, 0], [0, 1]]}, "point [0, 0, 9] needs two numbers"),
+            ({"points": [[10**400, 0], [1, 0], [0, 1]]}, f"point [{10**400}, 0] needs two numbers"),
         ],
     )
     def test_bad_point_set_entry_is_an_error(self, tmp_path, capsys, entry, message):

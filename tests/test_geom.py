@@ -342,6 +342,8 @@ class TestPointSetValidation:
             (None, "None"),  # TypeError
             ({"x": 0, "y": 1}, "{'x': 0, 'y': 1}"),  # KeyError
             ((0, [1]), "(0, [1])"),  # TypeError on the second number
+            ((0, 0, 9), "(0, 0, 9)"),  # a third number is not dropped
+            ((10**400, 0), f"({10**400}, 0)"),  # OverflowError
         ],
     )
     def test_point_needs_two_numbers(self, bad, shown):

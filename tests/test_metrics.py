@@ -871,6 +871,78 @@ class TestValuesById:
         assert values.shape == exact.shape == (0,)
 
 
+class TestInCircumcircleScreen:
+    """The batched in-circle screen against the scalar predicate, ``==``."""
+
+    @staticmethod
+    def assert_same_scan(pts):
+        tris = list(itertools.combinations(range(len(pts)), 3))
+        want = [metrics._inside_circumcircle(pts, t) for t in tris]
+        assert metrics._inside_circumcircles(pts, tris) == want
+
+    @pytest.mark.parametrize("n", range(4, 15))
+    def test_random_sets(self, n):
+        self.assert_same_scan(random_point_set(n, seed=1500 + n).points)
+
+    @pytest.mark.parametrize("n", range(4, 15))
+    def test_offset_sets(self, n):
+        pts = random_point_set(n, seed=1600 + n).points
+        self.assert_same_scan([(x + 1e6, y + 1e6) for x, y in pts])
+
+    def test_jittered_circles_reach_the_exact_path(self, monkeypatch):
+        calls = 0
+        scalar = metrics.in_circumcircle
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return scalar(*args)
+
+        for jitter in (1e-12, 1e-10, 1e-8, 1e-6):
+            for n in range(4, 15):
+                pts = random_jittered_circle(random.Random(f"{jitter}/{n}"), n, jitter)
+                tris = list(itertools.combinations(range(n), 3))
+                monkeypatch.setattr(metrics, "in_circumcircle", counted)
+                got = metrics._inside_circumcircles(pts, tris)
+                monkeypatch.setattr(metrics, "in_circumcircle", scalar)
+                assert got == [metrics._inside_circumcircle(pts, t) for t in tris], (jitter, n)
+        assert calls > 0  # some pairs were left to the exact predicate
+
+    @pytest.mark.parametrize("n", [7, 8])
+    @pytest.mark.parametrize("metric", [m.name for m in METRICS if m.zero_outside])
+    def test_screened_quadrilateral_values(self, n, metric):
+        table = triangulation_table(random_point_set(n, seed=1700 + n))
+        ids, element = table.element_ids(lookup_metric(metric).decomposition)
+        values, exact = Evaluator(table.point_set).values_by_id(metric, ids, element)
+        assert exact.all()
+        value = lookup_metric(metric).value
+        fresh = Evaluator(table.point_set)
+        zeros = 0
+        for code in set(ids.ravel().tolist()):
+            assert values[code] == value(fresh, element(code))
+            zeros += values[code] == 0.0
+        assert zeros  # the screen settled some quadrilaterals
+
+    def test_cold_fill_needs_no_scalar_in_circle(self, monkeypatch):
+        # the bounds of a cold sum query read every used triangle's inside
+        # list, all from the batched screen on a set in general position
+        table = triangulation_table(random_point_set(12, seed=1201))
+        calls = 0
+        scalar = metrics.in_circumcircle
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return scalar(*args)
+
+        monkeypatch.setattr(metrics, "in_circumcircle", counted)
+        m = lookup_metric("shrunk_circumcircle")
+        ev = Evaluator(table.point_set)
+        values, exact = ev.values_by_id(m.name, table.rows, table.triangles.__getitem__, m.bound)
+        assert len(ev._inside) == len(set(table.rows.ravel().tolist())) > 100
+        assert calls == 0
+
+
 class TestRegistry:
     def test_views_of_the_registry(self):
         assert ALL_METRICS == tuple(m.name for m in METRICS) == (
