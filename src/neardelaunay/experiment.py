@@ -173,8 +173,8 @@ def run_experiment(
     base_dir = Path(base_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        seed = int(spec.get("seed", 0))
-    except (TypeError, ValueError):
+        seed = strict_index(spec.get("seed", 0))
+    except TypeError:
         raise NearDelaunayError(f"seed {spec['seed']!r} is not an integer") from None
     metrics = _spec_list(spec, "metrics", ALL_METRICS)
     kinds = {lookup_metric(m).decomposition for m in metrics}

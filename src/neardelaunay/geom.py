@@ -2,7 +2,10 @@
 
 Sign predicates (`orientation`, `in_circumcircle`) use a floating-point fast
 path with a conservative error bound and fall back to exact rational
-arithmetic when the result is too close to zero to trust.  Everything else
+arithmetic when the result is too close to zero to trust.  Their array forms
+(`orientations`, `in_circles`) evaluate the same doubles with the same
+filter and hand each undecided entry to the scalar predicate, so this module
+is the one home of every filter and its bound.  Everything else
 (metric-style quantities) is plain double precision.
 
 Angles are always unsigned values in (0, pi).
@@ -130,6 +133,17 @@ def _incircle_det(ax, ay, bx, by, cx, cy, dx, dy):
     return det, permanent
 
 
+def _incircle_det_exact(a: Point, b: Point, c: Point, d: Point) -> Fraction:
+    ax, ay = Fraction(a[0]) - Fraction(d[0]), Fraction(a[1]) - Fraction(d[1])
+    bx, by = Fraction(b[0]) - Fraction(d[0]), Fraction(b[1]) - Fraction(d[1])
+    cx, cy = Fraction(c[0]) - Fraction(d[0]), Fraction(c[1]) - Fraction(d[1])
+    return (
+        (ax * ax + ay * ay) * (bx * cy - cx * by)
+        + (bx * bx + by * by) * (cx * ay - ax * cy)
+        + (cx * cx + cy * cy) * (ax * by - bx * ay)
+    )
+
+
 def in_circumcircle(a: Point, b: Point, c: Point, d: Point) -> bool:
     """True iff d lies strictly inside the circle through a, b, c.
 
@@ -143,14 +157,7 @@ def in_circumcircle(a: Point, b: Point, c: Point, d: Point) -> bool:
     if abs(det) > _INCIRCLE_BOUND * permanent:
         sign = 1 if det > 0.0 else -1
     else:
-        ax, ay = Fraction(a[0]) - Fraction(d[0]), Fraction(a[1]) - Fraction(d[1])
-        bx, by = Fraction(b[0]) - Fraction(d[0]), Fraction(b[1]) - Fraction(d[1])
-        cx, cy = Fraction(c[0]) - Fraction(d[0]), Fraction(c[1]) - Fraction(d[1])
-        exact = (
-            (ax * ax + ay * ay) * (bx * cy - cx * by)
-            + (bx * bx + by * by) * (cx * ay - ax * cy)
-            + (cx * cx + cy * cy) * (ax * by - bx * ay)
-        )
+        exact = _incircle_det_exact(a, b, c, d)
         if exact > 0:
             sign = 1
         elif exact < 0:
@@ -159,6 +166,47 @@ def in_circumcircle(a: Point, b: Point, c: Point, d: Point) -> bool:
             sign = 0
     # Positive determinant means "inside" for a CCW triple.
     return sign == orient.value and sign != 0
+
+
+def orientations(xy: np.ndarray, a, b, c) -> np.ndarray:
+    """``orientation(xy[a], xy[b], xy[c]).value`` for each entry of the index
+    arrays a, b and c (n x 2 coordinates, indices of one shape), as int8.
+
+    The doubles are the scalar's, and so are the filter's decisions: where
+    :func:`orientation` returns early its det is |detleft| + |detright|
+    exactly, above the bound, and in every other branch its detsum is that
+    sum.  Only the entries the filter leaves undecided call the scalar."""
+    x, y = xy[:, 0], xy[:, 1]
+    detleft = (x[b] - x[a]) * (y[c] - y[a])
+    detright = (y[b] - y[a]) * (x[c] - x[a])
+    det = detleft - detright
+    sign = np.sign(det).astype(np.int8)
+    for i in np.flatnonzero(np.abs(det) <= _CCW_BOUND * (np.abs(detleft) + np.abs(detright))):
+        sign.flat[i] = orientation(*(xy[v.flat[i]].tolist() for v in (a, b, c))).value
+    return sign
+
+
+def in_circles(xy: np.ndarray, abc: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """``in_circumcircle(xy[a], xy[b], xy[c], xy[e])`` for each row (a, b, c)
+    of the T x 3 index array abc against each entry e of the same row of d
+    (T x K, or 1 x K for the same points in every row), False where e is a,
+    b or c.
+
+    Each row's turn comes from :func:`orientations`, and the determinant and
+    permanent are :func:`_incircle_det`'s own expression on arrays, so every
+    double and every decision of the filter is the scalar's.  A pair on a
+    collinear row or with an undecided determinant goes to the scalar
+    predicate, which raises DegenerateTriangle for the former."""
+    turn = orientations(xy, *abc.T)[:, None]
+    (ax, ay), (bx, by), (cx, cy) = (xy[abc[:, k]].T[:, :, None] for k in range(3))
+    d = np.broadcast_to(d, (len(abc), d.shape[1]))
+    det, permanent = _incircle_det(ax, ay, bx, by, cx, cy, xy[d, 0], xy[d, 1])
+    sure = (np.abs(det) > _INCIRCLE_BOUND * permanent) & (turn != 0)
+    inside = sure & ((det > 0.0) == (turn > 0))
+    other = (d != abc[:, :1]) & (d != abc[:, 1:2]) & (d != abc[:, 2:])
+    for t, k in zip(*np.nonzero(other & ~sure)):
+        inside[t, k] = in_circumcircle(*(xy[v].tolist() for v in (*abc[t], d[t, k])))
+    return inside
 
 
 def circumcircle(a: Point, b: Point, c: Point) -> Circle:

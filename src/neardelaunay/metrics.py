@@ -35,12 +35,10 @@ from .geom import (
     angle_at,
     chord_overlap_length,
     circular_segment_area,
-    _CCW_BOUND,
-    _INCIRCLE_BOUND,
-    _incircle_det,
     circumcircle,
     clip_polygon_halfplane,
     dist_point_segment as _dist_point_segment,
+    in_circles,
     in_circumcircle,
     inscribed_circle,
     orientation,
@@ -247,40 +245,11 @@ def _inside_circumcircle(pts: Sequence[Point], tri) -> list[int]:
     return [i for i, p in enumerate(pts) if i not in tri and in_circumcircle(*corners, p)]
 
 
-def _in_circumcircles(pts: Sequence[Point], abc: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """``in_circumcircle(pts[a], pts[b], pts[c], pts[e])`` for each row
-    (a, b, c) of the T x 3 index array abc against each entry e of the same
-    row of d (T x K, or 1 x K for the same points in every row), False
-    where e is a, b or c.
-
-    The determinant and permanent are :func:`~neardelaunay.geom._incircle_det`'s
-    own expression evaluated on arrays, so every double is the scalar's, and
-    so is the decision of its float filter.  The triangle's turn is filtered
-    as :func:`~neardelaunay.geom.orientation` filters it (its detsum is
-    |detleft| + |detright| in every branch that tests the bound).  Each pair
-    that either filter leaves undecided goes to the scalar predicate, so
-    every entry equals it."""
-    xy = np.array(pts, dtype=float)
-    (ax, ay), (bx, by), (cx, cy) = (xy[abc[:, k]].T[:, :, None] for k in range(3))
-    d = np.broadcast_to(d, (len(abc), d.shape[1]))
-    det, permanent = _incircle_det(ax, ay, bx, by, cx, cy, xy[d, 0], xy[d, 1])
-    detleft, detright = (bx - ax) * (cy - ay), (by - ay) * (cx - ax)
-    turn = detleft - detright
-    sure_turn = np.abs(turn) > _CCW_BOUND * (np.abs(detleft) + np.abs(detright))
-    sure = (np.abs(det) > _INCIRCLE_BOUND * permanent) & sure_turn
-    inside = sure & ((det > 0.0) == (turn > 0.0))
-    other = (d != abc[:, :1]) & (d != abc[:, 1:2]) & (d != abc[:, 2:])
-    for t, k in zip(*np.nonzero(other & ~sure)):
-        a, b, c = abc[t]
-        inside[t, k] = in_circumcircle(pts[a], pts[b], pts[c], pts[d[t, k]])
-    return inside
-
-
 def _inside_circumcircles(pts: Sequence[Point], tris) -> list[list[int]]:
     """:func:`_inside_circumcircle` of each triangle, in one scan of
-    :func:`_in_circumcircles`."""
+    :func:`~neardelaunay.geom.in_circles`."""
     tris = np.array(tris, dtype=np.intp).reshape(-1, 3)
-    inside = _in_circumcircles(pts, tris, np.arange(len(pts))[None, :])
+    inside = in_circles(np.array(pts, dtype=float), tris, np.arange(len(pts))[None, :])
     found = np.nonzero(inside)[1].tolist()
     ends = np.cumsum(inside.sum(axis=1)).tolist()
     return [found[lo:hi] for lo, hi in zip([0, *ends], ends)]
@@ -985,7 +954,10 @@ class Evaluator:
     def element_value(self, metric: str, element: tuple) -> float:
         """Cached value of one element in the form ``triangulation.elements``
         gives; a quadrilateral's sides are not checked here."""
-        cache = self._cache[metric]
+        try:
+            cache = self._cache[metric]
+        except (KeyError, TypeError):
+            cache = self._cache[lookup_metric(metric).name]  # raises: unknown metric
         value = cache.get(element)
         if value is None:
             value = cache[element] = _BY_NAME[metric].value(self, element)
@@ -1002,12 +974,12 @@ class Evaluator:
         ``values[ids]`` gathers per-row values without a sort.
 
         Each used id is decoded once.  Before any value or bound, one
-        batched screen (:func:`_in_circumcircles`) fills :meth:`inside` for
-        the uncached triangles of a triangle metric, and caches 0.0 for each
-        uncached quadrilateral of a ``zero_outside`` metric whose q is not
-        inside the circumcircle of (u, v, p).  Both give what the scalar
-        scans give, so the values are the same."""
-        m = _BY_NAME[metric]
+        batched screen (:func:`~neardelaunay.geom.in_circles`) fills
+        :meth:`inside` for the uncached triangles of a triangle metric, and
+        caches 0.0 for each uncached quadrilateral of a ``zero_outside``
+        metric whose q is not inside the circumcircle of (u, v, p).  Both
+        give what the scalar scans give, so the values are the same."""
+        m = lookup_metric(metric)
         cache = self._cache[metric]
         pts = self.point_set.points
         used = np.flatnonzero(np.bincount(ids.ravel()))
@@ -1021,7 +993,7 @@ class Evaluator:
                 self._inside.update(zip(fresh, _inside_circumcircles(pts, fresh)))
         elif m.zero_outside and fresh:
             quads = np.array(fresh, dtype=np.intp)
-            inside = _in_circumcircles(pts, quads[:, :3], quads[:, 3:])[:, 0]
+            inside = in_circles(np.array(pts, dtype=float), quads[:, :3], quads[:, 3:])[:, 0]
             for i in np.flatnonzero(~inside).tolist():
                 cache[fresh[i]] = 0.0
         if bound is None:

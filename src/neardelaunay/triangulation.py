@@ -35,6 +35,7 @@ from .geom import (
     Point,
     PointSet,
     orientation,
+    orientations,
     separates,
     validate_general_position,
 )
@@ -683,12 +684,12 @@ class TriangulationTable:
 def _orientation_signs(ps: PointSet, corners: np.ndarray) -> np.ndarray:
     """The n x n x n int8 array of orientation signs: entry (a, b, c) is 1
     when abc turns counterclockwise, -1 when it turns clockwise and 0 when
-    two of a, b, c are equal.  One :func:`orientation` per ascending triple,
-    the rows of corners; the other five orders follow by antisymmetry."""
-    pts = ps.points
-    n = len(pts)
-    turns = [orientation(pts[i], pts[j], pts[k]).value for i, j, k in corners.tolist()]
-    s = np.array(turns, dtype=np.int8)
+    two of a, b, c are equal.  One batched :func:`~neardelaunay.geom.orientations`
+    over the ascending triples, the rows of corners, which calls the scalar
+    only where its filter is undecided; the other five orders follow by
+    antisymmetry."""
+    n = len(ps)
+    s = orientations(np.array(ps.points, dtype=float), *corners.T)
     sign = np.zeros((n, n, n), dtype=np.int8)
     for shift in range(3):  # a rotation keeps the sign, a swap flips it
         a, b, c = np.roll(corners, shift, axis=1).T
@@ -725,10 +726,11 @@ def triangulation_table(
     """Enumerate every triangulation of ps once, by canonical construction.
 
     Every geometric decision reads the exact orientation signs of
-    :func:`_orientation_signs`.  A triangle is empty when no point lies on
-    its inner side of all three edges; an edge is a hull edge when every
-    point lies on one side of it; two edges with four distinct ends cross
-    properly when each separates the other's ends.
+    :func:`_orientation_signs`, one batched exact sign per index triple.  A
+    triangle is empty when no point lies on its inner side of all three
+    edges; an edge is a hull edge when every point lies on one side of it;
+    two edges with four distinct ends cross properly when each separates
+    the other's ends.
 
     A partial triangulation is a set of empty triangles, kept as two bit
     masks over the interior (non-hull) edges: the edges with a triangle on

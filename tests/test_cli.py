@@ -646,6 +646,9 @@ class TestExperiment:
             ({"constraints": [5]}, "constraints entry must be an object, got 5"),
             ({"seed": "x"}, "seed 'x' is not an integer"),
             ({"seed": [1]}, "seed [1] is not an integer"),
+            ({"seed": 1.5}, "seed 1.5 is not an integer"),
+            ({"seed": "7"}, "seed '7' is not an integer"),
+            ({"seed": True}, "seed True is not an integer"),
         ],
     )
     def test_malformed_spec_field_is_an_error(self, tmp_path, capsys, field, message):

@@ -1,7 +1,9 @@
+import itertools
 import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from neardelaunay.errors import (
@@ -132,6 +134,101 @@ class TestInCircumcircle:
             if abs(math.dist(circ.center, d) - circ.radius) < 1e-9 * circ.radius:
                 continue
             assert in_circumcircle(a, b, c, d) == incircle_distance_oracle(a, b, c, d)
+
+
+def _near_line(offset):
+    """Seven points on a line, 0.1 apart in x, and one midway between two
+    of them, about `offset` of that spacing off the line."""
+    on_line = [(0.1 * i + 0.05, 0.37 * (0.1 * i) + 0.2) for i in range(7)]
+    return on_line + [(0.4, 0.37 * 0.35 + 0.2 + 0.1 * offset)]
+
+
+PREDICATE_SETS = {
+    **{f"random{n}": lambda n=n: random_point_set(n, seed=2600 + n).points for n in (4, 7, 10)},
+    **{
+        f"offset{t:g}": lambda t=t: [(x + t, y + t) for x, y in random_point_set(9, seed=2700)]
+        for t in (1e6, 1e7)
+    },
+    **{
+        f"circle{j:g}": lambda j=j: random_jittered_circle(random.Random(f"{j}"), 10, j)
+        for j in (1e-12, 1e-10, 1e-8, 1e-6)
+    },
+    **{f"line{j:g}": lambda j=j: _near_line(j) for j in (1e-10, 1e-8, 1e-6)},
+    # exact collinear triples and exact cocircular quadruples
+    "grid3x3": lambda: [(x, y) for x in range(3) for y in range(3)],
+    "grid4x2": lambda: [(2 * x - 3, y) for x in range(4) for y in range(2)],
+}
+
+
+def _calls(monkeypatch, name, run, *args):
+    """The arguments of every call of geom's `name` during run(*args), as
+    sorted coordinate tuples."""
+    seen, real = [], getattr(geom_module, name)
+
+    def counted(*points):
+        seen.append(tuple(tuple(map(float, p)) for p in points))
+        return real(*points)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(geom_module, name, counted)
+        run(*args)
+    return sorted(seen)
+
+
+class TestArrayPredicates:
+    """``orientations`` and ``in_circles`` against the scalar predicates, ``==``."""
+
+    @pytest.mark.parametrize("family", PREDICATE_SETS)
+    def test_orientations(self, family):
+        pts = PREDICATE_SETS[family]()
+        a, b, c = np.indices((len(pts),) * 3).reshape(3, -1)  # repeated indices too
+        got = geom_module.orientations(np.array(pts, dtype=float), a, b, c)
+        assert got.dtype == np.int8
+        want = [orientation(pts[i], pts[j], pts[k]).value for i, j, k in zip(a, b, c)]
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize("family", PREDICATE_SETS)
+    def test_in_circles(self, family):
+        pts = PREDICATE_SETS[family]()
+        xy, n = np.array(pts, dtype=float), len(pts)
+        abc = np.array(list(itertools.permutations(range(n), 3)), dtype=np.intp)
+        turn = geom_module.orientations(xy, *abc.T)
+        rows, flat = abc[turn != 0], abc[turn == 0]
+        for d in (np.arange(n)[None, :], (rows[:, :2] + 1) % n):  # 1 x K and T x K
+            got = geom_module.in_circles(xy, rows, d)
+            per_row = np.broadcast_to(d, (len(rows), d.shape[1])).tolist()
+            want = [
+                [e not in row and in_circumcircle(*(pts[i] for i in row), pts[e]) for e in ds]
+                for row, ds in zip(rows.tolist(), per_row)
+            ]
+            assert got.tolist() == want
+        for row in flat[:20]:  # exact zeros of the grids
+            with pytest.raises(DegenerateTriangle):
+                geom_module.in_circles(xy, row[None, :], np.arange(n)[None, :])
+            assert not geom_module.in_circles(xy, row[None, :], row[None, :]).any()
+
+    @pytest.mark.parametrize("family", PREDICATE_SETS)
+    def test_same_entries_reach_exact_arithmetic(self, family, monkeypatch):
+        # the array forms hand the scalar exactly the entries that the
+        # scalar's own float filter leaves to exact arithmetic
+        pts = PREDICATE_SETS[family]()
+        xy, n = np.array(pts, dtype=float), len(pts)
+        abc = np.array(list(itertools.permutations(range(n), 3)), dtype=np.intp)
+        rows = abc[geom_module.orientations(xy, *abc.T) != 0]
+        handed = _calls(monkeypatch, "orientation", geom_module.orientations, xy, *abc.T)
+        exact = _calls(
+            monkeypatch, "_orient_det_exact", lambda: [orientation(*(pts[i] for i in t)) for t in abc]
+        )
+        assert handed == exact
+        every = np.arange(n)[None, :]
+        handed = _calls(monkeypatch, "in_circumcircle", geom_module.in_circles, xy, rows, every)
+        pairs = [(row, e) for row in rows.tolist() for e in range(n) if e not in row]
+        exact = _calls(
+            monkeypatch,
+            "_incircle_det_exact",
+            lambda: [in_circumcircle(*(pts[i] for i in row), pts[e]) for row, e in pairs],
+        )
+        assert handed == exact
 
 
 class TestCircumcircle:

@@ -1,3 +1,4 @@
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -16,3 +17,16 @@ def test_import_leaves_scipy_out():
         env={"PYTHONPATH": str(SRC)},
     )
     assert out.stdout.strip() == "False"
+
+
+def test_no_private_name_crosses_a_module():
+    # a module's underscore names are its own: no sibling imports one
+    crossing = []
+    for path in sorted((SRC / "neardelaunay").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("neardelaunay")
+            ):
+                names = [alias.name for alias in node.names]
+                crossing += [f"{path.name}: {name}" for name in names if name.startswith("_")]
+    assert crossing == []

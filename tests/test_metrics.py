@@ -1,11 +1,12 @@
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
-from neardelaunay import metrics
+from neardelaunay import geom, metrics
 from neardelaunay.delaunay import cdt, delaunay, voronoi
 from neardelaunay.errors import MismatchedPointSets, NearDelaunayError, SiteOutsideCircle
 from neardelaunay.geom import (
@@ -806,6 +807,14 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(bad_diagonal(p4), "sharpness")
 
+    @pytest.mark.parametrize("name", ["nope", ["lens"]])
+    def test_unknown_metric_from_the_evaluator(self, p4, name):
+        ev = Evaluator(p4)
+        with pytest.raises(NearDelaunayError, match=re.escape(f"unknown metric {name!r}")):
+            ev.element_value(name, (0, 1))
+        with pytest.raises(NearDelaunayError, match=re.escape(f"unknown metric {name!r}")):
+            ev.values_by_id(name, np.array([0]), lambda e: (0, 1))
+
     @pytest.mark.parametrize("metric", QUADRILATERAL_METRICS)
     def test_same_side_apexes_rejected(self, metric):
         # both apexes of interior edge (0, 1) lie above it
@@ -902,9 +911,11 @@ class TestInCircumcircleScreen:
             for n in range(4, 15):
                 pts = random_jittered_circle(random.Random(f"{jitter}/{n}"), n, jitter)
                 tris = list(itertools.combinations(range(n), 3))
-                monkeypatch.setattr(metrics, "in_circumcircle", counted)
+                for module in (geom, metrics):
+                    monkeypatch.setattr(module, "in_circumcircle", counted)
                 got = metrics._inside_circumcircles(pts, tris)
-                monkeypatch.setattr(metrics, "in_circumcircle", scalar)
+                for module in (geom, metrics):
+                    monkeypatch.setattr(module, "in_circumcircle", scalar)
                 assert got == [metrics._inside_circumcircle(pts, t) for t in tris], (jitter, n)
         assert calls > 0  # some pairs were left to the exact predicate
 
@@ -935,7 +946,8 @@ class TestInCircumcircleScreen:
             calls += 1
             return scalar(*args)
 
-        monkeypatch.setattr(metrics, "in_circumcircle", counted)
+        for module in (geom, metrics):
+            monkeypatch.setattr(module, "in_circumcircle", counted)
         m = lookup_metric("shrunk_circumcircle")
         ev = Evaluator(table.point_set)
         values, exact = ev.values_by_id(m.name, table.rows, table.triangles.__getitem__, m.bound)

@@ -439,9 +439,10 @@ class TestTableMatchesBitmaskOracle:
         assert peaks["triangulation_table"] <= peaks["bitmask_table"], peaks
 
     def test_build_needs_no_exact_orientation(self, monkeypatch):
-        # the signs come from one orientation per ascending triple of
-        # distinct points; a repeated index is 0 without asking orientation,
-        # whose float test cannot decide an exact zero
+        # the signs come from one batched orientations over the ascending
+        # triples of distinct points, whose float filter decides each one
+        # here; a repeated index is 0 without asking, as the filter cannot
+        # decide an exact zero
         ps = random_point_set(12, seed=1203)
         calls = 0
         exact = geom_module._orient_det_exact
