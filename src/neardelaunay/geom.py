@@ -168,20 +168,24 @@ def in_circumcircle(a: Point, b: Point, c: Point, d: Point) -> bool:
     return sign == orient.value and sign != 0
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowed det is left undecided
 def orientations(xy: np.ndarray, a, b, c) -> np.ndarray:
     """``orientation(xy[a], xy[b], xy[c]).value`` for each entry of the index
     arrays a, b and c (n x 2 coordinates, indices of one shape), as int8.
 
-    The doubles are the scalar's, and so are the filter's decisions: where
-    :func:`orientation` returns early its det is |detleft| + |detright|
-    exactly, above the bound, and in every other branch its detsum is that
-    sum.  Only the entries the filter leaves undecided call the scalar."""
+    The doubles are the scalar's, and so are the filter's decisions: the
+    early return where detleft and detright have opposite signs, and
+    otherwise the bound on |det| against detsum = |detleft| + |detright|.
+    An entry decided by neither, such as one whose products overflow to a
+    NaN det, calls the scalar, and only those do."""
     x, y = xy[:, 0], xy[:, 1]
     detleft = (x[b] - x[a]) * (y[c] - y[a])
     detright = (y[b] - y[a]) * (x[c] - x[a])
     det = detleft - detright
-    sign = np.sign(det).astype(np.int8)
-    for i in np.flatnonzero(np.abs(det) <= _CCW_BOUND * (np.abs(detleft) + np.abs(detright))):
+    early = (detleft > 0.0) & (detright <= 0.0) | (detleft < 0.0) & (detright >= 0.0)
+    sure = early | (np.abs(det) > _CCW_BOUND * (np.abs(detleft) + np.abs(detright)))
+    sign = np.where(sure, np.sign(det), 0.0).astype(np.int8)
+    for i in np.flatnonzero(~sure):
         sign.flat[i] = orientation(*(xy[v.flat[i]].tolist() for v in (a, b, c))).value
     return sign
 
@@ -195,12 +199,12 @@ def in_circles(xy: np.ndarray, abc: np.ndarray, d: np.ndarray) -> np.ndarray:
     Each row's turn comes from :func:`orientations`, and the determinant and
     permanent are :func:`_incircle_det`'s own expression on arrays, so every
     double and every decision of the filter is the scalar's.  A pair on a
-    collinear row or with an undecided determinant goes to the scalar
-    predicate, which raises DegenerateTriangle for the former."""
+    collinear row or with an undecided determinant, a NaN one from an
+    overflow included, goes to the scalar predicate, which raises
+    DegenerateTriangle for the former."""
     turn = orientations(xy, *abc.T)[:, None]
-    (ax, ay), (bx, by), (cx, cy) = (xy[abc[:, k]].T[:, :, None] for k in range(3))
     d = np.broadcast_to(d, (len(abc), d.shape[1]))
-    det, permanent = _incircle_det(ax, ay, bx, by, cx, cy, xy[d, 0], xy[d, 1])
+    det, permanent = _incircle_det(*xy[abc].reshape(-1, 6).T[:, :, None], xy[d, 0], xy[d, 1])
     sure = (np.abs(det) > _INCIRCLE_BOUND * permanent) & (turn != 0)
     inside = sure & ((det > 0.0) == (turn > 0))
     other = (d != abc[:, :1]) & (d != abc[:, 1:2]) & (d != abc[:, 2:])

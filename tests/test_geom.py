@@ -157,6 +157,10 @@ PREDICATE_SETS = {
     # exact collinear triples and exact cocircular quadruples
     "grid3x3": lambda: [(x, y) for x in range(3) for y in range(3)],
     "grid4x2": lambda: [(2 * x - 3, y) for x in range(4) for y in range(2)],
+    # products overflow to inf, and det to inf - inf = NaN
+    "overflow1e200": lambda: similarity_transform(
+        random_point_set(9, seed=2800), scale=1e200
+    ).points,
 }
 
 

@@ -20,7 +20,7 @@ from neardelaunay.fileio import (
     write_triangulation,
 )
 from neardelaunay import geom as geom_module, triangulation as triangulation_module
-from neardelaunay.geom import PointSet, orientation
+from neardelaunay.geom import PointSet, orientation, similarity_transform
 from neardelaunay.pointgen import (
     long_delaunay_point_set,
     random_point_set,
@@ -389,6 +389,8 @@ BITMASK_ORACLE_SETS = {
     "random12-1201": lambda: random_point_set(12, seed=1201),
     "wheel": wheel_point_set,
     "long_delaunay": long_delaunay_point_set,
+    # orientation products overflow to inf, some dets to inf - inf = NaN
+    "overflow8": lambda: similarity_transform(random_point_set(8, seed=1108), scale=1e200),
     **{
         f"jittered{n}": lambda n=n, jitter=jitter: PointSet(
             random_jittered_circle(random.Random(1300 + n), n, jitter)
