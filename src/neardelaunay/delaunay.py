@@ -16,7 +16,6 @@ from typing import Sequence
 
 from .errors import InvalidConstraintEdges
 from .geom import (
-    Circle,
     Point,
     PointSet,
     circumcircle,
@@ -38,7 +37,16 @@ from .triangulation import (
 
 
 def _legalize(pts: Sequence[Point], apex: ApexMap, frozen: frozenset[EdgeKey]) -> None:
-    """Flip non-frozen interior edges until all are locally Delaunay."""
+    """Flip non-frozen interior edges until all are locally Delaunay.
+
+    An edge uv whose apex q is strictly inside circle uvp has a convex
+    quadrilateral, so its flip is never blocked.  Were the quadrilateral not
+    convex, u or v would lie in the triangle of the other three points.
+    Four such points have one triangulation, which is therefore their
+    Delaunay triangulation, and its triangle uvp holds no q.  The exact
+    predicates make ``in_circumcircle`` and ``flip_edge``'s ``separates``
+    test agree with this on every input.
+    """
     pending = set(apex) - frozen
     while pending:
         edge = pending.pop()
@@ -49,8 +57,7 @@ def _legalize(pts: Sequence[Point], apex: ApexMap, frozen: frozenset[EdgeKey]) -
         p, q = opp
         if not in_circumcircle(pts[u], pts[v], pts[p], pts[q]):
             continue
-        if flip_edge(pts, apex, edge) is None:  # non-convex quadrilateral; nothing to fix here
-            continue
+        flip_edge(pts, apex, edge)
         for e in ((u, p), (u, q), (v, p), (v, q)):
             e = (min(e), max(e))
             if e not in frozen:
@@ -131,9 +138,6 @@ class VoronoiVertex:
     point: Point
     sites: Triple  # defining Delaunay triangle
     radius: float  # circumradius = maximal empty circle radius
-
-    def circle(self) -> Circle:
-        return Circle(self.point, self.radius)
 
 
 @dataclass(frozen=True)

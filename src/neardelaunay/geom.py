@@ -190,6 +190,7 @@ def orientations(xy: np.ndarray, a, b, c) -> np.ndarray:
     return sign
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowed det is left undecided
 def in_circles(xy: np.ndarray, abc: np.ndarray, d: np.ndarray) -> np.ndarray:
     """``in_circumcircle(xy[a], xy[b], xy[c], xy[e])`` for each row (a, b, c)
     of the T x 3 index array abc against each entry e of the same row of d
@@ -638,40 +639,6 @@ def is_general_position(ps: PointSet, guard: float = DEGENERACY_GUARD) -> bool:
     except GeneralPositionViolated:
         return False
     return True
-
-
-def clip_polygon_halfplane(
-    polygon: list[Point], n: tuple[float, float], c: float
-) -> list[Point]:
-    """Clip a polygon against the halfplane n . x <= c (Sutherland-Hodgman step)."""
-    if not polygon:
-        return []
-    out: list[Point] = []
-    nx, ny = n
-    prev = polygon[-1]
-    prev_val = nx * prev[0] + ny * prev[1] - c
-    for cur in polygon:
-        cur_val = nx * cur[0] + ny * cur[1] - c
-        if cur_val <= 0.0:
-            if prev_val > 0.0:
-                t = prev_val / (prev_val - cur_val)
-                out.append(
-                    Point(
-                        prev[0] + t * (cur[0] - prev[0]),
-                        prev[1] + t * (cur[1] - prev[1]),
-                    )
-                )
-            out.append(cur)
-        elif prev_val <= 0.0:
-            t = prev_val / (prev_val - cur_val)
-            out.append(
-                Point(
-                    prev[0] + t * (cur[0] - prev[0]),
-                    prev[1] + t * (cur[1] - prev[1]),
-                )
-            )
-        prev, prev_val = cur, cur_val
-    return out
 
 
 def polygon_area(polygon: Sequence[Point]) -> float:

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .delaunay import VoronoiDiagram, delaunay, voronoi
+from .delaunay import delaunay
 from .errors import MismatchedPointSets, NearDelaunayError, SiteOutsideCircle
 from .geom import (
     DEGENERACY_GUARD,
@@ -36,7 +36,6 @@ from .geom import (
     chord_overlap_length,
     circular_segment_area,
     circumcircle,
-    clip_polygon_halfplane,
     dist_point_segment as _dist_point_segment,
     in_circles,
     in_circumcircle,
@@ -97,79 +96,46 @@ def _bisector_halfplane(keep: Point, cut: Point):
     return n, c
 
 
-def _line_intersection(n1, c1, n2, c2) -> Point | None:
-    det = n1[0] * n2[1] - n1[1] * n2[0]
-    if det == 0.0:
-        return None
-    return Point((c1 * n2[1] - c2 * n1[1]) / det, (n1[0] * c2 - n2[0] * c1) / det)
-
-
 def _dual_overlap_area(pu: Point, pv: Point, pp: Point, pq: Point) -> float:
-    # Work in a frame centred on the quadrilateral for conditioning.
+    """Overlap area of the cells of p and q when q lies strictly inside the
+    circle through u, v, p.
+
+    The overlap is the set nearer both p and q than both u and v: the
+    order-2 Voronoi region of {p, q} among the four points (Lee, "On
+    k-nearest neighbor Voronoi diagrams in the plane", 1982), cut out by the
+    bisectors of pu, pv, qu and qv.  A point of it on the bisectors of pu
+    and qv (or of pv and qu) is as far from all four points, which general
+    position rules out, so every corner is a circumcentre of three of them,
+    and the region is the polygon of those that lie in it.  All four do:
+
+    * cp, of u, v, p, because q is inside circle uvp;
+    * cq, of u, v, q, because p is then inside circle uvq, as p and q lie
+      on opposite sides of uv;
+    * mu, of u, p, q, and mv, of v, p, q, because v and u lie outside those
+      circles.  An edge whose opposite apex is inside its circumcircle has a
+      convex quadrilateral (see :func:`~neardelaunay.delaunay._legalize`),
+      and as uv is not locally Delaunay, the Delaunay triangulation of the
+      four points is the one by the other diagonal, pq, whose triangles
+      upq and vpq are empty.
+
+    Consecutive corners of cp, mu, cq, mv share the bisector of pu, qu, qv
+    and pv in turn, so that is their order around the region.  The
+    shoelace runs in a frame centred on the quadrilateral, for
+    conditioning."""
     ox = (pu[0] + pv[0] + pp[0] + pq[0]) / 4.0
     oy = (pu[1] + pv[1] + pp[1] + pq[1]) / 4.0
-    u, v, p, q = (
-        Point(w[0] - ox, w[1] - oy) for w in (pu, pv, pp, pq)
-    )
-    halfplanes = [
-        _bisector_halfplane(p, u),
-        _bisector_halfplane(q, u),
-        _bisector_halfplane(q, v),
-        _bisector_halfplane(p, v),
-    ]
-    cp = circumcircle(u, v, p).center
-    cq = circumcircle(u, v, q).center
-    mu = circumcircle(u, p, q).center
-    mv = circumcircle(v, p, q).center
-    poly = [cp, mu, cq, mv]
-    scale = max(abs(w) for pt in poly for w in pt) or 1.0
-    ok = True
-    signs = set()
-    for i in range(4):
-        o = orientation(poly[i], poly[(i + 1) % 4], poly[(i + 2) % 4])
-        if o is Orientation.COLLINEAR:
-            ok = False
-            break
-        signs.add(o)
-    if len(signs) != 1:
-        ok = False
-    if ok:
-        for n, c in halfplanes:
-            bound = 1e-9 * max(1.0, math.hypot(*n)) * max(1.0, scale)
-            if any(n[0] * x + n[1] * y - c > bound for x, y in poly):
-                ok = False
-                break
-    if ok:
-        return polygon_area(poly)
-    # Fallback: clip a box around every pairwise bisector intersection.
-    corners = [w for w in (cp, cq, mu, mv)]
-    for i in range(4):
-        for j in range(i + 1, 4):
-            w = _line_intersection(*halfplanes[i], *halfplanes[j])
-            if w is not None and math.isfinite(w[0]) and math.isfinite(w[1]):
-                corners.append(w)
-    xs = [w[0] for w in corners]
-    ys = [w[1] for w in corners]
-    pad = max(max(xs) - min(xs), max(ys) - min(ys), math.dist(u, v)) + 1.0
-    box = [
-        Point(min(xs) - pad, min(ys) - pad),
-        Point(max(xs) + pad, min(ys) - pad),
-        Point(max(xs) + pad, max(ys) + pad),
-        Point(min(xs) - pad, max(ys) + pad),
-    ]
-    region = box
-    for n, c in halfplanes:
-        region = clip_polygon_halfplane(region, n, c)
-        if not region:
-            return 0.0
-    return polygon_area(region)
+    u, v, p, q = (Point(w[0] - ox, w[1] - oy) for w in (pu, pv, pp, pq))
+    corners = ((u, v, p), (u, p, q), (u, v, q), (v, p, q))
+    return polygon_area([circumcircle(*t).center for t in corners])
 
 
 def _dual_area_overlap_value(pu: Point, pv: Point, pp: Point, pq: Point) -> float:
     """Overlap area of the two opposing local cells over the squared edge length.
 
     The cell of p is bounded by the bisectors of (p, u) and (p, v); for a
-    locally Delaunay quadrilateral it is disjoint from q's cell.
+    locally Delaunay quadrilateral it is disjoint from q's cell.  Otherwise
+    the overlap is the quadrilateral of the four circumcentres
+    (:func:`_dual_overlap_area`).
     """
     if not in_circumcircle(pu, pv, pp, pq):
         return 0.0
@@ -213,13 +179,18 @@ def _shrunk_circle_value(ev: Evaluator, edge: tuple) -> float:
     in the centre, and the segment's endpoints are never strictly inside an
     empty circle), and unbounded edges are dominated by their bounded
     endpoint, so only the maximal circles at Voronoi vertices need testing.
+    Those are the circumcircles of the Delaunay triangles, which the
+    evaluator builds once, in the triangles' order.
     """
     pts = ev.point_set.points
+    if ev._circles is None:
+        triangles = delaunay(ev.point_set).triangles
+        ev._circles = [circumcircle(*map(pts.__getitem__, t)) for t in triangles]
     seg = Segment(pts[edge[0]], pts[edge[1]])
     length = math.dist(seg.a, seg.b)
     best = 0.0
-    for vert in ev.voronoi().vertices:
-        overlap = chord_overlap_length(vert.circle(), seg)
+    for circle in ev._circles:
+        overlap = chord_overlap_length(circle, seg)
         if overlap > best:
             best = overlap
     return min(1.0, max(0.0, best / length))
@@ -929,19 +900,17 @@ class Evaluator:
     Edge and triangle scores depend only on the element and the point set,
     and quadrilateral scores only on the four defining points, so scores are
     shared across all triangulations of the same point set.  This is what
-    makes exhaustive optimization cheap.
+    makes exhaustive optimization cheap.  Besides the values it keeps the
+    points inside each triangle's circumcircle (:meth:`inside`) and the
+    circumcircles of the Delaunay triangles, which ``shrunk_circle`` scans;
+    it builds no Voronoi diagram.
     """
 
     def __init__(self, ps: PointSet):
         self.point_set = ps
-        self._vd: VoronoiDiagram | None = None
+        self._circles: list[Circle] | None = None  # shrunk_circle's empty circles
         self._cache: dict[str, dict] = {m: {} for m in ALL_METRICS}
         self._inside: dict[tuple, list[int]] = {}
-
-    def voronoi(self) -> VoronoiDiagram:
-        if self._vd is None:
-            self._vd = voronoi(self.point_set)
-        return self._vd
 
     def inside(self, tri: tuple) -> list[int]:
         """:func:`_inside_circumcircle` of a triangle, scanned once for both

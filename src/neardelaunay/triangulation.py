@@ -459,7 +459,9 @@ def flip_edge(pts: Sequence[Point], apex: ApexMap, edge: EdgeKey) -> EdgeKey | N
     """Flip interior edge (u, v) of an ascending apex map in place to the
     opposite diagonal (p, q) and return (p, q).  Returns None, leaving the
     map untouched, for an absent or hull edge or a quadrilateral that is not
-    strictly convex (the flip would fold over)."""
+    strictly convex (the flip would fold over).  In construction only
+    ``delaunay._insert_edge`` meets that None, and retries the edge later;
+    the edges ``delaunay._legalize`` flips have convex quadrilaterals."""
     opp = apex.get(edge)
     if opp is None or len(opp) != 2:
         return None

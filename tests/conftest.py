@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 from pathlib import Path
 
@@ -6,7 +7,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from neardelaunay.geom import PointSet
+from neardelaunay.geom import PointSet, is_general_position
+from neardelaunay.pointgen import random_point_set
 
 
 @pytest.fixture
@@ -35,3 +37,24 @@ def random_jittered_circle(rng, n: int, jitter: float) -> list[tuple[float, floa
         r = 1.0 + jitter * rng.uniform(-1, 1)
         pts.append((r * math.cos(ang), r * math.sin(ang)))
     return pts
+
+
+def validated_edge_sets() -> list[PointSet]:
+    """Sets of 5 to 9 points that pass validation, many of them near its
+    limits: circles jittered by 1e-3 to 1e-11, random sets offset by up to
+    1e7 or scaled by 2^-40 and 2^40, and points up to 1e-6 off a line."""
+    rng = random.Random(2900)
+    sets = []
+    for n in (5, 7, 8, 9):
+        for jitter in (1e-3, 1e-5, 1e-7, 1e-9, 1e-11):
+            sets += [random_jittered_circle(rng, n, jitter) for _ in range(3)]
+        for seed in range(3):
+            pts = random_point_set(n, seed=3000 + seed).points
+            sets += [[(x + t, y - t) for x, y in pts] for t in (1e3, 1e5, 1e7)]
+            for e in (-40, 40):
+                for base in (pts, random_jittered_circle(rng, n, 1e-9)):
+                    sets.append([(math.ldexp(x, e), math.ldexp(y, e)) for x, y in base])
+            for h in (1e-2, 1e-4, 1e-6):
+                xs = [rng.random() for _ in range(n)]
+                sets.append([(x, 0.3 * x + h * rng.uniform(-1, 1)) for x in xs])
+    return [ps for ps in map(PointSet, sets) if is_general_position(ps)]

@@ -14,8 +14,11 @@ closed-form roots, the streamed subset scan, the nearest-first clipping,
 the in-place apex map, the edge-local validity test and the screened
 search, kept as the references those must match.  So are the sum search
 that fills every value and the bottleneck scan of every row, from before
-the bounded sum search and the bottleneck screen.  ``flip``, which only
-tests and the frozenset walk call, lives here too.
+the bounded sum search and the bottleneck screen, and the checked
+dual-overlap area with its clipping fallback and the Voronoi-vertex scan of
+shrunk_circle, from before the circumcentre quadrilateral and the
+evaluator's list of Delaunay circumcircles.  ``flip``, which only tests and
+the frozenset walk call, lives here too.
 """
 
 from __future__ import annotations
@@ -43,8 +46,8 @@ from neardelaunay.geom import (
     Segment,
     SegmentSide,
     circular_segment_area,
+    chord_overlap_length,
     circumcircle,
-    clip_polygon_halfplane,
     in_circumcircle,
     inscribed_circle,
     orientation,
@@ -246,7 +249,7 @@ def _triangles_overlap(pa, pb) -> bool:
         # inside is the left of a->b: n . x <= c with n the right normal
         n = (b[1] - a[1], a[0] - b[0])
         c = n[0] * a[0] + n[1] * a[1]
-        poly = clip_polygon_halfplane(poly, n, c)
+        poly = _clip(poly, n, c)
         if not poly:
             return False
     return polygon_area(poly) > 1e-12 * scale * scale
@@ -1247,6 +1250,79 @@ def clip_dual_overlap_oracle(pu, pv, pp, pq) -> float:
         if not poly:
             return 0.0
     return _shoelace(poly) / math.dist(pu, pv) ** 2
+
+
+def _line_intersection(n1, c1, n2, c2):
+    det = n1[0] * n2[1] - n1[1] * n2[0]
+    if det == 0.0:
+        return None
+    return Point((c1 * n2[1] - c2 * n1[1]) / det, (n1[0] * c2 - n2[0] * c1) / det)
+
+
+def checked_dual_overlap_area(pu, pv, pp, pq) -> tuple[float, bool]:
+    """The package's overlap area of p's and q's cells from before the
+    circumcentre quadrilateral was proved to be the region, and whether it
+    fell back.  It took that quadrilateral only when its corners turned one
+    way and lay in all four bisector halfplanes; otherwise it clipped a box
+    around every pairwise bisector intersection."""
+    ox = (pu[0] + pv[0] + pp[0] + pq[0]) / 4.0
+    oy = (pu[1] + pv[1] + pp[1] + pq[1]) / 4.0
+    u, v, p, q = (Point(w[0] - ox, w[1] - oy) for w in (pu, pv, pp, pq))
+    halfplanes = [
+        _bisector_halfplane(p, u),
+        _bisector_halfplane(q, u),
+        _bisector_halfplane(q, v),
+        _bisector_halfplane(p, v),
+    ]
+    cp = circumcircle(u, v, p).center
+    cq = circumcircle(u, v, q).center
+    mu = circumcircle(u, p, q).center
+    mv = circumcircle(v, p, q).center
+    poly = [cp, mu, cq, mv]
+    scale = max(abs(w) for pt in poly for w in pt) or 1.0
+    turns = {orientation(poly[i], poly[(i + 1) % 4], poly[(i + 2) % 4]) for i in range(4)}
+    ok = len(turns) == 1 and Orientation.COLLINEAR not in turns
+    for n, c in halfplanes if ok else ():
+        bound = 1e-9 * max(1.0, math.hypot(*n)) * max(1.0, scale)
+        if any(n[0] * x + n[1] * y - c > bound for x, y in poly):
+            ok = False
+            break
+    if ok:
+        return polygon_area(poly), False
+    corners = [cp, cq, mu, mv]
+    for i in range(4):
+        for j in range(i + 1, 4):
+            w = _line_intersection(*halfplanes[i], *halfplanes[j])
+            if w is not None and math.isfinite(w[0]) and math.isfinite(w[1]):
+                corners.append(w)
+    xs = [w[0] for w in corners]
+    ys = [w[1] for w in corners]
+    pad = max(max(xs) - min(xs), max(ys) - min(ys), math.dist(u, v)) + 1.0
+    region = [
+        (min(xs) - pad, min(ys) - pad),
+        (max(xs) + pad, min(ys) - pad),
+        (max(xs) + pad, max(ys) + pad),
+        (min(xs) - pad, max(ys) + pad),
+    ]
+    for n, c in halfplanes:
+        region = _clip(region, n, c)
+        if not region:
+            return 0.0, True
+    return polygon_area(region), True
+
+
+# --- shrunk circle over the Voronoi vertices ------------------------------------
+
+
+def voronoi_vertex_shrunk_circle(vd, edge) -> float:
+    """shrunk_circle as the package computed it from ``voronoi(ps)``: the
+    longest chord of the edge in the empty circle of any Voronoi vertex,
+    over the edge length."""
+    seg = Segment(vd.point_set[edge[0]], vd.point_set[edge[1]])
+    best = 0.0
+    for vert in vd.vertices:
+        best = max(best, chord_overlap_length(Circle(vert.point, vert.radius), seg))
+    return min(1.0, max(0.0, best / math.dist(seg.a, seg.b)))
 
 
 # --- triangular lens by area sampling -------------------------------------------

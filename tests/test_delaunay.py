@@ -1,7 +1,9 @@
+import importlib
 import math
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 from scipy.spatial import Delaunay as ScipyDelaunay
 
@@ -11,6 +13,7 @@ from neardelaunay.geom import (
     PointSet,
     circumcircle,
     in_circumcircle,
+    separates,
     similarity_transform,
 )
 from neardelaunay.pointgen import (
@@ -21,11 +24,13 @@ from neardelaunay.pointgen import (
 from neardelaunay.triangulation import (
     Triangulation,
     enumerate_triangulations,
+    flip_edge,
     interior_quadrilaterals,
+    triangulation_table,
     validate,
 )
 
-from conftest import random_jittered_circle
+from conftest import random_jittered_circle, validated_edge_sets
 from oracles import frozenset_cdt, frozenset_delaunay
 
 
@@ -269,6 +274,35 @@ def sweep_sets():
     for n, jitter in ((8, 1e-3), (12, 1e-4), (20, 1e-2), (30, 1e-3)):
         sets.append(PointSet(random_jittered_circle(rng, n, jitter)))
     return sets
+
+
+class TestLegalizeFlips:
+    """An edge whose apex is strictly inside its circumcircle has a convex
+    quadrilateral, so legalization never meets a blocked flip."""
+
+    def test_in_circle_implies_convex(self):
+        illegal = 0
+        for ps in validated_edge_sets():
+            table = triangulation_table(ps)
+            for code in np.unique(table.quads).tolist():
+                u, v, p, q = (ps[i] for i in table.quadrilateral(code))
+                if in_circumcircle(u, v, p, q):
+                    assert separates(p, q, u, v)
+                    illegal += 1
+        assert illegal > 4000
+
+    def test_delaunay_never_meets_a_blocked_flip(self, monkeypatch, sweep_sets):
+        flipped = []
+
+        def recorded(*args):
+            flipped.append(flip_edge(*args))
+            return flipped[-1]
+
+        # the package re-exports the function delaunay under the module's name
+        monkeypatch.setattr(importlib.import_module("neardelaunay.delaunay"), "flip_edge", recorded)
+        for ps in validated_edge_sets() + sweep_sets:
+            delaunay(PointSet(ps.points))  # a new set: delaunay keeps its result on the old
+        assert len(flipped) > 1000 and None not in flipped
 
 
 def _chords(ps, rng, count):

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from neardelaunay.errors import (
     NotAChord,
 )
 from neardelaunay import geom as geom_module
+from neardelaunay.aggregate import AggregationMode, optimize
 from neardelaunay.geom import (
     Circle,
     Orientation,
@@ -36,6 +38,7 @@ from neardelaunay.geom import (
 )
 
 from neardelaunay.pointgen import random_point_set, wheel_point_set
+from neardelaunay.triangulation import MaxDegree
 
 from conftest import random_jittered_circle
 from oracles import general_position_message, incircle_distance_oracle
@@ -233,6 +236,17 @@ class TestArrayPredicates:
             lambda: [in_circumcircle(*(pts[i] for i in row), pts[e]) for row, e in pairs],
         )
         assert handed == exact
+
+    def test_no_warning_escapes_on_overflow(self):
+        # products overflow on the 1e200 set; its undecided entries go to the
+        # scalar, and numpy's overflow warnings stay inside
+        ps = PointSet(PREDICATE_SETS["overflow1e200"]())
+        xy = np.array(ps.points, dtype=float)
+        abc = np.array(list(itertools.combinations(range(len(ps)), 3)), dtype=np.intp)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            geom_module.in_circles(xy, abc, np.arange(len(ps))[None, :])
+            optimize(ps, MaxDegree(5), "shrunk_circumcircle", AggregationMode.SUM)
 
 
 class TestCircumcircle:

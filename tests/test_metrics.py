@@ -45,11 +45,12 @@ from neardelaunay.triangulation import (
     triangulation_table,
 )
 
-from conftest import jittered_circle_points, random_jittered_circle
+from conftest import jittered_circle_points, random_jittered_circle, validated_edge_sets
 from divergence import ALL_PAIRS, score_element
 from oracles import (
     all_pairs_shrunk_circumcircle,
     bisection_shrunk_circumcircle,
+    checked_dual_overlap_area,
     clip_dual_overlap_oracle,
     flip,
     full_search_largest_contained_circle,
@@ -58,6 +59,7 @@ from oracles import (
     lens_arc_oracle,
     local_voronoi_in_index_order,
     sampled_triangular_lens,
+    voronoi_vertex_shrunk_circle,
 )
 
 
@@ -160,6 +162,39 @@ class TestDualAreaOverlap:
             else:
                 assert ours == pytest.approx(ref, rel=1e-9)
             checked += 1
+
+
+class TestCircumcentreQuadrilateral:
+    """The overlap of an illegal edge's two cells is the quadrilateral of its
+    four circumcentres, and shrunk_circle's circles are the Delaunay
+    circumcircles: both ``==`` the code they replaced, on validated sets."""
+
+    def test_every_in_circle_quadrilateral_matches_the_checked_area(self):
+        # the checked area took the quadrilateral only after testing its
+        # turns and its four halfplanes, and clipped a box otherwise
+        checked = 0
+        for ps in validated_edge_sets():
+            table = triangulation_table(ps)
+            for code in np.unique(table.quads).tolist():
+                quad = [ps[i] for i in table.quadrilateral(code)]
+                if in_circumcircle(*quad):
+                    area, fell_back = checked_dual_overlap_area(*quad)
+                    assert (metrics._dual_overlap_area(*quad), fell_back) == (area, False)
+                    checked += 1
+        assert checked > 4000
+
+    @pytest.mark.parametrize("n", [40, 80])
+    def test_shrunk_circle_matches_the_voronoi_vertex_scan(self, n):
+        rng = random.Random(f"shrunk-circle/{n}")
+        base = [(rng.random(), rng.random()) for _ in range(n)]
+        required = _crossing_chords(base)
+        scaled = [[(math.ldexp(x, e), math.ldexp(y, e)) for x, y in base] for e in (-40, 40)]
+        for pts in [base, [(x + 1e7, y - 1e7) for x, y in base], *scaled]:
+            ps = PointSet(pts)
+            ev, vd = Evaluator(ps), voronoi(ps)
+            for t in (delaunay(ps), cdt(ps, required)):
+                for e in t.edges():
+                    assert ev.element_value("shrunk_circle", e) == voronoi_vertex_shrunk_circle(vd, e)
 
 
 class TestLens:
