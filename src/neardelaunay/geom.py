@@ -3,9 +3,10 @@
 Sign predicates (`orientation`, `in_circumcircle`) use a floating-point fast
 path with a conservative error bound and fall back to exact rational
 arithmetic when the result is too close to zero to trust.  Their array forms
-(`orientations`, `in_circles`) evaluate the same doubles with the same
-filter and hand each undecided entry to the scalar predicate, so this module
-is the one home of every filter and its bound.  Everything else
+(`orientations`, `in_circles`) and the one-triangle scan
+(`inside_circumcircle`) evaluate the same doubles with the same filter and
+hand each undecided entry to the scalar predicate, so this module is the one
+home of every filter and its bound.  Everything else
 (metric-style quantities) is plain double precision.
 
 Angles are always unsigned values in (0, pi).
@@ -166,6 +167,36 @@ def in_circumcircle(a: Point, b: Point, c: Point, d: Point) -> bool:
             sign = 0
     # Positive determinant means "inside" for a CCW triple.
     return sign == orient.value and sign != 0
+
+
+def inside_circumcircle(points: Sequence[Point], tri) -> list[int]:
+    """Ascending indices of the points strictly inside the circle through
+    the three points that ``tri`` indexes, each as :func:`in_circumcircle`
+    decides it.
+
+    The triangle's turn is decided once, and each point's determinant and
+    permanent pass :func:`in_circumcircle`'s own filter; a point it leaves
+    undecided, an overflowed NaN determinant included, goes to
+    :func:`in_circumcircle` itself.  Raises DegenerateTriangle for collinear
+    corners when another point exists."""
+    i, j, k = tri
+    a, b, c = points[i], points[j], points[k]
+    turn = orientation(a, b, c)
+    if turn is Orientation.COLLINEAR:  # raises at the first other point
+        return [m for m, d in enumerate(points) if m not in tri and in_circumcircle(a, b, c, d)]
+    ccw = turn is Orientation.CCW
+    (ax, ay), (bx, by), (cx, cy) = a, b, c
+    found = []
+    for m, d in enumerate(points):
+        if m == i or m == j or m == k:
+            continue
+        det, permanent = _incircle_det(ax, ay, bx, by, cx, cy, d[0], d[1])
+        if abs(det) > _INCIRCLE_BOUND * permanent:
+            if (det > 0.0) is ccw:
+                found.append(m)
+        elif in_circumcircle(a, b, c, d):
+            found.append(m)
+    return found
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowed det is left undecided

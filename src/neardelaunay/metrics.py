@@ -40,6 +40,7 @@ from .geom import (
     in_circles,
     in_circumcircle,
     inscribed_circle,
+    inside_circumcircle,
     orientation,
     polygon_area,
 )
@@ -180,19 +181,30 @@ def _shrunk_circle_value(ev: Evaluator, edge: tuple) -> float:
     empty circle), and unbounded edges are dominated by their bounded
     endpoint, so only the maximal circles at Voronoi vertices need testing.
     Those are the circumcircles of the Delaunay triangles, which the
-    evaluator builds once, in the triangles' order.
+    evaluator builds once, keyed by triangle.
+
+    The circles of the edge's own Delaunay triangles, which pass through
+    both ends, go first, and the scan stops once the value is 1.0: the
+    largest overlap does not depend on the order, and the value is capped
+    at 1.0, so no later circle can change it.
     """
     pts = ev.point_set.points
-    if ev._circles is None:
-        triangles = delaunay(ev.point_set).triangles
-        ev._circles = [circumcircle(*map(pts.__getitem__, t)) for t in triangles]
+    dt = ev._delaunay
+    if dt is None:
+        dt = ev._delaunay = delaunay(ev.point_set)
+        ev._circles = {t: circumcircle(*map(pts.__getitem__, t)) for t in dt.triangles}
+    u, v = sorted(edge)
+    own = [ev._circles[tuple(sorted((u, v, w)))] for w in dt.apexes().get((u, v), ())]
     seg = Segment(pts[edge[0]], pts[edge[1]])
     length = math.dist(seg.a, seg.b)
     best = 0.0
-    for circle in ev._circles:
-        overlap = chord_overlap_length(circle, seg)
-        if overlap > best:
-            best = overlap
+    for circles in (own, ev._circles.values()):
+        for circle in circles:
+            overlap = chord_overlap_length(circle, seg)
+            if overlap > best:
+                best = overlap
+                if best / length >= 1.0:
+                    return 1.0
     return min(1.0, max(0.0, best / length))
 
 
@@ -209,16 +221,9 @@ def _segment_area_on_side(circle: Circle, a: Point, b: Point, side: Orientation)
     return circular_segment_area(circle, Segment(a, b), kind)
 
 
-def _inside_circumcircle(pts: Sequence[Point], tri) -> list[int]:
-    """Indices of the points strictly inside the triangle's circumcircle, by
-    the exact predicate, ascending."""
-    corners = tuple(pts[i] for i in tri)
-    return [i for i, p in enumerate(pts) if i not in tri and in_circumcircle(*corners, p)]
-
-
 def _inside_circumcircles(pts: Sequence[Point], tris) -> list[list[int]]:
-    """:func:`_inside_circumcircle` of each triangle, in one scan of
-    :func:`~neardelaunay.geom.in_circles`."""
+    """:func:`~neardelaunay.geom.inside_circumcircle` of each triangle, in
+    one scan of :func:`~neardelaunay.geom.in_circles`."""
     tris = np.array(tris, dtype=np.intp).reshape(-1, 3)
     inside = in_circles(np.array(pts, dtype=float), tris, np.arange(len(pts))[None, :])
     found = np.nonzero(inside)[1].tolist()
@@ -908,16 +913,18 @@ class Evaluator:
 
     def __init__(self, ps: PointSet):
         self.point_set = ps
-        self._circles: list[Circle] | None = None  # shrunk_circle's empty circles
+        # shrunk_circle's Delaunay triangulation and its empty circles
+        self._delaunay: Triangulation | None = None
+        self._circles: dict[tuple, Circle] | None = None
         self._cache: dict[str, dict] = {m: {} for m in ALL_METRICS}
         self._inside: dict[tuple, list[int]] = {}
 
     def inside(self, tri: tuple) -> list[int]:
-        """:func:`_inside_circumcircle` of a triangle, scanned once for both
-        triangle metrics."""
+        """:func:`~neardelaunay.geom.inside_circumcircle` of a triangle,
+        scanned once for both triangle metrics."""
         found = self._inside.get(tri)
         if found is None:
-            found = self._inside[tri] = _inside_circumcircle(self.point_set.points, tri)
+            found = self._inside[tri] = inside_circumcircle(self.point_set.points, tri)
         return found
 
     def element_value(self, metric: str, element: tuple) -> float:

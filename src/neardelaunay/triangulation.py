@@ -68,14 +68,16 @@ def apex_triangles(apex: ApexMap) -> set[Triple]:
 
 
 class Triangulation:
-    """Immutable triangle set over a PointSet; its apex map is built on first use."""
+    """Immutable triangle set over a PointSet; its apex map, and the
+    quadrilateral elements read from it, are built on first use."""
 
-    __slots__ = ("point_set", "triangles", "_apexes", "_neighbours", "_length", "_degree")
+    __slots__ = ("point_set", "triangles", "_apexes", "_quads", "_neighbours", "_length", "_degree")
 
     def __init__(self, point_set: PointSet, triangles):
         self.point_set = point_set
         self.triangles: tuple[Triple, ...] = _canon_triples(triangles)
         self._apexes: ApexMap | None = None
+        self._quads: tuple[tuple[int, int, int, int], ...] | None = None  # see elements
         self._neighbours: tuple[tuple[int, ...], ...] | None = None
         self._length: float | None = None
         self._degree: int | None = None
@@ -285,9 +287,13 @@ class Decomposition(Enum):
 
 def elements(t: Triangulation, kind: Decomposition) -> tuple:
     """Elements in canonical order: (u, v, p, q) per interior edge uv, p < q
-    checked to lie on opposite sides; (u, v) per edge; or the triangles."""
+    checked to lie on opposite sides; (u, v) per edge; or the triangles.
+    The quadrilaterals are built once per triangulation, so every metric
+    of it shares one tuple per edge; a failed check caches nothing."""
     if kind is Decomposition.QUADRILATERAL:
-        return tuple((q.u, q.v, q.p, q.q) for q in interior_quadrilaterals(t))
+        if t._quads is None:
+            t._quads = tuple((q.u, q.v, q.p, q.q) for q in interior_quadrilaterals(t))
+        return t._quads
     if kind is Decomposition.EDGE:
         return t.edges()
     return t.triangles

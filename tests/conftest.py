@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from neardelaunay.geom import PointSet, is_general_position
+from neardelaunay.geom import PointSet, is_general_position, similarity_transform
 from neardelaunay.pointgen import random_point_set
 
 
@@ -58,3 +58,34 @@ def validated_edge_sets() -> list[PointSet]:
                 xs = [rng.random() for _ in range(n)]
                 sets.append([(x, 0.3 * x + h * rng.uniform(-1, 1)) for x in xs])
     return [ps for ps in map(PointSet, sets) if is_general_position(ps)]
+
+
+def _near_line(offset):
+    """Seven points on a line, 0.1 apart in x, and one midway between two
+    of them, about `offset` of that spacing off the line."""
+    on_line = [(0.1 * i + 0.05, 0.37 * (0.1 * i) + 0.2) for i in range(7)]
+    return on_line + [(0.4, 0.37 * 0.35 + 0.2 + 0.1 * offset)]
+
+
+# Sets for the predicate tests, by family: random, offset by 1e6 and 1e7,
+# circles jittered by 1e-12 to 1e-6, points near a line, exact grids and a
+# set scaled by 1e200, whose products overflow.
+PREDICATE_SETS = {
+    **{f"random{n}": lambda n=n: random_point_set(n, seed=2600 + n).points for n in (4, 7, 10)},
+    **{
+        f"offset{t:g}": lambda t=t: [(x + t, y + t) for x, y in random_point_set(9, seed=2700)]
+        for t in (1e6, 1e7)
+    },
+    **{
+        f"circle{j:g}": lambda j=j: random_jittered_circle(random.Random(f"{j}"), 10, j)
+        for j in (1e-12, 1e-10, 1e-8, 1e-6)
+    },
+    **{f"line{j:g}": lambda j=j: _near_line(j) for j in (1e-10, 1e-8, 1e-6)},
+    # exact collinear triples and exact cocircular quadruples
+    "grid3x3": lambda: [(x, y) for x in range(3) for y in range(3)],
+    "grid4x2": lambda: [(2 * x - 3, y) for x in range(4) for y in range(2)],
+    # products overflow to inf, and det to inf - inf = NaN
+    "overflow1e200": lambda: similarity_transform(
+        random_point_set(9, seed=2800), scale=1e200
+    ).points,
+}

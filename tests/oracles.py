@@ -17,8 +17,10 @@ that fills every value and the bottleneck scan of every row, from before
 the bounded sum search and the bottleneck screen, and the checked
 dual-overlap area with its clipping fallback and the Voronoi-vertex scan of
 shrunk_circle, from before the circumcentre quadrilateral and the
-evaluator's list of Delaunay circumcircles.  ``flip``, which only tests and
-the frozenset walk call, lives here too.
+evaluator's list of Delaunay circumcircles, and the full scan of that list
+and the per-point in-circle loop, from before shrunk_circle's stop at full
+cover and geom's one-triangle in-circle scan.  ``flip``, which only tests
+and the frozenset walk call, lives here too.
 """
 
 from __future__ import annotations
@@ -1323,6 +1325,31 @@ def voronoi_vertex_shrunk_circle(vd, edge) -> float:
     for vert in vd.vertices:
         best = max(best, chord_overlap_length(Circle(vert.point, vert.radius), seg))
     return min(1.0, max(0.0, best / math.dist(seg.a, seg.b)))
+
+
+def full_scan_shrunk_circle(ps: PointSet, edge) -> float:
+    """shrunk_circle as the package computed it from the list of Delaunay
+    circumcircles: the longest chord of the edge in every one of them, in
+    the triangles' order, over the edge length."""
+    pts = ps.points
+    seg = Segment(pts[edge[0]], pts[edge[1]])
+    best = 0.0
+    for t in delaunay(ps).triangles:
+        overlap = chord_overlap_length(circumcircle(*(pts[i] for i in t)), seg)
+        if overlap > best:
+            best = overlap
+    return min(1.0, max(0.0, best / math.dist(seg.a, seg.b)))
+
+
+# --- points inside a circumcircle, one predicate call each ----------------------
+
+
+def per_point_inside_circumcircle(pts, tri) -> list[int]:
+    """Ascending indices of the points strictly inside the triangle's
+    circumcircle, one scalar ``in_circumcircle`` call per other point, as
+    the package listed them before geom's one-triangle scan."""
+    corners = tuple(pts[i] for i in tri)
+    return [i for i, p in enumerate(pts) if i not in tri and in_circumcircle(*corners, p)]
 
 
 # --- triangular lens by area sampling -------------------------------------------

@@ -17,6 +17,7 @@ from neardelaunay.errors import (
 )
 from neardelaunay import geom as geom_module
 from neardelaunay.aggregate import AggregationMode, optimize
+from neardelaunay.delaunay import delaunay
 from neardelaunay.geom import (
     Circle,
     Orientation,
@@ -30,6 +31,7 @@ from neardelaunay.geom import (
     circumcircle,
     in_circumcircle,
     inscribed_circle,
+    inside_circumcircle,
     is_general_position,
     orientation,
     separates,
@@ -40,8 +42,17 @@ from neardelaunay.geom import (
 from neardelaunay.pointgen import random_point_set, wheel_point_set
 from neardelaunay.triangulation import MaxDegree
 
-from conftest import random_jittered_circle
-from oracles import general_position_message, incircle_distance_oracle
+from conftest import (
+    PREDICATE_SETS,
+    jittered_circle_points,
+    random_jittered_circle,
+    validated_edge_sets,
+)
+from oracles import (
+    general_position_message,
+    incircle_distance_oracle,
+    per_point_inside_circumcircle,
+)
 
 
 class TestOrientation:
@@ -139,34 +150,6 @@ class TestInCircumcircle:
             assert in_circumcircle(a, b, c, d) == incircle_distance_oracle(a, b, c, d)
 
 
-def _near_line(offset):
-    """Seven points on a line, 0.1 apart in x, and one midway between two
-    of them, about `offset` of that spacing off the line."""
-    on_line = [(0.1 * i + 0.05, 0.37 * (0.1 * i) + 0.2) for i in range(7)]
-    return on_line + [(0.4, 0.37 * 0.35 + 0.2 + 0.1 * offset)]
-
-
-PREDICATE_SETS = {
-    **{f"random{n}": lambda n=n: random_point_set(n, seed=2600 + n).points for n in (4, 7, 10)},
-    **{
-        f"offset{t:g}": lambda t=t: [(x + t, y + t) for x, y in random_point_set(9, seed=2700)]
-        for t in (1e6, 1e7)
-    },
-    **{
-        f"circle{j:g}": lambda j=j: random_jittered_circle(random.Random(f"{j}"), 10, j)
-        for j in (1e-12, 1e-10, 1e-8, 1e-6)
-    },
-    **{f"line{j:g}": lambda j=j: _near_line(j) for j in (1e-10, 1e-8, 1e-6)},
-    # exact collinear triples and exact cocircular quadruples
-    "grid3x3": lambda: [(x, y) for x in range(3) for y in range(3)],
-    "grid4x2": lambda: [(2 * x - 3, y) for x in range(4) for y in range(2)],
-    # products overflow to inf, and det to inf - inf = NaN
-    "overflow1e200": lambda: similarity_transform(
-        random_point_set(9, seed=2800), scale=1e200
-    ).points,
-}
-
-
 def _calls(monkeypatch, name, run, *args):
     """The arguments of every call of geom's `name` during run(*args), as
     sorted coordinate tuples."""
@@ -247,6 +230,73 @@ class TestArrayPredicates:
             warnings.simplefilter("error")
             geom_module.in_circles(xy, abc, np.arange(len(ps))[None, :])
             optimize(ps, MaxDegree(5), "shrunk_circumcircle", AggregationMode.SUM)
+
+
+class TestInsideCircumcircle:
+    """The one-triangle scan ``==`` the per-point loop of ``in_circumcircle``
+    calls that it replaced, both turns of every triangle, with no warning."""
+
+    @staticmethod
+    def assert_same_scan(pts, tris):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for tri in tris:
+                try:
+                    want = per_point_inside_circumcircle(pts, tri)
+                except DegenerateTriangle:
+                    with pytest.raises(DegenerateTriangle):
+                        inside_circumcircle(pts, tri)
+                else:
+                    assert inside_circumcircle(pts, tri) == want, tri
+
+    @pytest.mark.parametrize("family", PREDICATE_SETS)
+    def test_predicate_sets(self, family):
+        pts = PREDICATE_SETS[family]()
+        self.assert_same_scan(pts, itertools.permutations(range(len(pts)), 3))
+
+    def test_validated_edge_sets(self):
+        for ps in validated_edge_sets():
+            tris = list(itertools.combinations(range(len(ps)), 3))
+            self.assert_same_scan(ps.points, tris + [t[::-1] for t in tris])
+
+    @pytest.mark.parametrize("n", [10, 20, 40, 80])
+    def test_complexity_families(self, n):
+        # the fan and Delaunay triangulations that criterion 10 times
+        ps = jittered_circle_points(n)
+        tris = [(0, i, i + 1) for i in range(1, n - 1)] + list(delaunay(ps).triangles)
+        self.assert_same_scan(ps.points, tris + [t[::-1] for t in tris])
+
+    @pytest.mark.parametrize("family", PREDICATE_SETS)
+    def test_exact_only_where_in_circles_is_undecided(self, family, monkeypatch):
+        pts = PREDICATE_SETS[family]()
+        xy, n = np.array(pts, dtype=float), len(pts)
+        every = np.arange(n)[None, :]
+        exact = 0
+        for tri in itertools.combinations(range(n), 3):
+            if orientation(*(pts[i] for i in tri)) is Orientation.COLLINEAR:
+                continue
+            for turn in (tri, tri[::-1]):
+                # the same points reach the scalar predicate, and exact arithmetic
+                for name in ("in_circumcircle", "_incircle_det_exact"):
+                    scanned = _calls(monkeypatch, name, inside_circumcircle, pts, turn)
+                    screened = _calls(monkeypatch, name, geom_module.in_circles, xy, np.array([turn]), every)
+                    assert scanned == screened, (name, turn)
+                exact += len(scanned)
+        if family in ("circle1e-12", "grid3x3", "overflow1e200"):
+            assert exact  # cocircular, exactly or nearly, or overflowed
+
+    def test_collinear_corners_raise_when_another_point_exists(self):
+        line = [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)]
+        for pts, tri in ((line, (0, 1, 2)), (line, (2, 0, 1)), (line[:2], (0, 1, 1))):
+            assert inside_circumcircle(pts, tri) == per_point_inside_circumcircle(pts, tri) == []
+        raising = [(line, (0, 1, 1))]
+        for other in ((0.0, 1.0), (3.0, 3.0)):
+            raising += [(line + [other], (0, 1, 2)), ([other] + line, (3, 1, 2))]
+        for pts, tri in raising:
+            with pytest.raises(DegenerateTriangle):
+                per_point_inside_circumcircle(pts, tri)
+            with pytest.raises(DegenerateTriangle):
+                inside_circumcircle(pts, tri)
 
 
 class TestCircumcircle:

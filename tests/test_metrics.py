@@ -2,13 +2,19 @@ import itertools
 import math
 import random
 import re
+import warnings
 
 import numpy as np
 import pytest
 
-from neardelaunay import geom, metrics
+from neardelaunay import geom, metrics, triangulation
 from neardelaunay.delaunay import cdt, delaunay, voronoi
-from neardelaunay.errors import MismatchedPointSets, NearDelaunayError, SiteOutsideCircle
+from neardelaunay.errors import (
+    GeneralPositionViolated,
+    MismatchedPointSets,
+    NearDelaunayError,
+    SiteOutsideCircle,
+)
 from neardelaunay.geom import (
     Circle,
     Orientation,
@@ -40,12 +46,19 @@ from neardelaunay.metrics import (
 )
 from neardelaunay.pointgen import long_delaunay_point_set, random_point_set, wheel_point_set
 from neardelaunay.triangulation import (
+    Decomposition,
     Triangulation,
+    elements,
     interior_quadrilaterals,
     triangulation_table,
 )
 
-from conftest import jittered_circle_points, random_jittered_circle, validated_edge_sets
+from conftest import (
+    PREDICATE_SETS,
+    jittered_circle_points,
+    random_jittered_circle,
+    validated_edge_sets,
+)
 from divergence import ALL_PAIRS, score_element
 from oracles import (
     all_pairs_shrunk_circumcircle,
@@ -57,7 +70,9 @@ from oracles import (
     grid_shrunk_circle,
     grid_shrunk_circumcircle,
     lens_arc_oracle,
+    full_scan_shrunk_circle,
     local_voronoi_in_index_order,
+    per_point_inside_circumcircle,
     sampled_triangular_lens,
     voronoi_vertex_shrunk_circle,
 )
@@ -195,6 +210,105 @@ class TestCircumcentreQuadrilateral:
             for t in (delaunay(ps), cdt(ps, required)):
                 for e in t.edges():
                     assert ev.element_value("shrunk_circle", e) == voronoi_vertex_shrunk_circle(vd, e)
+
+
+class TestShrunkCircleScan:
+    """shrunk_circle, which scans the circles of the edge's own Delaunay
+    triangles first and stops at full cover, ``==`` the full scan of every
+    Delaunay circumcircle, both orders of every edge, with no warning."""
+
+    @staticmethod
+    def assert_same_values(ps, edges):
+        ev = Evaluator(ps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for e in edges:
+                for edge in (e, e[::-1]):
+                    assert ev.element_value("shrunk_circle", edge) == full_scan_shrunk_circle(ps, edge), edge
+
+    def test_validated_edge_sets(self):
+        for ps in validated_edge_sets():
+            self.assert_same_values(ps, list(itertools.combinations(range(len(ps)), 2)))
+
+    @pytest.mark.parametrize("n", [10, 20, 40, 80])
+    def test_complexity_families(self, n):
+        # the fan and Delaunay triangulations that criterion 10 times
+        ps = jittered_circle_points(n)
+        fan = Triangulation(ps, [(0, i, i + 1) for i in range(1, n - 1)])
+        self.assert_same_values(ps, sorted(set(fan.edges()) | set(delaunay(ps).edges())))
+
+    @pytest.mark.parametrize("family", PREDICATE_SETS)
+    def test_predicate_sets(self, family):
+        ps = PointSet(PREDICATE_SETS[family]())
+        pairs = list(itertools.combinations(range(len(ps)), 2))
+        if is_general_position(ps):
+            self.assert_same_values(ps, pairs)
+        else:  # no Delaunay circles: both raise
+            with pytest.raises(GeneralPositionViolated):
+                full_scan_shrunk_circle(ps, pairs[0])
+            with pytest.raises(GeneralPositionViolated):
+                metric_value("shrunk_circle", ps, pairs[0])
+
+    def test_stops_at_full_cover(self, monkeypatch):
+        ps = jittered_circle_points(40)
+        dt = delaunay(ps)
+        calls = 0
+        real = metrics.chord_overlap_length
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        monkeypatch.setattr(metrics, "chord_overlap_length", counted)
+        values = Evaluator(ps).values(dt, "shrunk_circle")
+        covered = values.count(1.0)
+        assert covered > len(values) / 2
+        # a covered edge stops within its own two circles, the rest scan all
+        assert calls <= 2 * covered + (len(values) - covered) * (2 + len(dt.triangles))
+
+
+class TestSharedQuadrilaterals:
+    """elements() builds a triangulation's (u, v, p, q) tuples once."""
+
+    def test_repeat_calls_return_the_same_tuples(self):
+        t = delaunay(random_point_set(12, seed=31))
+        first = elements(t, Decomposition.QUADRILATERAL)
+        assert first and elements(t, Decomposition.QUADRILATERAL) is first
+        assert first == tuple((q.u, q.v, q.p, q.q) for q in interior_quadrilaterals(t))
+
+    def test_built_once_through_interior_quadrilaterals(self, monkeypatch):
+        # through the module binding, so a span around it sees the work
+        calls = []
+
+        def counted(t):
+            calls.append(t)
+            return interior_quadrilaterals(t)
+
+        monkeypatch.setattr(triangulation, "interior_quadrilaterals", counted)
+        t = delaunay(random_point_set(12, seed=33))
+        ev = Evaluator(t.point_set)
+        for metric in QUADRILATERAL_METRICS:
+            ev.scores(t, metric)
+        assert calls == [t]
+
+    def test_quadrilateral_metrics_share_their_elements(self):
+        t = delaunay(random_point_set(12, seed=32))
+        ev = Evaluator(t.point_set)
+        scores = [ev.scores(t, metric) for metric in QUADRILATERAL_METRICS]
+        assert len({len(s) for s in scores}) == 1 and scores[0]
+        for same in zip(*scores):
+            assert all(s.element is same[0].element for s in same)
+
+    def test_a_failed_check_caches_nothing(self):
+        # both apexes of interior edge (0, 1) lie above it, every call
+        ps = PointSet([(0, 0), (2, 0), (1, 0.5), (1, 1.7)])
+        t = Triangulation(ps, [(0, 1, 2), (0, 1, 3)])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="opposite sides"):
+                elements(t, Decomposition.QUADRILATERAL)
+            with pytest.raises(ValueError, match="opposite sides"):
+                evaluate(t, "opposing_angles")
 
 
 class TestLens:
@@ -921,7 +1035,7 @@ class TestInCircumcircleScreen:
     @staticmethod
     def assert_same_scan(pts):
         tris = list(itertools.combinations(range(len(pts)), 3))
-        want = [metrics._inside_circumcircle(pts, t) for t in tris]
+        want = [per_point_inside_circumcircle(pts, t) for t in tris]
         assert metrics._inside_circumcircles(pts, tris) == want
 
     @pytest.mark.parametrize("n", range(4, 15))
@@ -951,7 +1065,7 @@ class TestInCircumcircleScreen:
                 got = metrics._inside_circumcircles(pts, tris)
                 for module in (geom, metrics):
                     monkeypatch.setattr(module, "in_circumcircle", scalar)
-                assert got == [metrics._inside_circumcircle(pts, t) for t in tris], (jitter, n)
+                assert got == [per_point_inside_circumcircle(pts, t) for t in tris], (jitter, n)
         assert calls > 0  # some pairs were left to the exact predicate
 
     @pytest.mark.parametrize("n", [7, 8])
