@@ -143,7 +143,7 @@ def _best_sum(
     ids: np.ndarray,
     values: np.ndarray,
     exact: np.ndarray,
-    value_of: Callable[[int], float],
+    fetch: Callable[[np.ndarray], np.ndarray],
     lower_better: bool,
 ) -> int:
     """Row of ``ids`` with the best exact sum (``math.fsum``) of
@@ -151,11 +151,12 @@ def _best_sum(
     ties keep the earliest.
 
     ``values`` holds, per element id, a value where ``exact`` is set and the
-    metric's bound elsewhere; ``value_of(id)`` computes a value.  The search
-    is best first.  While the candidate row with the most optimistic end
-    (see the comment above) holds bounds, their values replace them.  Once
-    that row is exact, the bounds of every remaining candidate are replaced
-    too, and ``math.fsum`` runs on the candidates.  Every step first drops
+    metric's bound elsewhere; ``fetch(ids)`` computes the values of distinct
+    ids, in one call per step.  The search is best first.  While the
+    candidate row with the most optimistic end (see the comment above)
+    holds bounds, their values replace them.  Once that row is exact, the
+    bounds of every remaining candidate are replaced too, and ``math.fsum``
+    runs on the candidates.  Every step first drops
     the rows that can no longer win.  When every entry is a value from the
     start, the first step is the whole search.  A median required-edge
     ``shrunk_circumcircle`` query at n = 12 computes two or three of its
@@ -177,8 +178,7 @@ def _best_sum(
         which = which[~exact[which]]
         if len(which):
             which = np.unique(which)
-            for e in which.tolist():
-                values[e] = sign * value_of(e)
+            values[which] = sign * fetch(which)
             exact[which] = True
         return len(which)
 
@@ -266,11 +266,12 @@ def best_triangulation(
     """Best feasible row of the table; ties keep the canonically earliest.
 
     Values go into one array indexed by element id, gathered per row from
-    it, and only for elements of feasible rows
-    (:meth:`Evaluator.values_by_id`).  The bottleneck scan fills every such
-    element.  The sum passes the metric's ``bound``, so it starts from the
-    bounds of the uncached elements where the metric has one, and computes
-    the values only of the rows that can still win (:func:`_best_sum`).
+    it, and only for the ids of feasible rows, which ``np.bincount`` marks
+    without a sort (:meth:`Evaluator.fill`).  The bottleneck scan fills
+    every such element.  The sum asks for the metric's ``bound``, so it
+    starts from the bounds of the uncached elements where the metric has
+    one, and computes the values only of the rows that can still win
+    (:func:`_best_sum`).
     Raises MismatchedPointSets when the evaluator is over another point set.
     """
     if evaluator.point_set != table.point_set:
@@ -283,17 +284,18 @@ def best_triangulation(
         return None
     ids, element = table.element_ids(m.decomposition)
     ids = ids[feasible]
+    used = np.flatnonzero(np.bincount(ids.ravel()))
+    values = np.zeros(int(used[-1]) + 1 if len(used) else 0)
+    exact = np.ones(len(values), dtype=bool)
+
+    def fill(which: np.ndarray, bound: bool = False):
+        return evaluator.fill(metric, list(map(element, which.tolist())), bound)
+
+    values[used], exact[used] = fill(used, mode is AggregationMode.SUM)
     if mode is AggregationMode.SUM:
-        values, exact = evaluator.values_by_id(metric, ids, element, m.bound)
-
-        def value_of(e: int) -> float:
-            return evaluator.element_value(metric, element(e))
-
-        best = _best_sum(ids, values, exact, value_of, lower_better)
+        best = _best_sum(ids, values, exact, lambda which: fill(which)[0], lower_better)
     else:
-        scores = evaluator.values_by_id(metric, ids, element)[0][ids]
-        del ids
-        best = _best_bottleneck(scores, lower_better)
+        best = _best_bottleneck(values[ids], lower_better)
     return table.triangulation(int(feasible[best]))
 
 

@@ -388,6 +388,11 @@ class PointSet:
     def __repr__(self) -> str:
         return f"PointSet({len(self.points)} points)"
 
+    def validated(self, guard: float = DEGENERACY_GUARD) -> bool:
+        """Whether :func:`validate_general_position` has passed at ``guard``
+        or a stricter one; runs no validation."""
+        return self._gp_guard >= guard
+
     def hull(self) -> tuple[int, ...]:
         """Indices of the convex hull in counterclockwise order."""
         if self._hull is None:
@@ -643,7 +648,7 @@ def validate_general_position(ps: PointSet, guard: float = DEGENERACY_GUARD) -> 
     """
     if not (math.isfinite(guard) and guard >= 0.0):
         raise NearDelaunayError(f"guard must be finite and non-negative, got {guard!r}")
-    if ps._gp_guard >= guard:
+    if ps.validated(guard):
         return
     coords = np.asarray(ps.points, dtype=np.float64)
     # by a power of two, exactly: see the window analysis above _GP_BLOCK

@@ -22,10 +22,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .delaunay import delaunay
+from .delaunay import delaunay as build_delaunay
 from .errors import MismatchedPointSets, NearDelaunayError, SiteOutsideCircle
 from .geom import (
-    DEGENERACY_GUARD,
     Circle,
     Orientation,
     Point,
@@ -180,8 +179,8 @@ def _shrunk_circle_value(ev: Evaluator, edge: tuple) -> float:
     in the centre, and the segment's endpoints are never strictly inside an
     empty circle), and unbounded edges are dominated by their bounded
     endpoint, so only the maximal circles at Voronoi vertices need testing.
-    Those are the circumcircles of the Delaunay triangles, which the
-    evaluator builds once, keyed by triangle.
+    Those are the circumcircles of the Delaunay triangles
+    (:attr:`Evaluator.circles`).
 
     The circles of the edge's own Delaunay triangles, which pass through
     both ends, go first, and the scan stops once the value is 1.0: the
@@ -189,17 +188,14 @@ def _shrunk_circle_value(ev: Evaluator, edge: tuple) -> float:
     at 1.0, so no later circle can change it.
     """
     pts = ev.point_set.points
-    dt = ev._delaunay
-    if dt is None:
-        dt = ev._delaunay = delaunay(ev.point_set)
-        ev._circles = {t: circumcircle(*map(pts.__getitem__, t)) for t in dt.triangles}
+    circles = ev.circles
     u, v = sorted(edge)
-    own = [ev._circles[tuple(sorted((u, v, w)))] for w in dt.apexes().get((u, v), ())]
+    own = [circles[tuple(sorted((u, v, w)))] for w in ev.delaunay.apexes().get((u, v), ())]
     seg = Segment(pts[edge[0]], pts[edge[1]])
     length = math.dist(seg.a, seg.b)
     best = 0.0
-    for circles in (own, ev._circles.values()):
-        for circle in circles:
+    for group in (own, circles.values()):
+        for circle in group:
             overlap = chord_overlap_length(circle, seg)
             if overlap > best:
                 best = overlap
@@ -579,14 +575,14 @@ def _arc_candidates(seg: EllipticalSegment, sides):
 _SHALLOW_SITE = 1e-6
 
 
-def _clip_lists(ps: PointSet, circ: Circle, inside: list[int]) -> list[list[int]]:
+def _clip_lists(ev: Evaluator, circ: Circle, inside: list[int]) -> list[list[int]]:
     """For each inside site, the inside sites that can bound its region of
     the local diagram, as positions in ``inside``.
 
     On a set validated at the default guard these are its neighbours in the
-    Delaunay triangulation of the whole set, by empty circles (see
-    Aurenhammer, "Voronoi diagrams -- a survey of a fundamental geometric
-    data structure", 1991).  Let C be the circumcircle and x a centre whose
+    Delaunay triangulation of the whole set (:attr:`Evaluator.delaunay`), by
+    empty circles (see Aurenhammer, "Voronoi diagrams -- a survey of a
+    fundamental geometric data structure", 1991).  Let C be the circumcircle and x a centre whose
     circle lies inside C, through site s_i:
 
     * Every point strictly inside C is an inside site.  So a circle inside C
@@ -610,8 +606,7 @@ def _clip_lists(ps: PointSet, circ: Circle, inside: list[int]) -> list[list[int]
     in floats the two agree while that margin exceeds rounding.  It did not
     in two cases, which are clipped by every other site instead:
 
-    * sets that fail validation at the default guard (they also have no
-      Delaunay triangulation here);
+    * sets not validated at the default guard, which are not validated here;
     * circles with a site less than ``_SHALLOW_SITE * R`` inside C.  Such a
       site's ellipse is thin (b/a about sqrt(2 depth)).  On nearly
       cocircular sets that pass the guard, neighbour lists dropped or
@@ -620,15 +615,12 @@ def _clip_lists(ps: PointSet, circ: Circle, inside: list[int]) -> list[list[int]
 
     Elsewhere the diagrams are checked ``==`` to clipping by every site."""
     o, big_r = circ
-    pts = ps.points
-    if ps._gp_guard < DEGENERACY_GUARD or any(
+    pts = ev.point_set.points
+    if not ev.point_set.validated() or any(
         math.dist(o, pts[g]) > (1.0 - _SHALLOW_SITE) * big_r for g in inside
     ):
         return _every_other(len(inside))
-    # delaunay(ps) keeps its triangulation on the set; read it back without
-    # a call per triangle.
-    dt = ps._delaunay if ps._delaunay is not None else delaunay(ps)
-    adjacent = dt.neighbours()
+    adjacent = ev.delaunay.neighbours()
     position = {g: i for i, g in enumerate(inside)}
     return [[position[h] for h in adjacent[g] if h in position] for g in inside]
 
@@ -640,15 +632,14 @@ def _shrunk_circumcircle_value(ev: Evaluator, tri: tuple) -> float:
     The sites are those :meth:`Evaluator.inside` the circumcircle.  Their
     local diagram clips each site by its Delaunay neighbours among them
     (:func:`_clip_lists`)."""
-    ps = ev.point_set
-    pts = ps.points
+    pts = ev.point_set.points
     inside = ev.inside(tri)
     if not inside:
         return 1.0
     corners = tuple(pts[i] for i in tri)
     circ = circumcircle(*corners)
     return _largest_contained_circle(
-        corners, _local_voronoi(circ, [pts[i] for i in inside], _clip_lists(ps, circ, inside))
+        corners, _local_voronoi(circ, [pts[i] for i in inside], _clip_lists(ev, circ, inside))
     )
 
 
@@ -828,13 +819,13 @@ class Metric:
     ``bound``, where a metric has one, is a cheaper function of (evaluator,
     element) that is never worse than the value: at least the value when
     higher is better, at most it when lower is better.  The sum search
-    gathers it by :meth:`Evaluator.values_by_id` and computes values only
-    where that bound cannot settle a row.
+    gathers it by :meth:`Evaluator.fill` and computes values only where that
+    bound cannot settle a row.
 
     ``zero_outside`` marks a quadrilateral metric whose value is exactly 0.0
     when q is not strictly inside the circumcircle of (u, v, p);
-    :meth:`Evaluator.values_by_id` settles those elements by one batched
-    in-circle screen."""
+    :meth:`Evaluator.fill` settles those elements by one batched in-circle
+    screen."""
 
     name: str
     decomposition: Decomposition
@@ -906,18 +897,32 @@ class Evaluator:
     and quadrilateral scores only on the four defining points, so scores are
     shared across all triangulations of the same point set.  This is what
     makes exhaustive optimization cheap.  Besides the values it keeps the
-    points inside each triangle's circumcircle (:meth:`inside`) and the
-    circumcircles of the Delaunay triangles, which ``shrunk_circle`` scans;
+    points inside each triangle's circumcircle (:meth:`inside`) and owns
+    the Delaunay triangulation and its circumcircles, built on first read;
     it builds no Voronoi diagram.
     """
 
     def __init__(self, ps: PointSet):
         self.point_set = ps
-        # shrunk_circle's Delaunay triangulation and its empty circles
         self._delaunay: Triangulation | None = None
         self._circles: dict[tuple, Circle] | None = None
         self._cache: dict[str, dict] = {m: {} for m in ALL_METRICS}
         self._inside: dict[tuple, list[int]] = {}
+
+    @property
+    def delaunay(self) -> Triangulation:
+        """The Delaunay triangulation of the point set."""
+        if self._delaunay is None:
+            self._delaunay = build_delaunay(self.point_set)
+        return self._delaunay
+
+    @property
+    def circles(self) -> dict[tuple, Circle]:
+        """The circumcircles of the Delaunay triangles, keyed by triangle."""
+        if self._circles is None:
+            pts = self.point_set.points
+            self._circles = {t: circumcircle(*map(pts.__getitem__, t)) for t in self.delaunay.triangles}
+        return self._circles
 
     def inside(self, tri: tuple) -> list[int]:
         """:func:`~neardelaunay.geom.inside_circumcircle` of a triangle,
@@ -939,29 +944,23 @@ class Evaluator:
             value = cache[element] = _BY_NAME[metric].value(self, element)
         return value
 
-    def values_by_id(
-        self, metric: str, ids: np.ndarray, element, bound=None
+    def fill(
+        self, metric: str, keys: Sequence[tuple], bound: bool = False
     ) -> tuple[np.ndarray, np.ndarray]:
-        """One float array indexed by element id, and a mask of its exact
-        entries.  Entry e is the value of ``element(e)`` for every id e in
-        ``ids`` (non-negative integers, any shape), 0 for the ids not in it;
-        given the metric's ``bound``, an uncached element gets its bound
-        instead, False in the mask.  ``np.bincount`` marks the ids used, so
-        ``values[ids]`` gathers per-row values without a sort.
+        """The values of ``keys``, elements in the form
+        ``triangulation.elements`` gives, in order, and a mask of the exact
+        ones.  With ``bound``, an uncached key of a metric that has a bound
+        gets its bound instead, False in the mask.
 
-        Each used id is decoded once.  Before any value or bound, one
-        batched screen (:func:`~neardelaunay.geom.in_circles`) fills
-        :meth:`inside` for the uncached triangles of a triangle metric, and
-        caches 0.0 for each uncached quadrilateral of a ``zero_outside``
-        metric whose q is not inside the circumcircle of (u, v, p).  Both
-        give what the scalar scans give, so the values are the same."""
+        Before any value or bound, one batched screen
+        (:func:`~neardelaunay.geom.in_circles`) fills :meth:`inside` for the
+        uncached keys of a triangle metric, and caches 0.0 for each uncached
+        quadrilateral of a ``zero_outside`` metric whose q is not inside the
+        circumcircle of (u, v, p).  Both give what the scalar scans give, so
+        the values are the same."""
         m = lookup_metric(metric)
         cache = self._cache[metric]
         pts = self.point_set.points
-        used = np.flatnonzero(np.bincount(ids.ravel()))
-        values = np.zeros(int(used[-1]) + 1 if len(used) else 0)
-        exact = np.ones(len(values), dtype=bool)
-        keys = [element(e) for e in used.tolist()]
         fresh = [key for key in keys if key not in cache]
         if m.decomposition is _TRI:
             fresh = [key for key in fresh if key not in self._inside]
@@ -972,14 +971,12 @@ class Evaluator:
             inside = in_circles(np.array(pts, dtype=float), quads[:, :3], quads[:, 3:])[:, 0]
             for i in np.flatnonzero(~inside).tolist():
                 cache[fresh[i]] = 0.0
-        if bound is None:
-            values[used] = [self.element_value(metric, key) for key in keys]
-        else:
-            exact[used] = known = [key in cache for key in keys]
-            values[used] = [
-                cache[key] if ok else bound(self, key) for key, ok in zip(keys, known)
-            ]
-        return values, exact
+        exact = [not bound or m.bound is None or key in cache for key in keys]
+        values = [
+            self.element_value(metric, key) if ok else m.bound(self, key)
+            for key, ok in zip(keys, exact)
+        ]
+        return np.array(values, dtype=float), np.array(exact, dtype=bool)
 
     def scores(self, t: Triangulation, metric: str) -> list[ElementScore]:
         if t.point_set != self.point_set:

@@ -71,7 +71,7 @@ class Triangulation:
     """Immutable triangle set over a PointSet; its apex map, and the
     quadrilateral elements read from it, are built on first use."""
 
-    __slots__ = ("point_set", "triangles", "_apexes", "_quads", "_neighbours", "_length", "_degree")
+    __slots__ = ("point_set", "triangles", "_apexes", "_quads", "_neighbours", "_length")
 
     def __init__(self, point_set: PointSet, triangles):
         self.point_set = point_set
@@ -80,7 +80,6 @@ class Triangulation:
         self._quads: tuple[tuple[int, int, int, int], ...] | None = None  # see elements
         self._neighbours: tuple[tuple[int, ...], ...] | None = None
         self._length: float | None = None
-        self._degree: int | None = None
 
     def apexes(self) -> ApexMap:
         """Sorted edge -> opposite vertices, ascending (:func:`apex_map`)."""
@@ -312,13 +311,7 @@ def total_edge_length(t: Triangulation) -> float:
 
 
 def max_degree(t: Triangulation) -> int:
-    if t._degree is None:
-        deg: dict[int, int] = {}
-        for i, j in t.apexes():
-            deg[i] = deg.get(i, 0) + 1
-            deg[j] = deg.get(j, 0) + 1
-        t._degree = max(deg.values())
-    return t._degree
+    return max(map(len, t.neighbours()))
 
 
 def satisfies(t: Triangulation, c: Constraint, dt_length: float) -> bool:

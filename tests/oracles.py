@@ -896,7 +896,7 @@ def unscreened_best_bottleneck(scores: np.ndarray, lower_better: bool) -> int:
 
 def full_fill_best_triangulation(table, constraint, metric, mode, evaluator):
     """best_triangulation with the value of every element of the feasible
-    rows (Evaluator.values_by_id) and the two searches above."""
+    rows, one Evaluator.element_value per id, and the two searches above."""
     lower_better = lookup_metric(metric).orientation is ScoreOrientation.LOWER_BETTER
     dt_length = total_edge_length(delaunay(table.point_set))
     feasible = np.flatnonzero(feasible_rows(table, constraint, dt_length))
@@ -904,7 +904,8 @@ def full_fill_best_triangulation(table, constraint, metric, mode, evaluator):
         return None
     ids, element = table.element_ids(lookup_metric(metric).decomposition)
     ids = ids[feasible]
-    scores = evaluator.values_by_id(metric, ids, element)[0][ids]
+    values = {e: evaluator.element_value(metric, element(e)) for e in np.unique(ids).tolist()}
+    scores = np.array([[values[e] for e in row] for row in ids.tolist()], dtype=float)
     if mode is AggregationMode.SUM:
         best = filtered_best_sum(scores, lower_better)
     else:

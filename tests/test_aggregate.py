@@ -620,11 +620,11 @@ class TestBestSum:
                 exact = start_exact.copy()
                 asked = []
 
-                def value_of(e):
-                    asked.append(e)
-                    return true[e]
+                def fetch(which):
+                    asked.extend(which.tolist())
+                    return true[which]
 
-                got = aggregate._best_sum(ids, values, exact, value_of, lower_better)
+                got = aggregate._best_sum(ids, values, exact, fetch, lower_better)
                 assert got == scan_best_sum(true[ids], lower_better), lower_better
                 assert len(asked) == len(set(asked)) and not start_exact[asked].any()
                 computed += len(asked)

@@ -63,3 +63,48 @@ def test_every_private_helper_is_used():
                 if name.startswith("_") and not name.startswith("__") and name not in elsewhere
             ]
     assert unused == []
+
+
+def _own_attributes(tree):
+    """The underscore attributes a module defines: slots, ``self._x``
+    assignments and class members."""
+    own = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for top in node.body:
+                own.update(_bound_names(top))
+                if isinstance(top, ast.Assign) and "__slots__" in _bound_names(top):
+                    own.update(c.value for c in ast.walk(top.value) if isinstance(c, ast.Constant))
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+        ):
+            own.add(node.attr)
+    return {name for name in own if isinstance(name, str) and name.startswith("_")}
+
+
+# delaunay.delaunay keeps the triangulation it builds on the PointSet, so
+# every caller of one set shares one construction; geom declares the slot.
+SHARED_ATTRIBUTES = {("delaunay.py", "_delaunay")}
+
+
+def test_no_private_attribute_crosses_a_module():
+    # an underscore attribute read or written through any name but self or
+    # cls belongs to a class of the same module
+    crossing = []
+    for path in sorted((SRC / "neardelaunay").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        own = _own_attributes(tree)
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr.startswith("_")
+                and not node.attr.startswith("__")
+                and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+                and node.attr not in own
+                and (path.name, node.attr) not in SHARED_ATTRIBUTES
+            ):
+                crossing.append(f"{path.name}:{node.lineno}: {node.attr}")
+    assert crossing == []

@@ -962,7 +962,7 @@ class TestEvaluate:
         with pytest.raises(NearDelaunayError, match=re.escape(f"unknown metric {name!r}")):
             ev.element_value(name, (0, 1))
         with pytest.raises(NearDelaunayError, match=re.escape(f"unknown metric {name!r}")):
-            ev.values_by_id(name, np.array([0]), lambda e: (0, 1))
+            ev.fill(name, [(0, 1)])
 
     @pytest.mark.parametrize("metric", QUADRILATERAL_METRICS)
     def test_same_side_apexes_rejected(self, metric):
@@ -972,60 +972,65 @@ class TestEvaluate:
             evaluate(Triangulation(ps, [(0, 1, 2), (0, 1, 3)]), metric)
 
 
-class TestValuesById:
-    """Evaluator.values_by_id with and without the metric's bound, on the
-    triangle ids of a table's rows: 2-D, each id repeated across rows."""
+class TestFill:
+    """Evaluator.fill with and without the metric's bound, on the triangles
+    of a table's rows, some of them cached."""
 
     METRIC = "shrunk_circumcircle"  # the metric with a bound
 
     @pytest.fixture(scope="class")
-    def table(self):
-        return triangulation_table(random_point_set(8, seed=95))
+    def keys(self):
+        table = triangulation_table(random_point_set(8, seed=95))
+        return table.point_set, [table.triangles[e] for e in np.unique(table.rows).tolist()]
 
-    def test_values_without_bound(self, table):
-        element = table.triangles.__getitem__
-        values, exact = Evaluator(table.point_set).values_by_id(self.METRIC, table.rows, element)
-        used = set(table.rows.ravel().tolist())
-        assert len(values) == len(exact) == max(used) + 1
+    def test_values_without_bound(self, keys):
+        ps, keys = keys
+        values, exact = Evaluator(ps).fill(self.METRIC, keys)
+        assert values.shape == exact.shape == (len(keys),) and exact.all()
+        fresh = Evaluator(ps)
+        assert values.tolist() == [fresh.element_value(self.METRIC, key) for key in keys]
+
+    def test_bound_in_place_of_uncached_values(self, keys):
+        ps, keys = keys
+        ev = Evaluator(ps)
+        cached = set(keys[::3])
+        for key in cached:
+            ev.element_value(self.METRIC, key)
+        bound = lookup_metric(self.METRIC).bound
+        values, exact = ev.fill(self.METRIC, keys, bound=True)
+        assert exact.tolist() == [key in cached for key in keys]
+        fresh = Evaluator(ps)
+        want = [fresh.element_value(self.METRIC, key) for key in keys]
+        below_one = 0
+        for key, got, value in zip(keys, values.tolist(), want):
+            if key in cached:
+                assert got == value
+            else:
+                assert got == bound(fresh, key) >= value  # higher is better
+                below_one += got < 1.0
+        assert below_one  # some bound is not the trivial 1
+        # a bound is never cached as a value
+        values, exact = ev.fill(self.METRIC, keys)
+        assert exact.all() and values.tolist() == want
+
+    @pytest.mark.parametrize("metric", ["lens", "triangular_lens", "dual_edge_ratio"])
+    def test_bound_of_a_metric_without_one(self, metric):
+        table = triangulation_table(random_point_set(7, seed=96))
+        ids, element = table.element_ids(lookup_metric(metric).decomposition)
+        keys = [element(e) for e in np.unique(ids).tolist()]
+        values, exact = Evaluator(table.point_set).fill(metric, keys, bound=True)
         assert exact.all()
         fresh = Evaluator(table.point_set)
-        for e, value in enumerate(values.tolist()):
-            assert value == (fresh.element_value(self.METRIC, element(e)) if e in used else 0.0)
-
-    def test_bound_in_place_of_uncached_values(self, table):
-        element = table.triangles.__getitem__
-        ev = Evaluator(table.point_set)
-        used = sorted(set(table.rows.ravel().tolist()))
-        cached = set(used[::3])
-        for e in cached:
-            ev.element_value(self.METRIC, element(e))
-        bound = lookup_metric(self.METRIC).bound
-        values, exact = ev.values_by_id(self.METRIC, table.rows, element, bound)
-        assert exact.tolist() == [e not in used or e in cached for e in range(len(values))]
-        fresh = Evaluator(table.point_set)
-        below_one = 0
-        for e in used:
-            value = fresh.element_value(self.METRIC, element(e))
-            if e in cached:
-                assert values[e] == value
-            else:
-                assert values[e] == bound(fresh, element(e)) >= value  # higher is better
-                below_one += values[e] < 1.0
-        assert below_one  # some bound is not the trivial 1
+        assert values.tolist() == [fresh.element_value(metric, key) for key in keys]
 
     @pytest.mark.parametrize("bounded", [False, True])
-    def test_few_and_no_ids(self, table, bounded):
-        element = table.triangles.__getitem__
-        ev = Evaluator(table.point_set)
-        bound = lookup_metric(self.METRIC).bound if bounded else None
-        values, exact = ev.values_by_id(
-            self.METRIC, np.array([[7, 3], [7, 7]], dtype=np.int16), element, bound
-        )
-        assert len(values) == 8 and values[[0, 1, 2, 4, 5, 6]].tolist() == [0.0] * 6
-        assert exact.tolist() == [True] * 3 + [not bounded] + [True] * 3 + [not bounded]
-        values, exact = ev.values_by_id(
-            self.METRIC, np.zeros((0, 6), dtype=np.int16), element, bound
-        )
+    def test_few_and_no_keys(self, keys, bounded):
+        ps, keys = keys
+        ev = Evaluator(ps)
+        values, exact = ev.fill(self.METRIC, [keys[7], keys[3], keys[7]], bounded)
+        assert exact.tolist() == [not bounded] * 3
+        assert values[0] == values[2]
+        values, exact = ev.fill(self.METRIC, [], bounded)
         assert values.shape == exact.shape == (0,)
 
 
@@ -1073,14 +1078,15 @@ class TestInCircumcircleScreen:
     def test_screened_quadrilateral_values(self, n, metric):
         table = triangulation_table(random_point_set(n, seed=1700 + n))
         ids, element = table.element_ids(lookup_metric(metric).decomposition)
-        values, exact = Evaluator(table.point_set).values_by_id(metric, ids, element)
+        keys = [element(code) for code in np.unique(ids).tolist()]
+        values, exact = Evaluator(table.point_set).fill(metric, keys)
         assert exact.all()
         value = lookup_metric(metric).value
         fresh = Evaluator(table.point_set)
         zeros = 0
-        for code in set(ids.ravel().tolist()):
-            assert values[code] == value(fresh, element(code))
-            zeros += values[code] == 0.0
+        for key, got in zip(keys, values.tolist()):
+            assert got == value(fresh, key)
+            zeros += got == 0.0
         assert zeros  # the screen settled some quadrilaterals
 
     def test_cold_fill_needs_no_scalar_in_circle(self, monkeypatch):
@@ -1099,8 +1105,9 @@ class TestInCircumcircleScreen:
             monkeypatch.setattr(module, "in_circumcircle", counted)
         m = lookup_metric("shrunk_circumcircle")
         ev = Evaluator(table.point_set)
-        values, exact = ev.values_by_id(m.name, table.rows, table.triangles.__getitem__, m.bound)
-        assert len(ev._inside) == len(set(table.rows.ravel().tolist())) > 100
+        keys = [table.triangles[e] for e in np.unique(table.rows).tolist()]
+        ev.fill(m.name, keys, bound=True)
+        assert len(ev._inside) == len(keys) > 100
         assert calls == 0
 
 
