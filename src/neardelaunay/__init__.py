@@ -3,10 +3,8 @@ and find the most Delaunay-like triangulation under constraints."""
 
 from .aggregate import (
     AggregationMode,
-    Comparison,
     ScoreVector,
     aggregate_sum,
-    compare_bottleneck_lex,
     optimize,
 )
 from .delaunay import VoronoiDiagram, VoronoiEdge, VoronoiVertex, cdt, delaunay, voronoi
@@ -15,9 +13,7 @@ from .errors import (
     DegenerateTriangle,
     EnumerationTooLarge,
     GeneralPositionViolated,
-    IncomparableScores,
     InvalidConstraintEdges,
-    InvalidScale,
     MismatchedPointSets,
     NearDelaunayError,
     NotAChord,
@@ -41,7 +37,6 @@ from .geom import (
     inscribed_circle,
     is_general_position,
     orientation,
-    similarity_transform,
     validate_general_position,
 )
 from .metrics import (
@@ -55,7 +50,6 @@ from .metrics import (
     LocalVoronoiDiagram,
     ScoreOrientation,
     evaluate,
-    local_voronoi,
 )
 from .pointgen import (
     long_delaunay_point_set,

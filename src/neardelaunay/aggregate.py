@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .delaunay import cdt, delaunay, normalize_edges
-from .errors import IncomparableScores, MismatchedPointSets, NearDelaunayError
+from .errors import MismatchedPointSets, NearDelaunayError
 from .geom import PointSet
 from .metrics import Evaluator, ScoreOrientation, lookup_metric
 from .triangulation import (
@@ -24,11 +24,9 @@ from .triangulation import (
     Constraint,
     RequiredEdges,
     Triangulation,
-    TriangulationTable,
     check_enumeration_cap,
     feasible_rows,
     total_edge_length,
-    triangulation_table,
 )
 
 # Lexicographic comparisons treat element values within this absolute
@@ -44,12 +42,6 @@ class AggregationMode(Enum):
     def _missing_(cls, value):
         """AggregationMode(name) rejects an unknown name as a package error."""
         raise NearDelaunayError(f"unknown mode {value!r}")
-
-
-class Comparison(Enum):
-    A_CLOSER = "a_closer"
-    B_CLOSER = "b_closer"
-    EQUAL = "equal"
 
 
 @dataclass(frozen=True)
@@ -90,23 +82,6 @@ def comparison(ps: PointSet, constraint: Constraint) -> tuple[str, Triangulation
     if isinstance(constraint, RequiredEdges):
         return "cdt", cdt(ps, sorted(constraint.edges))
     return "delaunay", delaunay(ps)
-
-
-def compare_bottleneck_lex(a: ScoreVector, b: ScoreVector) -> Comparison:
-    """Worst element first; the first entry differing by more than the
-    tolerance decides, the better value winning."""
-    if a.metric != b.metric or len(a.values) != len(b.values):
-        raise IncomparableScores(
-            f"cannot compare {a.metric} ({len(a.values)}) with {b.metric} ({len(b.values)})"
-        )
-    lower_better = a.orientation is ScoreOrientation.LOWER_BETTER
-    for x, y in zip(a.worst_first(), b.worst_first()):
-        if abs(x - y) <= LEX_TOLERANCE:
-            continue
-        if (x < y) == lower_better:
-            return Comparison.A_CLOSER
-        return Comparison.B_CLOSER
-    return Comparison.EQUAL
 
 
 # The candidate filter of _best_sum.  Take a row of k finite values x_j with
@@ -207,8 +182,10 @@ def _best_sum(
 
 
 def _best_bottleneck(scores: np.ndarray, lower_better: bool) -> int:
-    """The scan of compare_bottleneck_lex over the rows: a later row replaces
-    the best only when closer, so ties keep the earliest.
+    """Row whose values, sorted worst first, compare best: the first entry
+    that differs from the best row's by more than ``LEX_TOLERANCE`` decides,
+    the better value winning.  The rows are scanned in order and a later row
+    replaces the best only when closer, so ties keep the earliest.
 
     A screen first drops the rows that can never replace the best.  Row j
     replaces it only when its worst entry is better, or within the
@@ -257,13 +234,13 @@ def _best_bottleneck(scores: np.ndarray, lower_better: bool) -> int:
 
 
 def best_triangulation(
-    table: TriangulationTable,
+    evaluator: Evaluator,
     constraint: Constraint,
     metric: str,
     mode: AggregationMode,
-    evaluator: Evaluator,
 ) -> Triangulation | None:
-    """Best feasible row of the table; ties keep the canonically earliest.
+    """Best feasible row of the evaluator's table (:meth:`Evaluator.table`);
+    ties keep the canonically earliest.
 
     Values go into one array indexed by element id, gathered per row from
     it, and only for the ids of feasible rows, which ``np.bincount`` marks
@@ -272,13 +249,11 @@ def best_triangulation(
     starts from the bounds of the uncached elements where the metric has
     one, and computes the values only of the rows that can still win
     (:func:`_best_sum`).
-    Raises MismatchedPointSets when the evaluator is over another point set.
     """
-    if evaluator.point_set != table.point_set:
-        raise MismatchedPointSets("the evaluator is not over the table's point set")
     m = lookup_metric(metric)
     lower_better = m.orientation is ScoreOrientation.LOWER_BETTER
-    dt_length = total_edge_length(delaunay(table.point_set))
+    table = evaluator.table()
+    dt_length = total_edge_length(evaluator.delaunay)
     feasible = np.flatnonzero(feasible_rows(table, constraint, dt_length))
     if not len(feasible):
         return None
@@ -299,19 +274,10 @@ def best_triangulation(
     return table.triangulation(int(feasible[best]))
 
 
-# The table of the most recently optimized point set, so that repeated
-# queries on one set share one enumeration while memory holds one table.
-_last_table: TriangulationTable | None = None
-
-
-def _table_for(ps: PointSet, cap: int) -> TriangulationTable:
-    global _last_table
-    check_enumeration_cap(len(ps), cap)
-    table = _last_table
-    if table is None or table.point_set != ps:
-        table = _last_table = None  # release the old table before building the next
-        table = _last_table = triangulation_table(ps, cap)
-    return table
+# The evaluator of the most recently optimized point set, so that repeated
+# queries on one set share one enumeration and one value cache while memory
+# holds one table.
+_last_evaluator: Evaluator | None = None
 
 
 def optimize(
@@ -326,12 +292,21 @@ def optimize(
 
     Returns None when no triangulation satisfies the constraint.  The result
     is deterministic: score ties are broken by canonical triangle-set order.
-    The triangulation table of the most recent point set is kept, so
-    repeated queries on one set enumerate it once.
+    Without an ``evaluator``, the one of the most recent point set is kept,
+    so repeated queries on one set enumerate it once; one that is passed is
+    used but not kept.  Raises MismatchedPointSets when it is over another
+    point set.
     """
+    global _last_evaluator
     # an unknown metric or a bad required edge fails before the enumeration
     lookup_metric(metric)
     normalize_edges(ps, constraint.edges)
+    check_enumeration_cap(len(ps), cap)
     if evaluator is None:
-        evaluator = Evaluator(ps)
-    return best_triangulation(_table_for(ps, cap), constraint, metric, mode, evaluator)
+        if _last_evaluator is None or _last_evaluator.point_set != ps:
+            _last_evaluator = Evaluator(ps)  # drops the old table before the next is built
+        evaluator = _last_evaluator
+    elif evaluator.point_set != ps:
+        raise MismatchedPointSets("the evaluator is not over the point set")
+    evaluator.table(cap)
+    return best_triangulation(evaluator, constraint, metric, mode)

@@ -17,10 +17,6 @@ class NotAChord(NearDelaunayError):
     """A segment endpoint does not lie on the circle boundary."""
 
 
-class InvalidScale(NearDelaunayError):
-    """A similarity transform was requested with a non-positive scale."""
-
-
 class GeneralPositionViolated(NearDelaunayError):
     """A point set has a (near-)collinear triple or (near-)cocircular quadruple."""
 
@@ -35,10 +31,6 @@ class EnumerationTooLarge(NearDelaunayError):
 
 class MismatchedPointSets(NearDelaunayError):
     """Two triangulations over different point sets were combined."""
-
-
-class IncomparableScores(NearDelaunayError):
-    """Score vectors for different metrics or decompositions were compared."""
 
 
 class SiteOutsideCircle(NearDelaunayError):

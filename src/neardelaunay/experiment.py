@@ -53,7 +53,6 @@ from .aggregate import (
     best_triangulation,
     comparison as comparison_for,
 )
-from .delaunay import delaunay
 from .errors import NearDelaunayError
 from .fileio import parse_points
 from .geom import PointSet
@@ -72,7 +71,6 @@ from .triangulation import (
     edge_diff,
     parse_constraint,
     strict_index,
-    triangulation_table,
 )
 
 CONSTRAINT_LABELS = {
@@ -193,10 +191,11 @@ def run_experiment(
     for idx, entry in enumerate(set_entries):
         name = entry.get("name", f"set{idx}")
         ps = _load_point_set(entry, base_dir)
-        table = triangulation_table(ps)
+        evaluator = Evaluator(ps)
+        table = evaluator.table()
         for kind in kinds:  # every cell reads its metric's id column: derive it with the table
             table.element_ids(kind)
-        sets.append((name, entry, ps, table, Evaluator(ps)))
+        sets.append((name, entry, evaluator))
         report["point_sets"].append(
             {
                 "name": name,
@@ -213,10 +212,10 @@ def run_experiment(
     for centry in constraint_entries:
         kind = centry.get("type")
         label = CONSTRAINT_LABELS.get(kind, kind) if isinstance(kind, str) else None
-        for idx, (name, entry, ps, table, evaluator) in enumerate(sets):
+        for idx, (name, entry, evaluator) in enumerate(sets):
             try:
-                constraint = _constraint(centry, entry, ps)
-                comparison_name, comparison = comparison_for(ps, constraint)
+                constraint = _constraint(centry, entry, evaluator.point_set)
+                comparison_name, comparison = comparison_for(evaluator.point_set, constraint)
                 failed = None
             except NearDelaunayError as exc:  # every cell of this set records it
                 failed = str(exc)
@@ -237,12 +236,12 @@ def run_experiment(
                     error = failed
                     if error is None:
                         try:
-                            best = best_triangulation(table, constraint, metric, mode, evaluator)
+                            best = best_triangulation(evaluator, constraint, metric, mode)
                             svg_name = f"{label}{idx}{mode.value}_{metric}.svg"
                             if best is None:
                                 cell["status"] = "no_feasible"
                                 # show the Delaunay triangulation in place of a result
-                                (out_dir / svg_name).write_text(render_svg(delaunay(ps)))
+                                (out_dir / svg_name).write_text(render_svg(evaluator.delaunay))
                                 results[metric] = None
                             else:
                                 sv = ScoreVector.from_scores(

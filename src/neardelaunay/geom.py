@@ -25,7 +25,6 @@ from .errors import (
     DegeneratePoints,
     DegenerateTriangle,
     GeneralPositionViolated,
-    InvalidScale,
     NearDelaunayError,
     NotAChord,
 )
@@ -417,31 +416,6 @@ def convex_hull(points: Sequence[Point]) -> tuple[int, ...]:
     lower = build(order)
     upper = build(reversed(order))
     return tuple(lower[:-1] + upper[:-1])
-
-
-def similarity_transform(
-    ps: PointSet,
-    rotation: float = 0.0,
-    scale: float = 1.0,
-    translation: Sequence[float] = (0.0, 0.0),
-    reflect: bool = False,
-) -> PointSet:
-    """Apply reflect (across the x-axis), then rotate, scale and translate."""
-    if not (scale > 0.0) or not math.isfinite(scale):
-        raise InvalidScale(f"scale must be positive, got {scale}")
-    cos_r, sin_r = math.cos(rotation), math.sin(rotation)
-    tx, ty = float(translation[0]), float(translation[1])
-    out = []
-    for x, y in ps:
-        if reflect:
-            y = -y
-        out.append(
-            Point(
-                scale * (cos_r * x - sin_r * y) + tx,
-                scale * (sin_r * x + cos_r * y) + ty,
-            )
-        )
-    return PointSet(out)
 
 
 # General position: one scan of the lexicographic triple table.

@@ -43,7 +43,8 @@ from .geom import (
     orientation,
     polygon_area,
 )
-from .triangulation import Decomposition, Triangulation, elements
+from .triangulation import DEFAULT_ENUMERATION_CAP, Decomposition, Triangulation, elements
+from .triangulation import TriangulationTable, triangulation_table
 
 TWO_PI = 2.0 * math.pi
 _EPS = float(np.finfo(float).eps)
@@ -374,15 +375,6 @@ def _ellipse_halfplane_arcs(ell: Ellipse, n, c):
     return arcs
 
 
-def local_voronoi(c: Circle, inside_sites: Sequence[Point]) -> LocalVoronoiDiagram:
-    """Locus of centers of maximal circles empty of the sites and contained
-    in the given circle: elliptical arcs (circle boundary vs one site) and
-    straight bisector pieces (two sites).  Every site is clipped by every
-    other, so the sites need not be in general position;
-    ``shrunk_circumcircle`` clips by Delaunay neighbours only."""
-    return _local_voronoi(c, inside_sites, _every_other(len(inside_sites)))
-
-
 def _site_distances(c: Circle, sites: Sequence[Point]) -> list[float]:
     """The distance from the circle's centre to each site.  Raises
     SiteOutsideCircle for the first site whose float distance exceeds
@@ -404,9 +396,12 @@ def _every_other(k: int) -> list[list[int]]:
 
 
 def _local_voronoi(c: Circle, inside_sites: Sequence[Point], neighbours) -> LocalVoronoiDiagram:
-    """:func:`local_voronoi` with site i clipped only by the sites in
-    ``neighbours[i]`` (a symmetric relation), and a straight piece built only
-    for a pair i < j with j in ``neighbours[i]``."""
+    """Locus of centers of maximal circles empty of the sites and contained
+    in the circle ``c``: elliptical arcs (circle boundary vs one site) and
+    straight bisector pieces (two sites).  Site i is clipped only by the
+    sites in ``neighbours[i]`` (a symmetric relation), and a straight piece
+    is built only for a pair i < j with j in ``neighbours[i]``.  Clipped by
+    every other site, the sites need not be in general position."""
     o, big_r = c
     sites = tuple(Point(float(p[0]), float(p[1])) for p in inside_sites)
     _site_distances(c, sites)
@@ -897,24 +892,30 @@ class Evaluator:
     and quadrilateral scores only on the four defining points, so scores are
     shared across all triangulations of the same point set.  This is what
     makes exhaustive optimization cheap.  Besides the values it keeps the
-    points inside each triangle's circumcircle (:meth:`inside`) and owns
-    the Delaunay triangulation and its circumcircles, built on first read;
-    it builds no Voronoi diagram.
+    points inside each triangle's circumcircle (:meth:`inside`), the
+    circumcircles of the Delaunay triangles and the point set's
+    triangulation table, each built on first read; it builds no Voronoi
+    diagram.
     """
 
     def __init__(self, ps: PointSet):
         self.point_set = ps
-        self._delaunay: Triangulation | None = None
+        self._table: TriangulationTable | None = None
         self._circles: dict[tuple, Circle] | None = None
         self._cache: dict[str, dict] = {m: {} for m in ALL_METRICS}
         self._inside: dict[tuple, list[int]] = {}
 
     @property
     def delaunay(self) -> Triangulation:
-        """The Delaunay triangulation of the point set."""
-        if self._delaunay is None:
-            self._delaunay = build_delaunay(self.point_set)
-        return self._delaunay
+        """The Delaunay triangulation of the point set, which keeps it."""
+        return build_delaunay(self.point_set)
+
+    def table(self, cap: int = DEFAULT_ENUMERATION_CAP) -> TriangulationTable:
+        """Every triangulation of the point set (:func:`triangulation_table`),
+        enumerated on the first call, under ``cap``, and kept."""
+        if self._table is None:
+            self._table = triangulation_table(self.point_set, cap)
+        return self._table
 
     @property
     def circles(self) -> dict[tuple, Circle]:

@@ -7,8 +7,10 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from neardelaunay.geom import PointSet, is_general_position, similarity_transform
+from neardelaunay.geom import PointSet, is_general_position
 from neardelaunay.pointgen import random_point_set
+
+from oracles import similarity_transform
 
 
 @pytest.fixture

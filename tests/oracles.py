@@ -20,7 +20,9 @@ shrunk_circle, from before the circumcentre quadrilateral and the
 evaluator's list of Delaunay circumcircles, and the full scan of that list
 and the per-point in-circle loop, from before shrunk_circle's stop at full
 cover and geom's one-triangle in-circle scan.  ``flip``, which only tests
-and the frozenset walk call, lives here too.
+and the frozenset walk call, lives here too, and so do
+``similarity_transform``, ``compare_bottleneck_lex`` and the every-site
+``local_voronoi``, which only tests call.
 """
 
 from __future__ import annotations
@@ -28,18 +30,13 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from enum import Enum
 from itertools import combinations, islice, permutations, product
+from typing import Sequence
 
 import numpy as np
 
-from neardelaunay.aggregate import (
-    LEX_TOLERANCE,
-    AggregationMode,
-    Comparison,
-    ScoreVector,
-    aggregate_sum,
-    compare_bottleneck_lex,
-)
+from neardelaunay.aggregate import LEX_TOLERANCE, AggregationMode, ScoreVector, aggregate_sum
 from neardelaunay.geom import (
     Circle,
     Orientation,
@@ -57,7 +54,7 @@ from neardelaunay.geom import (
     validate_general_position,
 )
 from neardelaunay.delaunay import _proper_cross, delaunay
-from neardelaunay.errors import InvalidConstraintEdges, SiteOutsideCircle
+from neardelaunay.errors import InvalidConstraintEdges, NearDelaunayError, SiteOutsideCircle
 from neardelaunay.metrics import (
     TWO_PI,
     EllipticalSegment,
@@ -69,10 +66,11 @@ from neardelaunay.metrics import (
     _ellipse_halfplane_arcs,
     _intersect_intervals,
     _arc_candidates,
+    _every_other,
     _largest_contained_circle,
+    _local_voronoi,
     _site_ellipse,
     _straight_candidates,
-    local_voronoi,
     lookup_metric,
 )
 from neardelaunay.triangulation import (
@@ -87,6 +85,75 @@ from neardelaunay.triangulation import (
     scan_triangulation,
     total_edge_length,
 )
+
+
+# --- similarity images, the bottleneck comparison and the full local Voronoi --
+# Only tests use these, so they live here and not in the package.
+
+
+class InvalidScale(NearDelaunayError):
+    """A similarity transform was requested with a non-positive scale."""
+
+
+def similarity_transform(
+    ps: PointSet,
+    rotation: float = 0.0,
+    scale: float = 1.0,
+    translation: Sequence[float] = (0.0, 0.0),
+    reflect: bool = False,
+) -> PointSet:
+    """Apply reflect (across the x-axis), then rotate, scale and translate."""
+    if not (scale > 0.0) or not math.isfinite(scale):
+        raise InvalidScale(f"scale must be positive, got {scale}")
+    cos_r, sin_r = math.cos(rotation), math.sin(rotation)
+    tx, ty = float(translation[0]), float(translation[1])
+    out = []
+    for x, y in ps:
+        if reflect:
+            y = -y
+        out.append(
+            Point(
+                scale * (cos_r * x - sin_r * y) + tx,
+                scale * (sin_r * x + cos_r * y) + ty,
+            )
+        )
+    return PointSet(out)
+
+
+class IncomparableScores(NearDelaunayError):
+    """Score vectors for different metrics or decompositions were compared."""
+
+
+class Comparison(Enum):
+    A_CLOSER = "a_closer"
+    B_CLOSER = "b_closer"
+    EQUAL = "equal"
+
+
+def compare_bottleneck_lex(a: ScoreVector, b: ScoreVector) -> Comparison:
+    """Worst element first; the first entry differing by more than the
+    tolerance decides, the better value winning."""
+    if a.metric != b.metric or len(a.values) != len(b.values):
+        raise IncomparableScores(
+            f"cannot compare {a.metric} ({len(a.values)}) with {b.metric} ({len(b.values)})"
+        )
+    lower_better = a.orientation is ScoreOrientation.LOWER_BETTER
+    for x, y in zip(a.worst_first(), b.worst_first()):
+        if abs(x - y) <= LEX_TOLERANCE:
+            continue
+        if (x < y) == lower_better:
+            return Comparison.A_CLOSER
+        return Comparison.B_CLOSER
+    return Comparison.EQUAL
+
+
+def local_voronoi(c: Circle, inside_sites: Sequence[Point]) -> LocalVoronoiDiagram:
+    """Locus of centers of maximal circles empty of the sites and contained
+    in the given circle: elliptical arcs (circle boundary vs one site) and
+    straight bisector pieces (two sites).  Every site is clipped by every
+    other, so the sites need not be in general position;
+    ``shrunk_circumcircle`` clips by Delaunay neighbours only."""
+    return _local_voronoi(c, inside_sites, _every_other(len(inside_sites)))
 
 
 # --- triangulation counting by maximal non-crossing edge sets ------------------
@@ -822,10 +889,11 @@ def block_best_bottleneck(scores: np.ndarray, lower_better: bool) -> int:
     return best
 
 
-def unique_best_triangulation(table, constraint, metric, mode, evaluator):
+def unique_best_triangulation(evaluator, constraint, metric, mode):
     """best_triangulation with element values looked up through np.unique
     and the two scans above."""
     lower_better = lookup_metric(metric).orientation is ScoreOrientation.LOWER_BETTER
+    table = evaluator.table()
     dt_length = total_edge_length(delaunay(table.point_set))
     feasible = np.flatnonzero(feasible_rows(table, constraint, dt_length))
     if not len(feasible):
@@ -894,10 +962,11 @@ def unscreened_best_bottleneck(scores: np.ndarray, lower_better: bool) -> int:
     return best
 
 
-def full_fill_best_triangulation(table, constraint, metric, mode, evaluator):
+def full_fill_best_triangulation(evaluator, constraint, metric, mode):
     """best_triangulation with the value of every element of the feasible
     rows, one Evaluator.element_value per id, and the two searches above."""
     lower_better = lookup_metric(metric).orientation is ScoreOrientation.LOWER_BETTER
+    table = evaluator.table()
     dt_length = total_edge_length(delaunay(table.point_set))
     feasible = np.flatnonzero(feasible_rows(table, constraint, dt_length))
     if not len(feasible):

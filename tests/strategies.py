@@ -8,14 +8,20 @@ Four families of 5 to 8 points, each kept only when it passes
 * uniform draws plus one point between two of them, off their line by
   1e-10 to 1e-6 of their spacing;
 * a set of one of the families above scaled by 2^40 or 2^-40, exactly.
+
+``search_queries`` draws one of these sets with a sequence of optimizer
+queries on it: a metric, a mode and a constraint of each kind.
 """
 
 import math
 
 from hypothesis import strategies as st
 
+from neardelaunay.aggregate import AggregationMode
 from neardelaunay.errors import NearDelaunayError
 from neardelaunay.geom import PointSet, is_general_position
+from neardelaunay.metrics import ALL_METRICS
+from neardelaunay.triangulation import MaxDegree, MaxTotalLength, MinTotalLength, RequiredEdges
 
 SIZES = st.integers(5, 8)
 _UNIT = st.floats(0.0, 1.0)
@@ -76,3 +82,29 @@ def point_sets():
         uniform_points(), jittered_circle_points(), near_line_points(), scaled_points()
     )
     return families.map(_point_set).filter(lambda ps: ps is not None)
+
+
+@st.composite
+def constraints(draw, n: int):
+    """One constraint of each kind over n points; a required edge joins two
+    of them."""
+    kind = draw(st.sampled_from(["required", "min_length", "max_length", "degree"]))
+    if kind == "required":
+        ends = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+        return RequiredEdges([draw(ends)])
+    if kind == "min_length":
+        return MinTotalLength(draw(st.floats(1.0, 1.3)))
+    if kind == "max_length":
+        return MaxTotalLength(draw(st.floats(0.8, 1.0)))
+    return MaxDegree(draw(st.integers(3, 6)))
+
+
+@st.composite
+def search_queries(draw):
+    """A point set of :func:`point_sets` and 2 to 8 (constraint, metric,
+    mode) queries on it."""
+    ps = draw(point_sets())
+    query = st.tuples(
+        constraints(len(ps)), st.sampled_from(ALL_METRICS), st.sampled_from(list(AggregationMode))
+    )
+    return ps, draw(st.lists(query, min_size=2, max_size=8))

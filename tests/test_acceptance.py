@@ -25,7 +25,6 @@ from neardelaunay.geom import (
     Segment,
     chord_overlap_length,
     orientation,
-    similarity_transform,
     validate_general_position,
 )
 from neardelaunay.metrics import (
@@ -52,6 +51,7 @@ from oracles import (
     grid_shrunk_circle,
     grid_shrunk_circumcircle,
     lens_arc_oracle,
+    similarity_transform,
 )
 
 N_PERFECTION_SETS = 100

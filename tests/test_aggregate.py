@@ -1,6 +1,8 @@
+import gc
 import math
 import random
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -9,22 +11,19 @@ from neardelaunay import aggregate
 from neardelaunay.aggregate import (
     LEX_TOLERANCE,
     AggregationMode,
-    Comparison,
     ScoreVector,
     aggregate_sum,
     best_triangulation,
-    compare_bottleneck_lex,
     optimize,
 )
 from neardelaunay.delaunay import cdt, delaunay
 from neardelaunay.errors import (
     EnumerationTooLarge,
-    IncomparableScores,
     InvalidConstraintEdges,
     MismatchedPointSets,
     NearDelaunayError,
 )
-from neardelaunay.geom import PointSet, similarity_transform
+from neardelaunay.geom import PointSet
 from neardelaunay.metrics import ALL_METRICS, METRICS, Evaluator, ScoreOrientation, lookup_metric
 from neardelaunay.pointgen import pick_required_edge, random_point_set, wheel_point_set
 from neardelaunay.triangulation import (
@@ -36,16 +35,19 @@ from neardelaunay.triangulation import (
     feasible_rows,
     satisfies,
     total_edge_length,
-    triangulation_table,
 )
 
 from oracles import (
+    Comparison,
+    IncomparableScores,
     best_by_scan,
     block_best_bottleneck,
+    compare_bottleneck_lex,
     enumerate_by_frozenset_walk,
     filtered_best_sum,
     full_fill_best_triangulation,
     scan_best_sum,
+    similarity_transform,
     unique_best_triangulation,
     unscreened_best_bottleneck,
 )
@@ -184,10 +186,6 @@ class TestOptimize:
         ps, other = random_point_set(7, 1), random_point_set(7, 2)
         with pytest.raises(MismatchedPointSets):
             optimize(ps, MaxDegree(5), "lens", AggregationMode.SUM, evaluator=Evaluator(other))
-        table = triangulation_table(ps)
-        for mode in AggregationMode:
-            with pytest.raises(MismatchedPointSets):
-                best_triangulation(table, MaxDegree(5), "lens", mode, Evaluator(other))
 
     def test_cap_propagates(self):
         ps = random_point_set(8, seed=2)
@@ -357,7 +355,7 @@ class TestOptimizeMemo:
     def test_cap_checked_on_memo_hit(self):
         ps = random_point_set(12, seed=1202)
         optimize(ps, MaxDegree(5), "opposing_angles", AggregationMode.SUM)
-        assert aggregate._last_table.point_set == ps
+        assert aggregate._last_evaluator.point_set == ps
         with pytest.raises(EnumerationTooLarge):
             optimize(ps, MaxDegree(5), "opposing_angles", AggregationMode.SUM, cap=11)
 
@@ -371,9 +369,27 @@ class TestOptimizeMemo:
         for c, metric, mode in queries:
             for ps in sets + sets[::-1]:
                 got = optimize(ps, c, metric, mode)
-                assert aggregate._last_table.point_set == ps
-                fresh = best_triangulation(triangulation_table(ps), c, metric, mode, Evaluator(ps))
+                assert aggregate._last_evaluator.point_set == ps
+                fresh = best_triangulation(Evaluator(ps), c, metric, mode)
                 assert (got and got.triangles) == (fresh and fresh.triangles)
+
+    def test_kept_evaluator_released_by_the_next_set(self):
+        a, b = random_point_set(7, seed=73), random_point_set(8, seed=83)
+        optimize(a, MaxDegree(5), "lens", AggregationMode.SUM)
+        kept = weakref.ref(aggregate._last_evaluator)
+        assert kept().point_set == a
+        optimize(b, MaxDegree(5), "lens", AggregationMode.SUM)
+        gc.collect()
+        assert kept() is None
+        assert aggregate._last_evaluator.point_set == b
+
+    def test_passed_evaluator_not_kept(self):
+        ps, other = random_point_set(7, seed=74), random_point_set(7, seed=75)
+        optimize(ps, MaxDegree(5), "lens", AggregationMode.SUM)
+        kept = aggregate._last_evaluator
+        for s in (ps, other):
+            optimize(s, MaxDegree(5), "lens", AggregationMode.SUM, evaluator=Evaluator(s))
+            assert aggregate._last_evaluator is kept
 
 
 def _tie_squares(*offsets):
@@ -409,7 +425,6 @@ class TestDenseSearchOracle:
     @pytest.mark.parametrize("name", sorted(DENSE_SETS))
     def test_same_row(self, name):
         ps = DENSE_SETS[name]()
-        table = triangulation_table(ps)
         dt_len = total_edge_length(delaunay(ps))
         edge = pick_required_edge(ps)
         constraints = (
@@ -422,12 +437,13 @@ class TestDenseSearchOracle:
             MaxDegree(5),
         )
         ev = Evaluator(ps)
+        table = ev.table()
         tied = 0
         for c in constraints:
             for metric in ALL_METRICS:
                 for mode in AggregationMode:
-                    got = best_triangulation(table, c, metric, mode, ev)
-                    want = unique_best_triangulation(table, c, metric, mode, ev)
+                    got = best_triangulation(ev, c, metric, mode)
+                    want = unique_best_triangulation(ev, c, metric, mode)
                     assert (got and got.triangles) == (want and want.triangles), (c, metric, mode)
                     if name.startswith("squares") and want and mode is AggregationMode.SUM:
                         tied += _exact_sums(table, c, metric, dt_len, ev).count(
@@ -471,7 +487,6 @@ class TestBoundedSearch:
     @pytest.mark.parametrize("name", sorted(BOUNDED_SETS))
     def test_same_row_as_the_full_fill(self, name):
         ps = BOUNDED_SETS[name]()
-        table = triangulation_table(ps)
         edge = pick_required_edge(ps)
         constraints = (
             RequiredEdges([edge] if edge else []),
@@ -481,12 +496,13 @@ class TestBoundedSearch:
             MaxDegree(4),
         )
         ev = Evaluator(ps)
+        table = ev.table()
         tied = 0
         for c in constraints:
             for metric in BOUNDED_METRICS:
                 for mode in AggregationMode:
-                    got = best_triangulation(table, c, metric, mode, Evaluator(ps))
-                    want = full_fill_best_triangulation(table, c, metric, mode, ev)
+                    got = best_triangulation(Evaluator(ps), c, metric, mode)
+                    want = full_fill_best_triangulation(ev, c, metric, mode)
                     assert (got and got.triangles) == (want and want.triangles), (c, metric, mode)
                     if want and mode is AggregationMode.SUM:
                         dt_len = total_edge_length(delaunay(ps))
@@ -501,10 +517,10 @@ class TestBoundedSearch:
         # triangles of its feasible rows; the bounds settle the rest.
         for seed in range(4):
             ps = _stencil_jitter(seed)
-            table = triangulation_table(ps)
             c = RequiredEdges([pick_required_edge(ps)])
             ev = Evaluator(ps)
-            best_triangulation(table, c, "shrunk_circumcircle", AggregationMode.SUM, ev)
+            table = ev.table()
+            best_triangulation(ev, c, "shrunk_circumcircle", AggregationMode.SUM)
             feasible = feasible_rows(table, c, total_edge_length(delaunay(ps)))
             occupied = [
                 e for e in np.unique(table.rows[feasible]).tolist() if ev.inside(table.triangles[e])
@@ -714,16 +730,15 @@ class TestBestBottleneck:
 
 def test_dense_query_peak_at_most_the_oracle():
     ps = random_point_set(12, seed=1201)
-    table = triangulation_table(ps)
     ev = Evaluator(ps)
     c = MinTotalLength(1.1)
     for mode in AggregationMode:
         peaks = {}
         for search in (unique_best_triangulation, best_triangulation):
-            search(table, c, "dual_area_overlap", mode, ev)  # warm the values
+            search(ev, c, "dual_area_overlap", mode)  # warm the values and the table
             tracemalloc.start()
             try:
-                search(table, c, "dual_area_overlap", mode, ev)
+                search(ev, c, "dual_area_overlap", mode)
                 peaks[search.__name__] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

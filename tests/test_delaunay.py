@@ -14,7 +14,6 @@ from neardelaunay.geom import (
     circumcircle,
     in_circumcircle,
     separates,
-    similarity_transform,
 )
 from neardelaunay.pointgen import (
     long_delaunay_point_set,
@@ -31,7 +30,7 @@ from neardelaunay.triangulation import (
 )
 
 from conftest import random_jittered_circle, validated_edge_sets
-from oracles import frozenset_cdt, frozenset_delaunay
+from oracles import frozenset_cdt, frozenset_delaunay, similarity_transform
 
 
 def all_quads_locally_delaunay(t: Triangulation, skip_edges=frozenset()) -> bool:

@@ -11,7 +11,6 @@ from neardelaunay.errors import (
     DegeneratePoints,
     DegenerateTriangle,
     GeneralPositionViolated,
-    InvalidScale,
     NearDelaunayError,
     NotAChord,
 )
@@ -35,7 +34,6 @@ from neardelaunay.geom import (
     is_general_position,
     orientation,
     separates,
-    similarity_transform,
     validate_general_position,
 )
 
@@ -49,9 +47,11 @@ from conftest import (
     validated_edge_sets,
 )
 from oracles import (
+    InvalidScale,
     general_position_message,
     incircle_distance_oracle,
     per_point_inside_circumcircle,
+    similarity_transform,
 )
 
 

@@ -26,7 +26,6 @@ from neardelaunay.geom import (
     in_circumcircle,
     is_general_position,
     orientation,
-    similarity_transform,
 )
 from neardelaunay.metrics import (
     ALL_METRICS,
@@ -41,7 +40,6 @@ from neardelaunay.metrics import (
     StraightSegment,
     _dist_point_segment,
     evaluate,
-    local_voronoi,
     lookup_metric,
 )
 from neardelaunay.pointgen import long_delaunay_point_set, random_point_set, wheel_point_set
@@ -71,9 +69,11 @@ from oracles import (
     grid_shrunk_circumcircle,
     lens_arc_oracle,
     full_scan_shrunk_circle,
+    local_voronoi,
     local_voronoi_in_index_order,
     per_point_inside_circumcircle,
     sampled_triangular_lens,
+    similarity_transform,
     voronoi_vertex_shrunk_circle,
 )
 

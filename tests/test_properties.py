@@ -3,10 +3,11 @@
 import numpy as np
 from hypothesis import given, settings
 
+from neardelaunay.aggregate import best_triangulation, optimize
 from neardelaunay.metrics import METRICS, Evaluator, ScoreOrientation
 from neardelaunay.triangulation import triangulation_table
 
-from strategies import point_sets
+from strategies import point_sets, search_queries
 
 # Deterministic: the same examples on every run, no example database and
 # no deadline, since a first call may build a table.
@@ -34,3 +35,16 @@ def test_fill_equals_element_value(ps):
                 assert got == value, (m.name, key)
             else:
                 assert (got >= value) if higher else (got <= value), (m.name, key)
+
+
+@DETERMINISTIC
+@given(search_queries())
+def test_warm_evaluator_matches_fresh(case):
+    # optimize keeps one evaluator per point set, so each query's sum search
+    # starts from the values and bounds the earlier queries left in its
+    # caches; it must pick the row a fresh evaluator picks.
+    ps, queries = case
+    for constraint, metric, mode in queries:
+        got = optimize(ps, constraint, metric, mode)
+        want = best_triangulation(Evaluator(ps), constraint, metric, mode)
+        assert (got and got.triangles) == (want and want.triangles), (constraint, metric, mode)

@@ -20,7 +20,7 @@ from neardelaunay.fileio import (
     write_triangulation,
 )
 from neardelaunay import geom as geom_module, triangulation as triangulation_module
-from neardelaunay.geom import PointSet, orientation, similarity_transform
+from neardelaunay.geom import PointSet, orientation
 from neardelaunay.pointgen import (
     long_delaunay_point_set,
     random_point_set,
@@ -57,6 +57,7 @@ from oracles import (
     frozenset_flip,
     level_walk_table,
     pairwise_validate,
+    similarity_transform,
 )
 
 CATALAN = {4: 2, 5: 5, 6: 14, 7: 42, 8: 132, 9: 429, 10: 1430, 11: 4862, 12: 16796}
@@ -84,8 +85,6 @@ class TestValidate:
             assert validate(t)
 
     def test_overlap_detection_translation_invariant(self, p4):
-        from neardelaunay.geom import similarity_transform
-
         # (0,1,2) and (0,2,3) use every point but overlap near edge (0,2);
         # the verdicts must not change when the coordinates grow
         for translation in ((0.0, 0.0), (1e7, -1e7)):
@@ -519,8 +518,6 @@ class TestLengthDegree:
         assert total_edge_length(delaunay(p4)) == pytest.approx(4 * math.sqrt(1.25) + 1)
 
     def test_scaling_doubles_length(self, p4):
-        from neardelaunay.geom import similarity_transform
-
         doubled = similarity_transform(p4, scale=2.0)
         t1 = Triangulation(p4, [(0, 1, 2), (0, 1, 3)])
         t2 = Triangulation(doubled, [(0, 1, 2), (0, 1, 3)])
